@@ -66,6 +66,7 @@ from .simplex import (
     build_simplex,
     build_sphere,
     build_wedge,
+    count_placings,
     embed,
     enumerate_placings,
     height,

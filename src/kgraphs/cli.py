@@ -17,7 +17,14 @@ from .errors import KGraphError, NotACongruence, ParseError
 from .export import export_dot, export_json, export_mesh
 from .homology import chain_complex, euler_characteristic, homology
 from .quotient import quotient
-from .simplex import build_simplex, build_sphere, build_wedge, enumerate_placings, placing_id
+from .simplex import (
+    build_simplex,
+    build_sphere,
+    build_wedge,
+    count_placings,
+    enumerate_placings,
+    placing_id,
+)
 from .surfaces import MarkedSkeleton, compact_surface, connected_sum, validate_marking
 
 
@@ -83,32 +90,37 @@ def _bare(model):
 def _cmd_placings(args) -> int:
     if args.k < 0:
         raise ParseError("--k must be >= 0")
-    ids = [placing_id(f) for f in enumerate_placings(args.k)]
     if args.count:
-        print(len(ids))
+        print(count_placings(args.k))
     else:
-        for s in ids:
-            print(s)
+        for f in enumerate_placings(args.k):
+            print(placing_id(f))
     return 0
 
 
 def _cmd_build(args) -> int:
-    if args.what == "simplex":
-        if args.k is None:
-            raise ParseError("build simplex needs --k")
-        model = build_simplex(args.k)
-    elif args.what == "sphere":
-        if args.k is None:
-            raise ParseError("build sphere needs --k")
-        model = build_sphere(args.k)
-    elif args.what == "wedge":
-        if args.k is None or args.n is None:
-            raise ParseError("build wedge needs --k and --n")
-        model = build_wedge(args.k, args.n)
-    else:
+    if args.what == "surface":
         if not args.spec:
             raise ParseError("build surface needs --spec")
-        model = compact_surface(args.spec)
+        try:
+            model = compact_surface(args.spec)
+        except ValueError as exc:  # an unknown tag, or no summands at all
+            raise ParseError(str(exc)) from None
+    else:
+        if args.what == "wedge" and (args.k is None or args.n is None):
+            raise ParseError("build wedge needs --k and --n")
+        if args.k is None:
+            raise ParseError(f"build {args.what} needs --k")
+        if args.k < 0:
+            raise ParseError("--k must be >= 0")
+        if args.what == "simplex":
+            model = build_simplex(args.k)
+        elif args.what == "sphere":
+            model = build_sphere(args.k)
+        else:
+            if args.n < 1:
+                raise ParseError("--n must be >= 1")
+            model = build_wedge(args.k, args.n)
     sys.stdout.write(export_json(model))
     return 0
 

@@ -8,10 +8,24 @@ form the vertex poset of the simplex k-graph: morphisms are the
 comparable pairs f <= g, composing by path concatenation, with degree
 measured by the heights picked up between the two ends.
 
+Placings are generated directly as ordered set partitions (a non-empty
+first block takes the count already placed, the rest follows) and then
+sorted once.  The builders work on these known-valid tables by index:
+each placing's up-set is the AND of one "value at j is >= f(j)" bitmask
+per coordinate, so no pair of placings is compared or re-validated.  The
+public helpers (placing_id, height, tail_factor, leq, is_placing) still
+validate their arguments.
+
 The k-sphere is two copies of the simplex with their boundaries (all
 vertices away from the zero placing) identified, built as an honest
-congruence quotient of {0,1} x simplex.  Wedges of spheres identify the
-interior vertices of several tagged spheres.
+congruence quotient of {0,1} x simplex.  The relation is passed in
+"explicit" mode -- the two copies of every morphism whose range is not
+the zero placing -- and is certified rather than closed up: quotient()
+checks all four congruence conditions, and a relation that passes them
+is already closed under the saturation "generated" mode would run, so it
+is the generated relation; if it failed, quotient() would raise
+NotACongruence instead of building anything.  Wedges of spheres identify
+the interior vertices of several tagged spheres.
 
 Ids are human-readable: a placing prints as its blocks in order of
 first appearance, elements within a block in decreasing order, so e.g.
@@ -21,8 +35,8 @@ prints as "0".  A morphism f <= g prints as "(f,g)".
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from math import comb
 
 from .core import FiniteKGraph, _tagged_union, cartesian_product
 from .errors import HeightExceeded, OutOfBox, OutOfRange
@@ -59,14 +73,40 @@ def enumerate_placings(k: int) -> list[Placing]:
     k+1-st ordered Bell number: 1, 3, 13, 75, 541, ...)"""
     if k < 0:
         raise OutOfRange("k must be >= 0")
-    return [f for f in itertools.product(range(k + 1), repeat=k + 1) if is_placing(f)]
+    n = k + 1
+    members = [[j for j in range(n) if m >> j & 1] for m in range(1 << n)]
+    out: list[Placing] = []
+    table = [0] * n
+
+    def place(rest: int, count: int) -> None:
+        # every non-empty subset of the unplaced points can come next
+        if not rest:
+            out.append(tuple(table))
+            return
+        block = rest
+        while block:
+            for j in members[block]:
+                table[j] = count
+            place(rest & ~block, count + len(members[block]))
+            block = (block - 1) & rest
+
+    place((1 << n) - 1, 0)
+    out.sort()
+    return out
 
 
-def placing_id(f) -> str:
-    """Canonical human-readable id, e.g. (0,2,0) -> "{20,1}"."""
-    t = _as_table(f)
-    if not is_placing(t):
-        raise OutOfRange(f"{t} is not a placing")
+def count_placings(k: int) -> int:
+    """The number of placings of {0, ..., k} without listing them: the
+    ordered Bell number a(k+1), where a(n) = sum_j C(n, j) a(n - j)."""
+    if k < 0:
+        raise OutOfRange("k must be >= 0")
+    a = [1]
+    for n in range(1, k + 2):
+        a.append(sum(comb(n, j) * a[n - j] for j in range(1, n + 1)))
+    return a[k + 1]
+
+
+def _pid(t: Placing) -> str:
     if not any(t):
         return "0"
     blocks: dict[int, list[int]] = {}
@@ -79,12 +119,22 @@ def placing_id(f) -> str:
     return "{" + ",".join(parts) + "}"
 
 
+def _height(t: Placing) -> tuple[int, ...]:
+    vals = set(t)
+    return tuple(1 if i in vals else 0 for i in range(1, len(t)))
+
+
+def placing_id(f) -> str:
+    """Canonical human-readable id, e.g. (0,2,0) -> "{20,1}"."""
+    t = _as_table(f)
+    if not is_placing(t):
+        raise OutOfRange(f"{t} is not a placing")
+    return _pid(t)
+
+
 def height(f) -> tuple[int, ...]:
     """The 0-1 vector recording which of 1..k occur as values of f."""
-    t = _as_table(f)
-    k = len(t) - 1
-    vals = set(t)
-    return tuple(1 if i in vals else 0 for i in range(1, k + 1))
+    return _height(_as_table(f))
 
 
 def tail_factor(f, z) -> Placing:
@@ -167,6 +217,23 @@ def embed(f, t) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _vertex_point(t: Placing) -> tuple[Fraction, ...]:
+    """embed(t, height(t)) for a known placing.  The vertex weights the
+    basis points of its L positive levels equally, and the basis point of
+    level n spreads 1 over the n points placed before it, so coordinate j
+    is the sum of 1/(L n) over the levels n above t(j)."""
+    levels = sorted(set(t) - {0}, reverse=True)
+    if not levels:
+        return (Fraction(1, len(t)),) * len(t)
+    above = {}
+    acc = Fraction(0)
+    for n in levels:
+        above[n] = acc / len(levels)
+        acc += Fraction(1, n)
+    above[0] = acc / len(levels)
+    return tuple(above[v] for v in t)
+
+
 # ---------------------------------------------------------------------------
 # builders
 
@@ -175,47 +242,76 @@ def _morphism_id(pid_f: str, pid_g: str) -> str:
     return f"({pid_f},{pid_g})"
 
 
+def _up_sets(placings: list[Placing]) -> list[int]:
+    """For each placing f, the bitmask of the indices of all g >= f.
+
+    ge[j][v] holds the placings whose value at j is at least v, so the
+    up-set of f is the AND of ge[j][f(j)] over the k+1 coordinates."""
+    n = len(placings[0])
+    ge = [[0] * (n + 1) for _ in range(n)]
+    for i, f in enumerate(placings):
+        for j, v in enumerate(f):
+            ge[j][v] |= 1 << i
+    for row in ge:
+        for v in range(n - 1, -1, -1):
+            row[v] |= row[v + 1]
+    ups = []
+    for f in placings:
+        mask = -1
+        for j, v in enumerate(f):
+            mask &= ge[j][v]
+        ups.append(mask)
+    return ups
+
+
+def _indices(mask: int) -> list[int]:
+    """The set bits of mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def build_simplex(k: int) -> FiniteKGraph:
     """The simplex k-graph: placings as vertices, comparable pairs as
     morphisms, degree the height gained.  Carries an exact embedding of
     its vertices into the standard k-simplex."""
     placings = enumerate_placings(k)
-    pid = {f: placing_id(f) for f in placings}
-    heights = {f: height(f) for f in placings}
+    pids = [_pid(f) for f in placings]
+    heights = [_height(f) for f in placings]
 
-    strict_up: dict[Placing, list[Placing]] = {f: [] for f in placings}
+    # above[i]: {j: morphism id} for the placings strictly above placing i,
+    # in lexicographic order (g > f pointwise puts g after f)
+    above: list[dict[int, str]] = []
     morphisms = {}
-    for f in placings:
-        for g in placings:
-            if f != g and leq(f, g):
-                strict_up[f].append(g)
-                d = tuple(b - a for a, b in zip(heights[f], heights[g]))
-                morphisms[_morphism_id(pid[f], pid[g])] = (d, pid[f], pid[g])
+    for i, up in enumerate(_up_sets(placings)):
+        row = {}
+        for j in _indices(up & ~(1 << i)):
+            mid = _morphism_id(pids[i], pids[j])
+            row[j] = mid
+            d = tuple(b - a for a, b in zip(heights[i], heights[j]))
+            morphisms[mid] = (d, pids[i], pids[j])
+        above.append(row)
 
     table = {}
-    for f in placings:
-        for g in strict_up[f]:
-            ab = _morphism_id(pid[f], pid[g])
-            for h in strict_up[g]:
-                table[(ab, _morphism_id(pid[g], pid[h]))] = _morphism_id(pid[f], pid[h])
+    for row in above:
+        for j, ab in row.items():
+            for h, bc in above[j].items():
+                table[(ab, bc)] = row[h]
 
-    graph = FiniteKGraph(k, list(pid.values()), morphisms, table)
-    graph.embedding = {pid[f]: embed(f, heights[f]) for f in placings}
+    graph = FiniteKGraph(k, pids, morphisms, table)
+    graph.embedding = {pid: _vertex_point(f) for pid, f in zip(pids, placings)}
     return graph
 
 
-def _sphere_pairs(k: int):
-    """Id pairs identifying the two copies of everything off the zero placing."""
-    placings = enumerate_placings(k)
-    pid = {f: placing_id(f) for f in placings}
-    zero = (0,) * (k + 1)
-    pairs = []
-    for f in placings:
-        for g in placings:
-            if f != zero and (f == g or leq(f, g)):
-                mid = pid[f] if f == g else _morphism_id(pid[f], pid[g])
-                pairs.append((f"(0,{mid})", f"(1,{mid})"))
-    return pairs
+def _sphere_pairs(k: int, simplex: FiniteKGraph | None = None):
+    """Id pairs identifying the two copies of every morphism of the simplex
+    (identities included) whose range is not the zero placing."""
+    if simplex is None:
+        simplex = build_simplex(k)
+    return [(f"(0,{m})", f"(1,{m})") for m in simplex.morphism_ids() if simplex.r(m) != "0"]
 
 
 def build_sphere(k: int) -> FiniteKGraph:
@@ -226,21 +322,19 @@ def build_sphere(k: int) -> FiniteKGraph:
     two = FiniteKGraph(0, ["0", "1"], {}, {})
     simplex = build_simplex(k)
     product = cartesian_product(two, simplex)
-    rel = relation_from_pairs(product, _sphere_pairs(k))
+    # explicit mode: quotient() certifies the relation (see the module notes)
+    rel = relation_from_pairs(product, _sphere_pairs(k, simplex), mode="explicit")
     sphere = quotient(product, rel)
 
     embedding = {}
-    zero_pid = placing_id((0,) * (k + 1))
-    for f in enumerate_placings(k):
-        base = embed(f, height(f))
-        pid_f = placing_id(f)
-        if pid_f == zero_pid:
+    for v, base in simplex.embedding.items():
+        if v == "0":
             delta = min(base)
-            embedding[f"(0,{pid_f})"] = base + (delta,)
-            embedding[f"(1,{pid_f})"] = base + (-delta,)
+            embedding["(0,0)"] = base + (delta,)
+            embedding["(1,0)"] = base + (-delta,)
         else:
             # boundary vertices carry a zero extra coordinate and are shared
-            embedding[f"(0,{pid_f})"] = base + (Fraction(0),)
+            embedding[f"(0,{v})"] = base + (Fraction(0),)
     sphere.embedding = embedding
     return sphere
 

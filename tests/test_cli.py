@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from kgraphs import enumerate_placings
 from kgraphs.cli import main
 
 
@@ -190,3 +191,34 @@ def test_console_script_entry_point():
         capture_output=True, text=True,
     )
     assert out.returncode == 0 and out.stdout.strip() == "13"
+
+
+def test_placings_count_uses_the_recurrence(capsys):
+    for k in range(7):
+        code, out, _ = run(capsys, "placings", "--k", str(k), "--count")
+        assert code == 0 and out == f"{len(enumerate_placings(k))}\n"
+    # far beyond what listing could reach (A000670 at n = 10)
+    code, out, _ = run(capsys, "placings", "--k", "9", "--count")
+    assert code == 0 and out == "102247563\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("build", "simplex", "--k", "-1"),
+        ("build", "sphere", "--k", "-1"),
+        ("build", "wedge", "--k", "-1", "--n", "2"),
+        ("build", "wedge", "--k", "2", "--n", "0"),
+        ("build", "surface", "--spec", "X"),
+        ("build", "surface", "--spec", ",,"),
+        ("build", "surface", "--spec", "T,Q"),
+        ("placings", "--k", "-1"),
+        ("placings", "--k", "two"),
+    ],
+)
+def test_bad_builder_arguments_are_one_line_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1

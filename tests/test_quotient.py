@@ -118,6 +118,18 @@ def test_sphere_relation_is_a_congruence_and_keeps_poles_apart():
         assert not rel.same("(0,0)", "(1,0)")
 
 
+def test_explicit_sphere_relation_is_the_generated_one():
+    # build_sphere passes _sphere_pairs in explicit mode; the saturation of
+    # generated mode must find nothing more to merge
+    for k in range(4):
+        prod = cartesian_product(two_points(), build_simplex(k))
+        pairs = _sphere_pairs(k)
+        explicit = relation_from_pairs(prod, pairs, mode="explicit")
+        generated = relation_from_pairs(prod, pairs, mode="generated")
+        assert explicit.classes() == generated.classes()
+        assert check_congruence(explicit).ok
+
+
 def test_quotient_needs_matching_graph():
     g = chain_with_parallel_edges()
     h = chain_with_parallel_edges()

@@ -1,5 +1,6 @@
 """Placings, their partial order, tail factors, and the simplex builders."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -20,7 +21,8 @@ from kgraphs import (
     validate_kgraph,
 )
 from kgraphs.errors import HeightExceeded, OutOfBox, OutOfRange
-from kgraphs.simplex import is_placing
+from kgraphs.export import export_json
+from kgraphs.simplex import _indices, _up_sets, _vertex_point, is_placing
 
 from helpers import ordered_bell
 
@@ -201,3 +203,49 @@ def test_wedge_validates_and_counts():
     assert len(g.vertices) == 3 * 13 + 1
     with pytest.raises(ValueError):
         build_wedge(2, 0)
+
+
+def test_enumerate_matches_filtered_tables():
+    # the definition: every table in {0..k}^(k+1) that is a placing, in
+    # lexicographic order
+    for k in range(6):
+        tables = product(range(k + 1), repeat=k + 1)
+        assert enumerate_placings(k) == [f for f in tables if is_placing(f)]
+
+
+def test_up_sets_match_pointwise_order():
+    for k in range(4):
+        placings = enumerate_placings(k)
+        ups = _up_sets(placings)
+        for i, f in enumerate(placings):
+            assert _indices(ups[i]) == [j for j, g in enumerate(placings) if leq(f, g)]
+
+
+# sha256 of export_json(build_simplex(k)) and export_json(build_sphere(k)),
+# recorded from the builders that compared every pair of placings with leq
+# and closed the sphere relation by saturation
+BUILD_DIGESTS = {
+    ("simplex", 0): "c8c7b4dd80b36ff41178a2229296b3c1bbc654b30364a0624aa66d1b3a471a7c",
+    ("simplex", 1): "9d414e9092f2ed44018524e768fa1a84900048b53cd7d6e6bcb11ae370692235",
+    ("simplex", 2): "1bec8e7a2b99e6438c8cfab6d12816dead1d1254c65a2c01ff76e6304dbee3af",
+    ("simplex", 3): "7538181615768c043171f373a47edd3254860ba8521be9d82523b905ea53bb02",
+    ("simplex", 4): "9232f854719b0732ca6b7ded26df143398ee58dc3e5cec8feb600d4973cd31e1",
+    ("sphere", 0): "3ce54e2802e156825a3b61119de01fc24c11512ce690521c8d5b735b2f35db0e",
+    ("sphere", 1): "2bc73fe78dff5720fe1f55bdb05ddf28a0d7b7768ddf8740775b5d08b476062f",
+    ("sphere", 2): "e0d8c941b786f87f3aaa480c3180ce695576bf228492d72f9f17ff5ac9784948",
+    ("sphere", 3): "fbb0df3d6a8a45991e9a9f7514d3e13a922f85a51ef1b2b8070de13c30a3917d",
+    ("sphere", 4): "21e64c626a91712f57f46a90da735d36619c536703fd0f87d7bbdd89a317056a",
+}
+
+
+@pytest.mark.parametrize("what, k", sorted(BUILD_DIGESTS))
+def test_builder_output_bytes_are_pinned(what, k):
+    build = {"simplex": build_simplex, "sphere": build_sphere}[what]
+    text = export_json(build(k))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BUILD_DIGESTS[what, k]
+
+
+def test_vertex_points_match_embed():
+    for k in range(5):
+        for f in enumerate_placings(k):
+            assert _vertex_point(f) == embed(f, height(f))

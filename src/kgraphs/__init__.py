@@ -23,6 +23,7 @@ from .errors import (
     BadDirection,
     BadMarking,
     BadSplit,
+    BadSurfaceSpec,
     DimensionTooLarge,
     ForeignId,
     HeightExceeded,

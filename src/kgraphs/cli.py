@@ -13,7 +13,7 @@ import sys
 
 from . import io as kio
 from .core import FiniteKGraph, Skeleton2Graph, validate_kgraph, validate_skeleton
-from .errors import KGraphError, NotACongruence, ParseError
+from .errors import BadSurfaceSpec, KGraphError, NotACongruence, ParseError
 from .export import export_dot, export_json, export_mesh
 from .homology import chain_complex, euler_characteristic, homology
 from .quotient import quotient
@@ -102,10 +102,7 @@ def _cmd_build(args) -> int:
     if args.what == "surface":
         if not args.spec:
             raise ParseError("build surface needs --spec")
-        try:
-            model = compact_surface(args.spec)
-        except ValueError as exc:  # an unknown tag, or no summands at all
-            raise ParseError(str(exc)) from None
+        model = compact_surface(args.spec)
     else:
         if args.what == "wedge" and (args.k is None or args.n is None):
             raise ParseError("build wedge needs --k and --n")
@@ -231,10 +228,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.verb](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ParseError, BadSurfaceSpec, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NotACongruence as exc:

@@ -583,7 +583,14 @@ class Skeleton2Graph:
 
 
 def validate_skeleton(sk: Skeleton2Graph) -> list[Violation]:
-    """Check the skeleton axioms; returns all violations found (never raises)."""
+    """Check the skeleton axioms; returns all violations found (never raises).
+
+    Costs O(edges + squares + composable pairs), apart from sorting the
+    edge ids once: the bijection checks visit only composable blue-red
+    and red-blue pairs, found through the edges grouped by range vertex.
+    Violations come in sorted-id order: edges, then squares, then
+    blue-red pairs by (blue, red) id, then red-blue pairs by (red, blue).
+    """
     out: list[Violation] = []
     vset = set(sk.vertices)
     for e, rec in sorted({**sk.blue, **sk.red}.items()):
@@ -622,30 +629,36 @@ def validate_skeleton(sk: Skeleton2Graph) -> list[Violation]:
         br_seen[(f, gg)] = br_seen.get((f, gg), 0) + 1
         rb_seen[(g2, f2)] = rb_seen.get((g2, f2), 0) + 1
 
-    for f, ef in sorted(sk.blue.items()):
-        for gg, eg in sorted(sk.red.items()):
-            if ef.s == eg.r:
-                n = br_seen.get((f, gg), 0)
-                if n != 1:
-                    out.append(
-                        Violation(
-                            "square-bijection",
-                            (f, gg),
-                            f"blue-red path occurs in {n} squares (needs exactly 1)",
-                        )
+    blue, red = sorted(sk.blue.items()), sorted(sk.red.items())
+    blue_by_range: dict[str, list[str]] = {}
+    red_by_range: dict[str, list[str]] = {}
+    for e, rec in blue:
+        blue_by_range.setdefault(rec.r, []).append(e)
+    for e, rec in red:
+        red_by_range.setdefault(rec.r, []).append(e)
+
+    for f, ef in blue:
+        for gg in red_by_range.get(ef.s, ()):
+            n = br_seen.get((f, gg), 0)
+            if n != 1:
+                out.append(
+                    Violation(
+                        "square-bijection",
+                        (f, gg),
+                        f"blue-red path occurs in {n} squares (needs exactly 1)",
                     )
-    for g2, eg2 in sorted(sk.red.items()):
-        for f2, ef2 in sorted(sk.blue.items()):
-            if eg2.s == ef2.r:
-                n = rb_seen.get((g2, f2), 0)
-                if n != 1:
-                    out.append(
-                        Violation(
-                            "square-bijection",
-                            (g2, f2),
-                            f"red-blue path occurs in {n} squares (needs exactly 1)",
-                        )
+                )
+    for g2, eg2 in red:
+        for f2 in blue_by_range.get(eg2.s, ()):
+            n = rb_seen.get((g2, f2), 0)
+            if n != 1:
+                out.append(
+                    Violation(
+                        "square-bijection",
+                        (g2, f2),
+                        f"red-blue path occurs in {n} squares (needs exactly 1)",
                     )
+                )
     return out
 
 

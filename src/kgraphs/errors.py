@@ -88,6 +88,13 @@ class BadMarking(KGraphError):
     """A marked surface skeleton breaks one of the marking invariants."""
 
 
+class BadSurfaceSpec(KGraphError, ValueError):
+    """A surface spec names an unknown tag or no summands at all.
+
+    Still a ValueError, so callers that caught the bare one keep working.
+    """
+
+
 class OutOfRange(KGraphError):
     """A would-be placing has values outside {0, ..., k} or a bad shape."""
 

@@ -11,6 +11,9 @@ The catalog square sets are frozen constants, certified by their
 homology; `regenerate_squares` re-derives them by searching the
 endpoint-preserving pairings of two-colour paths that contain the
 marked square and have the right homology, taking the least such set.
+Each catalog surface is certified (validated and homology-checked) once
+per process, on its first use; every `basic_surface` call still returns
+a fresh skeleton.
 """
 
 from __future__ import annotations
@@ -19,27 +22,25 @@ import itertools
 from dataclasses import dataclass
 
 from .core import Skeleton2Graph, Square, validate_skeleton
-from .errors import BadMarking, InvalidModel
+from .errors import BadMarking, BadSurfaceSpec, InvalidModel
 from .homology import chain_complex, homology
 
 
-# Catalog digraphs, edges written (range, source) == (head, tail).
+# Catalog digraphs, edges written (range, source) == (head, tail).  The
+# torus and the Klein bottle share a digraph and differ only in squares.
+_TORUS_DIGRAPH = {
+    "vertices": ["u", "v", "w", "x"],
+    "blue": {"a": ("w", "v"), "b": ("w", "v"), "c": ("u", "x"), "d": ("u", "x")},
+    "red": {"e": ("x", "v"), "f": ("x", "v"), "g": ("u", "w"), "h": ("u", "w")},
+}
 _DIGRAPHS: dict[str, dict] = {
     "S": {
         "vertices": ["u", "v", "w", "x", "y", "z"],
         "blue": {"a": ("w", "v"), "b": ("w", "y"), "c": ("u", "x"), "d": ("z", "x")},
         "red": {"e": ("x", "v"), "f": ("x", "y"), "g": ("u", "w"), "h": ("z", "w")},
     },
-    "T": {
-        "vertices": ["u", "v", "w", "x"],
-        "blue": {"a": ("w", "v"), "b": ("w", "v"), "c": ("u", "x"), "d": ("u", "x")},
-        "red": {"e": ("x", "v"), "f": ("x", "v"), "g": ("u", "w"), "h": ("u", "w")},
-    },
-    "K": {
-        "vertices": ["u", "v", "w", "x"],
-        "blue": {"a": ("w", "v"), "b": ("w", "v"), "c": ("u", "x"), "d": ("u", "x")},
-        "red": {"e": ("x", "v"), "f": ("x", "v"), "g": ("u", "w"), "h": ("u", "w")},
-    },
+    "T": _TORUS_DIGRAPH,
+    "K": _TORUS_DIGRAPH,
     "P": {
         "vertices": ["u", "v", "w", "x", "y"],
         "blue": {"a": ("w", "v"), "b": ("w", "x"), "c": ("u", "y"), "d": ("u", "y")},
@@ -76,7 +77,7 @@ class SurfaceSummand:
 
     def __post_init__(self):
         if self.tag not in _DIGRAPHS:
-            raise ValueError(f"unknown surface tag {self.tag!r} (use S, T, K or P)")
+            raise BadSurfaceSpec(f"unknown surface tag {self.tag!r} (use S, T, K or P)")
 
 
 @dataclass(frozen=True)
@@ -193,8 +194,18 @@ def regenerate_squares(tag: str) -> tuple[Square, ...]:
     return min(winners)
 
 
+# Catalog tags whose skeleton passed validation and its homology
+# certificate in this process; the frozen data cannot change, so once is
+# enough.
+_CERTIFIED: set[str] = set()
+
+
 def basic_surface(tag) -> MarkedSkeleton:
-    """The catalog skeleton for S, T, K or P, marked and homology-certified."""
+    """The catalog skeleton for S, T, K or P, marked and homology-certified.
+
+    Every call returns a fresh skeleton, so no caller can change what
+    another one gets.
+    """
     tag = tag.tag if isinstance(tag, SurfaceSummand) else SurfaceSummand(str(tag)).tag
     squares = _FROZEN_SQUARES.get(tag)
     if squares is None:
@@ -202,10 +213,12 @@ def basic_surface(tag) -> MarkedSkeleton:
         _FROZEN_SQUARES[tag] = squares
     data = _DIGRAPHS[tag]
     sk = Skeleton2Graph(data["vertices"], data["blue"], data["red"], squares)
-    if validate_skeleton(sk):
-        raise InvalidModel(f"catalog skeleton {tag} fails validation")
-    if _skeleton_homology(sk) != _EXPECTED_HOMOLOGY[tag]:
-        raise InvalidModel(f"catalog skeleton {tag} fails its homology certificate")
+    if tag not in _CERTIFIED:
+        if validate_skeleton(sk):
+            raise InvalidModel(f"catalog skeleton {tag} fails validation")
+        if _skeleton_homology(sk) != _EXPECTED_HOMOLOGY[tag]:
+            raise InvalidModel(f"catalog skeleton {tag} fails its homology certificate")
+        _CERTIFIED.add(tag)
     return _marked(sk, "u", "v", _MARKED_SQUARE)
 
 
@@ -282,7 +295,7 @@ def compact_surface(spec) -> MarkedSkeleton:
     else:
         tags = [t.tag if isinstance(t, SurfaceSummand) else str(t) for t in spec]
     if not tags:
-        raise ValueError("a surface spec needs at least one summand")
+        raise BadSurfaceSpec("a surface spec needs at least one summand")
     out = basic_surface(tags[0])
     for tag in tags[1:]:
         out = connected_sum(out, basic_surface(tag))

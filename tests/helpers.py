@@ -6,7 +6,7 @@ independent fixtures) and a couple of counting oracles.
 import random
 from itertools import product
 
-from kgraphs.core import FiniteKGraph
+from kgraphs.core import FiniteKGraph, Skeleton2Graph, Square, Violation
 
 
 def random_dag(rng: random.Random, n: int, p: float):
@@ -147,3 +147,74 @@ def ordered_bell(k: int) -> int:
     for n in range(1, k + 1):
         a.append(sum(comb(n, j) * a[n - j] for j in range(1, n + 1)))
     return a[k]
+
+
+def quadratic_validate_skeleton(sk: Skeleton2Graph) -> list[Violation]:
+    """Reference copy of `validate_skeleton` as it was before its bijection
+    checks were indexed by range vertex: the blue x red and red x blue
+    loops re-sort the inner edge table for every outer edge.  Oracle for
+    the indexed validator, violation order included.
+    """
+    out: list[Violation] = []
+    vset = set(sk.vertices)
+    for e, rec in sorted({**sk.blue, **sk.red}.items()):
+        bad = [v for v in (rec.r, rec.s) if v not in vset]
+        if bad:
+            out.append(Violation("edge-endpoints", (e,), f"endpoints {bad} are not vertices"))
+
+    seen: set[Square] = set()
+    br_seen: dict[tuple[str, str], int] = {}
+    rb_seen: dict[tuple[str, str], int] = {}
+    for sq in sk.squares:
+        f, gg, g2, f2 = sq
+        if sq in seen:
+            out.append(Violation("square-dup", sq, "square listed twice"))
+            continue
+        seen.add(sq)
+        if f not in sk.blue or f2 not in sk.blue or gg not in sk.red or g2 not in sk.red:
+            out.append(
+                Violation(
+                    "square-edges",
+                    sq,
+                    "square must be (blue, red, red, blue) edge ids",
+                )
+            )
+            continue
+        ef, eg, eg2, ef2 = sk.blue[f], sk.red[gg], sk.red[g2], sk.blue[f2]
+        if not (ef.s == eg.r and eg2.s == ef2.r and ef.r == eg2.r and eg.s == ef2.s):
+            out.append(
+                Violation(
+                    "square-commute",
+                    sq,
+                    "the two paths of the square do not share endpoints",
+                )
+            )
+            continue
+        br_seen[(f, gg)] = br_seen.get((f, gg), 0) + 1
+        rb_seen[(g2, f2)] = rb_seen.get((g2, f2), 0) + 1
+
+    for f, ef in sorted(sk.blue.items()):
+        for gg, eg in sorted(sk.red.items()):
+            if ef.s == eg.r:
+                n = br_seen.get((f, gg), 0)
+                if n != 1:
+                    out.append(
+                        Violation(
+                            "square-bijection",
+                            (f, gg),
+                            f"blue-red path occurs in {n} squares (needs exactly 1)",
+                        )
+                    )
+    for g2, eg2 in sorted(sk.red.items()):
+        for f2, ef2 in sorted(sk.blue.items()):
+            if eg2.s == ef2.r:
+                n = rb_seen.get((g2, f2), 0)
+                if n != 1:
+                    out.append(
+                        Violation(
+                            "square-bijection",
+                            (g2, f2),
+                            f"red-blue path occurs in {n} squares (needs exactly 1)",
+                        )
+                    )
+    return out

@@ -155,6 +155,24 @@ def test_connected_sum_command(capsys, tmp_path):
     assert {"u", "v", "square"} <= set(doc)
 
 
+def test_connected_sum_validates_loaded_documents(capsys, tmp_path):
+    # loading a marked document does not validate it; the connected sum's
+    # full check of its result is what catches a missing square
+    code, doc, _ = run(capsys, "build", "surface", "--spec", "T,P")
+    data = json.loads(doc)
+    data["squares"].remove(next(sq for sq in data["squares"] if sq != data["square"]))
+    (tmp_path / "broken.json").write_text(json.dumps(data))
+    code, doc, _ = run(capsys, "build", "surface", "--spec", "K")
+    (tmp_path / "k.json").write_text(doc)
+    code, out, err = run(
+        capsys, "connected-sum", str(tmp_path / "broken.json"), str(tmp_path / "k.json")
+    )
+    assert code == 2
+    assert out == ""
+    assert "connected sum fails validation" in err
+    assert "Traceback" not in err
+
+
 def test_export_dot_stable(capsys, monkeypatch):
     code, doc, _ = run(capsys, "build", "surface", "--spec", "T")
     feed(monkeypatch, doc)

@@ -1,9 +1,14 @@
 """Surface catalog, square regeneration, markings, connected sums."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgraphs import (
     MarkedSkeleton,
+    Skeleton2Graph,
     SurfaceSummand,
     basic_surface,
     chain_complex,
@@ -15,8 +20,10 @@ from kgraphs import (
     validate_marking,
     validate_skeleton,
 )
-from kgraphs.errors import BadMarking, UnknownId
+from kgraphs.errors import BadMarking, BadSurfaceSpec, KGraphError, UnknownId
 from kgraphs.surfaces import _EXPECTED_HOMOLOGY, _FROZEN_SQUARES
+
+from helpers import quadratic_validate_skeleton
 
 TAGS = "STKP"
 
@@ -56,6 +63,8 @@ def test_euler_characteristics():
 
 def test_summand_tag_checked():
     with pytest.raises(ValueError):
+        SurfaceSummand("Q")
+    with pytest.raises(BadSurfaceSpec):
         SurfaceSummand("Q")
     with pytest.raises((ValueError, UnknownId)):
         basic_surface("Q")
@@ -118,6 +127,8 @@ def test_bad_marking_rejected():
 def test_empty_spec_rejected():
     with pytest.raises(ValueError):
         compact_surface("")
+    with pytest.raises(KGraphError):
+        compact_surface(",,")
 
 
 def test_priming_keeps_ids_apart():
@@ -126,3 +137,76 @@ def test_priming_keeps_ids_apart():
     # 8 blue + 8 red + 8 more per extra summand, all distinct by priming
     assert len(sk.blue) == 12 and len(sk.red) == 12
     assert any(e.endswith("'") for e in sk.blue)
+
+
+
+def test_basic_surface_returns_a_fresh_skeleton():
+    first = basic_surface("T")
+    first.skeleton.squares = ()
+    first.skeleton.blue.clear()
+    again = basic_surface("T")
+    assert again.skeleton is not first.skeleton
+    assert again.skeleton.squares == _FROZEN_SQUARES["T"]
+    assert validate_skeleton(again.skeleton) == []
+
+
+def test_indexed_validator_matches_quadratic_oracle_on_valid_skeletons():
+    rng = random.Random(10)
+    models = [basic_surface(tag).skeleton for tag in TAGS]
+    models.append(compact_surface([rng.choice(TAGS) for _ in range(10)]).skeleton)
+    for sk in models:
+        assert validate_skeleton(sk) == quadratic_validate_skeleton(sk) == []
+
+
+@st.composite
+def broken_skeletons(draw):
+    """A small connected sum with squares dropped, duplicated or rewired,
+    or with an edge added that no square uses (possibly off the vertices)."""
+    sk = compact_surface(draw(st.lists(st.sampled_from(TAGS), min_size=1, max_size=4))).skeleton
+    vertices = list(sk.vertices)
+    blue = {e: (rec.r, rec.s) for e, rec in sk.blue.items()}
+    red = {e: (rec.r, rec.s) for e, rec in sk.red.items()}
+    squares = list(sk.squares)
+    edges = sorted(blue) + sorted(red)
+    ops = ("drop", "duplicate", "rewire", "dangle")
+    for op in draw(st.lists(st.sampled_from(ops), min_size=1, max_size=3)):
+        if op == "dangle" or not squares:
+            ends = st.sampled_from(vertices + ["nowhere"])
+            table = draw(st.sampled_from((blue, red)))
+            table[f"z{len(blue) + len(red)}"] = (draw(ends), draw(ends))
+            continue
+        i = draw(st.integers(0, len(squares) - 1))
+        if op == "drop":
+            squares.pop(i)
+        elif op == "duplicate":
+            squares.append(squares[i])
+        else:
+            sq = list(squares[i])
+            sq[draw(st.integers(0, 3))] = draw(st.sampled_from(edges))
+            squares[i] = tuple(sq)
+    return Skeleton2Graph(vertices, blue, red, squares)
+
+
+@settings(max_examples=150, deadline=None)
+@given(broken_skeletons())
+def test_indexed_validator_matches_quadratic_oracle_on_broken_skeletons(sk):
+    # same violations in the same order, so CLI and error messages are unchanged
+    assert validate_skeleton(sk) == quadratic_validate_skeleton(sk)
+
+
+def test_large_genus_sums_validate_and_classify():
+    g = 200
+    torus = compact_surface(["T"] * g).skeleton
+    assert validate_skeleton(torus) == []
+    cx = chain_complex(torus)
+    assert euler_characteristic(cx) == 2 - 2 * g
+    assert [(h.betti, h.torsion) for h in homology(cx)] == [(1, ()), (2 * g, ()), (1, ())]
+
+    rng = random.Random(2013)
+    tags = [rng.choice(TAGS) for _ in range(200)]
+    mixed = compact_surface(tags).skeleton
+    assert validate_skeleton(mixed) == []
+    chi = {t: euler_characteristic(chain_complex(basic_surface(t).skeleton)) for t in TAGS}
+    assert euler_characteristic(chain_complex(mixed)) == (
+        sum(chi[t] for t in tags) - 2 * (len(tags) - 1)
+    )

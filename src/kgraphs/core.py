@@ -14,13 +14,15 @@ is defined exactly when ``source(a) == range(b)``.
 Nothing in the constructors enforces the category axioms beyond basic
 shape; `validate_kgraph` / `validate_skeleton` report violations instead
 of raising, so that broken models (e.g. quotients by relations that are
-not congruences) can be inspected.
+not congruences) can be inspected.  A graph does not change after
+construction, so it keeps what is derived from it: the factorisation
+index (from which cube faces are read) and its list of violations,
+found by the first `validate_kgraph` call.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .errors import (
@@ -34,11 +36,6 @@ from .errors import (
 )
 
 Degree = tuple[int, ...]
-
-# A composable triple budget above which associativity is spot-checked on a
-# deterministic sample instead of exhaustively.
-_ASSOC_EXHAUSTIVE_LIMIT = 200_000
-_ASSOC_SAMPLE = 60_000
 
 _AMBIGUOUS = object()  # sentinel in the factorisation index
 
@@ -186,6 +183,7 @@ class FiniteKGraph:
 
         self._factor_index: dict | None = None
         self._deg_range_index: dict | None = None
+        self._violations: tuple[Violation, ...] | None = None
 
         # optional geometric realisation of the vertices, set by builders
         self.embedding: dict[str, tuple] | None = None
@@ -281,6 +279,22 @@ class FiniteKGraph:
                 if rec.s in self._vset:
                     yield (m, rec.s)
 
+    def _composites(self, include_identities: bool = False):
+        """(a, b, compose(a, b)) for each of composable_pairs(...), in that
+        order, read from the table and the records.  A table entry that
+        compose would reject raises compose's error when it is reached."""
+        table, mor, vset = self._compose, self._mor, self._vset
+        for a, b in self.composable_pairs(include_identities):
+            if a in vset:
+                yield a, b, b
+            elif b in vset:
+                yield a, b, a
+            else:
+                ra, rb = mor.get(a), mor.get(b)
+                if ra is None or rb is None or ra.s != rb.r:
+                    self.compose(a, b)
+                yield a, b, table[(a, b)]
+
     def _factors(self) -> dict:
         if self._factor_index is None:
             index: dict[tuple[str, Degree], object] = {}
@@ -302,7 +316,11 @@ class FiniteKGraph:
         p = tuple(int(x) for x in p)
         if len(p) != self.rank or any(x < 0 for x in p) or not deg_leq(p, rec.d):
             raise BadSplit(f"split {p} is not between 0 and d({mid!r}) = {rec.d}")
-        if all(x == 0 for x in p):
+        return self._split(mid, rec, p)
+
+    def _split(self, mid: str, rec: Morphism, p: Degree) -> tuple[str, str]:
+        """factorise for a split p already known to lie between 0 and rec.d."""
+        if not any(p):
             return (rec.r, mid)
         if p == rec.d:
             return (mid, rec.s)
@@ -346,22 +364,30 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
     """Check the k-graph axioms; returns all violations found (never raises).
 
     Identity neutrality and "degree zero means identity" hold by
-    construction and are not re-checked.  Associativity is exhaustive up
-    to a budget of composable triples, then spot-checked on a fixed
-    pseudo-random sample.
+    construction and are not re-checked.  Associativity is checked on
+    every composable triple.  The violations are found once per graph
+    and kept on it; every call returns a fresh list.
     """
+    if g._violations is None:
+        g._violations = tuple(_find_violations(g))
+    return list(g._violations)
+
+
+def _find_violations(g: FiniteKGraph) -> list[Violation]:
     out: list[Violation] = []
+    mor = g._mor
     vset = set(g.vertices)
     shape_ok: set[str] = set(g.vertices)
     endpoints_ok: set[str] = set(g.vertices)
 
     for m in g.nonidentity_ids():
-        d = g.d(m)
+        rec = mor[m]
+        d = rec.d
         if len(d) != g.rank or any(x < 0 for x in d):
             out.append(Violation("degree-shape", (m,), f"degree {d} is not in N^{g.rank}"))
         else:
             shape_ok.add(m)
-        bad = [v for v in (g.r(m), g.s(m)) if v not in vset]
+        bad = [v for v in (rec.r, rec.s) if v not in vset]
         if bad:
             out.append(
                 Violation("endpoints", (m,), f"range/source {bad} are not vertices")
@@ -369,10 +395,10 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
         else:
             endpoints_ok.add(m)
 
-    table = g.compose_table()
+    table = g._compose
     usable: dict[tuple[str, str], str] = {}
     for (a, b), c in sorted(table.items()):
-        missing = [x for x in (a, b, c) if not g.has(x)]
+        missing = [x for x in (a, b, c) if x not in mor]
         if missing:
             out.append(
                 Violation("compose-domain", (a, b, c), f"unknown ids {missing} in table")
@@ -380,7 +406,7 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
             continue
         if not (a in endpoints_ok and b in endpoints_ok):
             continue
-        if g.s(a) != g.r(b):
+        if mor[a].s != mor[b].r:
             out.append(
                 Violation(
                     "compose-domain",
@@ -394,8 +420,8 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
     for a in g.nonidentity_ids():
         if a not in endpoints_ok:
             continue
-        for b in g.morphisms_with_range(g.s(a)):
-            if g.is_identity(b):
+        for b in g._with_range[mor[a].s]:
+            if b in vset:
                 continue
             if (a, b) not in table:
                 out.append(
@@ -407,7 +433,8 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
                 )
 
     for (a, b), c in sorted(usable.items()):
-        if c in endpoints_ok and (g.r(c) != g.r(a) or g.s(c) != g.s(b)):
+        ra, rb, rc = mor[a], mor[b], mor[c]
+        if c in endpoints_ok and (rc.r != ra.r or rc.s != rb.s):
             out.append(
                 Violation(
                     "compose-endpoints",
@@ -416,13 +443,13 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
                 )
             )
         if a in shape_ok and b in shape_ok and c in shape_ok:
-            if g.d(c) != deg_add(g.d(a), g.d(b)):
+            if rc.d != deg_add(ra.d, rb.d):
                 out.append(
                     Violation(
                         "compose-degree",
                         (a, b, c),
-                        f"d({c!r}) = {g.d(c)} differs from d(a)+d(b) = "
-                        f"{deg_add(g.d(a), g.d(b))}",
+                        f"d({c!r}) = {rc.d} differs from d(a)+d(b) = "
+                        f"{deg_add(ra.d, rb.d)}",
                     )
                 )
 
@@ -432,54 +459,30 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
 
 
 def _check_associativity(g: FiniteKGraph, usable) -> list[Violation]:
+    """Every composable triple (a, b, c) with (a, b) usable, in sorted
+    (a, b) order and then c in id order."""
     out: list[Violation] = []
-    pairs = sorted(usable)
+    mor = g._mor
     by_range: dict[str, list[str]] = {}
     for m in g.nonidentity_ids():
-        if g.has(m):
-            by_range.setdefault(g.r(m), []).append(m)
-
-    def continuations(b: str) -> list[str]:
-        try:
-            return by_range.get(g.s(b), [])
-        except UnknownId:
-            return []
-
-    total = sum(len(continuations(b)) for (_, b) in pairs)
-
-    def check(a: str, b: str, c: str) -> Violation | None:
-        ab = usable.get((a, b))
-        bc = usable.get((b, c))
-        if ab is None or bc is None:
-            return None
-        left = usable.get((ab, c)) if g.has(ab) else None
-        right = usable.get((a, bc)) if g.has(bc) else None
-        if left is None or right is None:
-            return None  # incompleteness is reported by compose-total
-        if left != right:
-            return Violation(
-                "assoc",
-                (a, b, c),
-                f"(a b) c = {left!r} but a (b c) = {right!r}",
-            )
-        return None
-
-    if total <= _ASSOC_EXHAUSTIVE_LIMIT:
-        for a, b in pairs:
-            for c in continuations(b):
-                v = check(a, b, c)
-                if v:
-                    out.append(v)
-    else:
-        rng = random.Random(0xA550C1A7)
-        for _ in range(_ASSOC_SAMPLE):
-            a, b = pairs[rng.randrange(len(pairs))]
-            cont = continuations(b)
-            if not cont:
+        by_range.setdefault(mor[m].r, []).append(m)
+    for (a, b), ab in sorted(usable.items()):
+        for c in by_range.get(mor[b].s, ()):
+            bc = usable.get((b, c))
+            if bc is None:
                 continue
-            v = check(a, b, cont[rng.randrange(len(cont))])
-            if v:
-                out.append(v)
+            left = usable.get((ab, c))
+            right = usable.get((a, bc))
+            if left is None or right is None:
+                continue  # incompleteness is reported by compose-total
+            if left != right:
+                out.append(
+                    Violation(
+                        "assoc",
+                        (a, b, c),
+                        f"(a b) c = {left!r} but a (b c) = {right!r}",
+                    )
+                )
     return out
 
 
@@ -489,7 +492,7 @@ def _check_factorisations(g, usable, shape_ok, endpoints_ok) -> list[Violation]:
     for (a, b), c in sorted(usable.items()):
         if a not in shape_ok or b not in shape_ok:
             continue
-        key = (c, g.d(a))
+        key = (c, g._mor[a].d)
         old = index.get(key)
         if old is None:
             index[key] = (a, b)
@@ -498,13 +501,13 @@ def _check_factorisations(g, usable, shape_ok, endpoints_ok) -> list[Violation]:
                 Violation(
                     "factor-unique",
                     (c, old[0], old[1], a, b),
-                    f"two factorisations of {c!r} at split {g.d(a)}",
+                    f"two factorisations of {c!r} at split {key[1]}",
                 )
             )
     for m in g.nonidentity_ids():
         if m not in shape_ok or m not in endpoints_ok:
             continue
-        d = g.d(m)
+        d = g._mor[m].d
         for p in _splits(d):
             if not any(p) or p == d:
                 continue
@@ -705,11 +708,10 @@ def cubes(model, n: int | None = None) -> list[Cube]:
     g: FiniteKGraph = model
     if n is not None and n > g.rank:
         raise DimensionTooLarge(f"a rank-{g.rank} graph has no {n}-cubes")
-    one = (1,) * g.rank
     out = []
     for m in g.morphism_ids():
-        d = g.d(m)
-        if len(d) != g.rank or not deg_leq(d, one):
+        d = g._mor[m].d
+        if len(d) != g.rank or (d and max(d) > 1):
             continue
         if n is None or deg_total(d) == n:
             out.append(Cube(m, d))
@@ -721,7 +723,8 @@ def face(model, cube: Cube, i: int, side: int) -> Cube:
     """The side-0 / side-1 face of a cube in direction i (1-based).
 
     Side 0 is the face at the range end (the head complement), side 1 the
-    face at the source end.
+    face at the source end.  For category models both are read from the
+    graph's factorisation index, as `chain_complex` reads them.
     """
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
@@ -739,12 +742,27 @@ def face(model, cube: Cube, i: int, side: int) -> Cube:
         return Cube(f if side == 0 else f2, (1, 0))
 
     g: FiniteKGraph = model
-    d = cube.degree
-    if side == 0:
-        head, _ = g.factorise(cube.key, deg_sub(d, unit_degree(g.rank, i)))
-        return Cube(head, g.d(head))
-    _, tail = g.factorise(cube.key, unit_degree(g.rank, i))
-    return Cube(tail, g.d(tail))
+    dirs = [j + 1 for j, x in enumerate(g.d(cube.key)) if x == 1]
+    if i not in dirs:
+        raise BadDirection(f"cube {cube.key!r} has no extent in direction {i}")
+    key = _unit_faces(g, cube.key)[dirs.index(i)][1 - side]
+    return Cube(key, g.d(key))
+
+
+def _unit_faces(g: FiniteKGraph, key: str) -> list[tuple[str, str]]:
+    """(side-1, side-0) face keys of the cube `key` for each direction it
+    extends in, in increasing order: the tail after the unit step in that
+    direction and the head before it, read from the factorisation index.
+    Raises InvalidModel when a factorisation is missing or ambiguous."""
+    rec = g._rec(key)
+    d = rec.d
+    out = []
+    for i, x in enumerate(d):
+        if x == 1:
+            unit = (0,) * i + (1,) + (0,) * (len(d) - i - 1)
+            rest = d[:i] + (0,) + d[i + 1:]
+            out.append((g._split(key, rec, unit)[1], g._split(key, rec, rest)[0]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -855,28 +873,32 @@ def cartesian_product(a: FiniteKGraph, b: FiniteKGraph) -> FiniteKGraph:
     """The product category with componentwise degree; rank adds."""
     rank = a.rank + b.rank
     vertices = [_pair_id(u, v) for u in a.vertices for v in b.vertices]
+    av, bv = a._vset, b._vset
     morphisms = {}
     for m in a.morphism_ids():
+        ra = a._mor[m]
         for n in b.morphism_ids():
-            if a.is_identity(m) and b.is_identity(n):
+            if m in av and n in bv:
                 continue
+            rb = b._mor[n]
             morphisms[_pair_id(m, n)] = (
-                a.d(m) + b.d(n),
-                _pair_id(a.r(m), b.r(n)),
-                _pair_id(a.s(m), b.s(n)),
+                ra.d + rb.d,
+                _pair_id(ra.r, rb.r),
+                _pair_id(ra.s, rb.s),
             )
     table = {}
-    a_pairs = list(a.composable_pairs(include_identities=True))
-    b_pairs = list(b.composable_pairs(include_identities=True))
-    for x, x2 in a_pairs:
-        for y, y2 in b_pairs:
-            if (a.is_identity(x) and b.is_identity(y)) or (
-                a.is_identity(x2) and b.is_identity(y2)
-            ):
+    a_pairs = b_pairs = []
+    if (a._compose or a._vertices) and (b._compose or b._vertices):
+        # On a broken table, raise what composing pair by pair in product
+        # order raises first: a's first pair, then b's pairs, then a's.
+        next(a._composites(include_identities=True))
+        b_pairs = list(b._composites(include_identities=True))
+        a_pairs = list(a._composites(include_identities=True))
+    for x, x2, xx in a_pairs:
+        for y, y2, yy in b_pairs:
+            if (x in av and y in bv) or (x2 in av and y2 in bv):
                 continue
-            table[(_pair_id(x, y), _pair_id(x2, y2))] = _pair_id(
-                a.compose(x, x2), b.compose(y, y2)
-            )
+            table[(_pair_id(x, y), _pair_id(x2, y2))] = _pair_id(xx, yy)
     return FiniteKGraph(rank, vertices, morphisms, table)
 
 
@@ -890,8 +912,9 @@ def _tagged_union(graphs, tags) -> FiniteKGraph:
             raise RankMismatch(f"cannot union a rank-{g.rank} graph with rank {rank}")
         vertices.extend(f"{t}:{v}" for v in g.vertices)
         for m in g.nonidentity_ids():
-            morphisms[f"{t}:{m}"] = (g.d(m), f"{t}:{g.r(m)}", f"{t}:{g.s(m)}")
-        for (x, y), z in g.compose_table().items():
+            rec = g._mor[m]
+            morphisms[f"{t}:{m}"] = (rec.d, f"{t}:{rec.r}", f"{t}:{rec.s}")
+        for (x, y), z in g._compose.items():
             table[(f"{t}:{x}", f"{t}:{y}")] = f"{t}:{z}"
     return FiniteKGraph(rank, vertices, morphisms, table)
 

@@ -21,6 +21,7 @@ from .core import (
     Cube,
     FiniteKGraph,
     Skeleton2Graph,
+    _unit_faces,
     cubes,
     deg_total,
     face,
@@ -134,11 +135,21 @@ class ChainComplex:
         return f"ChainComplex(dims={[len(b) for b in self.bases]})"
 
 
+def _face_keys(model, cube: Cube) -> list[tuple]:
+    """(side-1, side-0) face keys of a cube for each direction it extends
+    in, in increasing order."""
+    if isinstance(model, FiniteKGraph):
+        return _unit_faces(model, cube.key)
+    dirs = [i + 1 for i, x in enumerate(cube.degree) if x == 1]
+    return [(face(model, cube, i, 1).key, face(model, cube, i, 0).key) for i in dirs]
+
+
 def chain_complex(model) -> ChainComplex:
     """The cubical chain complex of a validated model.
 
     Raises InvalidModel when the model fails validation -- boundary
-    matrices of a broken category would be meaningless.
+    matrices of a broken category would be meaningless.  Category faces
+    are read from the graph's factorisation index.
     """
     if isinstance(model, Skeleton2Graph):
         problems = validate_skeleton(model)
@@ -152,23 +163,19 @@ def chain_complex(model) -> ChainComplex:
         shown = "; ".join(str(p) for p in problems[:3])
         raise InvalidModel(f"model fails validation ({len(problems)} violations): {shown}")
 
-    bases = []
-    cube_lists = []
-    for n in range(top + 1):
-        cs = cubes(model, n)
-        cube_lists.append(cs)
-        bases.append([c.key for c in cs])
+    cube_lists = [[] for _ in range(top + 1)]
+    for c in cubes(model):
+        cube_lists[c.dim].append(c)
+    bases = [[c.key for c in cs] for cs in cube_lists]
 
     boundaries = [SparseIntMatrix((0, len(bases[0])))]
     for n in range(1, top + 1):
         row_of = {key: i for i, key in enumerate(bases[n - 1])}
         mat = SparseIntMatrix((len(bases[n - 1]), len(bases[n])))
         for col, cb in enumerate(cube_lists[n]):
-            dirs = [i + 1 for i, x in enumerate(cb.degree) if x == 1]
-            for j, i in enumerate(dirs, start=1):
+            for j, (hi_key, lo_key) in enumerate(_face_keys(model, cb), start=1):
                 sign = -1 if j % 2 else 1
-                hi = row_of[face(model, cb, i, 1).key]
-                lo = row_of[face(model, cb, i, 0).key]
+                hi, lo = row_of[hi_key], row_of[lo_key]
                 for row, val in ((hi, sign), (lo, -sign)):
                     new = mat.entries.get((row, col), 0) + val
                     if new:

@@ -13,8 +13,9 @@ Three kinds of document, told apart by "kind":
 Writers emit keys and list entries in canonical sorted order with a
 two-space indent and a trailing newline, so the same model always
 serialises to the same bytes.  Loaders are strict: unknown kinds, shape
-errors, degree-zero morphism entries and identity composition triples
-are all ParseError.
+errors, booleans where integers belong, degree-zero morphism entries and
+identity composition triples are all ParseError, and so is text that
+is not JSON or nests too deeply to parse; `loads` raises nothing else.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ def _expect(cond: bool, message: str):
         raise ParseError(message)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: true and false load as Python bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _str_list(doc, key) -> list[str]:
     val = doc.get(key)
     _expect(isinstance(val, list), f"{key!r} must be a list")
@@ -57,8 +63,10 @@ def loads(text: str):
     MarkedSkeleton or RelationDoc according to its kind."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # JSONDecodeError, or an over-long integer literal
         raise ParseError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply") from None
     _expect(isinstance(doc, dict), "document must be a JSON object")
     kind = doc.get("kind")
     if kind == "category":
@@ -72,7 +80,7 @@ def loads(text: str):
 
 def _load_category(doc) -> FiniteKGraph:
     rank = doc.get("rank")
-    _expect(isinstance(rank, int) and rank >= 0, '"rank" must be a non-negative integer')
+    _expect(_is_int(rank) and rank >= 0, '"rank" must be a non-negative integer')
     vertices = _str_list(doc, "vertices")
     vset = set(vertices)
     _expect(len(vset) == len(vertices), "duplicate vertex ids")
@@ -89,7 +97,7 @@ def _load_category(doc) -> FiniteKGraph:
         mid, d, r, s = rec["id"], rec["d"], rec["r"], rec["s"]
         _expect(isinstance(mid, str), "morphism id must be a string")
         _expect(
-            isinstance(d, list) and all(isinstance(x, int) and x >= 0 for x in d),
+            isinstance(d, list) and all(_is_int(x) and x >= 0 for x in d),
             f"degree of {mid!r} must be a list of non-negative integers",
         )
         _expect(isinstance(r, str) and isinstance(s, str), f"endpoints of {mid!r} must be strings")

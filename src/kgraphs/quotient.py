@@ -175,9 +175,8 @@ def _saturate(graph: FiniteKGraph, uf: _UnionFind) -> None:
     while changed:
         changed = False
         products: dict[tuple[str, str], str] = {}
-        for a, b in graph.composable_pairs(include_identities=True):
+        for a, b, ab in graph._composites(include_identities=True):
             key = (uf.find(a), uf.find(b))
-            ab = graph.compose(a, b)
             old = products.get(key)
             if old is None:
                 products[key] = ab
@@ -197,14 +196,16 @@ def _saturate(graph: FiniteKGraph, uf: _UnionFind) -> None:
                 if len(same_deg) < 2:
                     continue
                 m0 = same_deg[0]
+                rest = [(m, graph._mor[m]) for m in same_deg[1:]]
                 for p in _splits(d):
                     try:
                         h0, t0 = graph.factorise(m0, p)
                     except InvalidModel:
                         continue
-                    for m in same_deg[1:]:
+                    # factorise has checked p against m0, whose degree m shares
+                    for m, rec in rest:
                         try:
-                            h, t = graph.factorise(m, p)
+                            h, t = graph._split(m, rec, p)
                         except InvalidModel:
                             continue
                         if uf.union(h0, h):
@@ -233,10 +234,13 @@ def check_congruence(rel: MorphismRelation) -> CongruenceVerdict:
                     f"related morphisms have degrees {d0} and {g.d(m)}",
                 )
 
+    # Only the stored table can fail "comp": once "d" holds, vertex classes
+    # hold only vertices, so an implicit identity pair shares its class
+    # pair only with identity pairs, whose composites are then related.
+    rep = rel._rep
     first: dict[tuple[str, str], tuple[str, str, str]] = {}
-    for a, b in g.composable_pairs(include_identities=True):
-        ab = g.compose(a, b)
-        key = (rel.rep(a), rel.rep(b))
+    for a, b, ab in g._composites():
+        key = (rep[a], rep[b])
         old = first.get(key)
         if old is None:
             first[key] = (a, b, ab)
@@ -252,10 +256,12 @@ def check_congruence(rel: MorphismRelation) -> CongruenceVerdict:
         if len(cls) < 2:
             continue
         m0 = cls[0]
+        rest = [(m, g._mor[m]) for m in cls[1:]]
         for p in _splits(g.d(m0)):
             h0, t0 = g.factorise(m0, p)
-            for m in cls[1:]:
-                h, t = g.factorise(m, p)
+            # factorise has checked p against m0, whose degree m shares ("d")
+            for m, rec in rest:
+                h, t = g._split(m, rec, p)
                 if not rel.same(h0, h):
                     return CongruenceVerdict(
                         False,
@@ -279,11 +285,12 @@ def check_congruence(rel: MorphismRelation) -> CongruenceVerdict:
     left: dict[str, dict[str, str]] = {}   # vertex class -> {morphism class: exemplar}
     right: dict[str, dict[str, str]] = {}
     for m in g.morphism_ids():
-        cm = rel.rep(m)
-        sources.setdefault(cm, set()).add(g.s(m))
-        ranges.setdefault(cm, set()).add(g.r(m))
-        left.setdefault(rel.rep(g.s(m)), {}).setdefault(cm, m)
-        right.setdefault(rel.rep(g.r(m)), {}).setdefault(cm, m)
+        rec = g._mor[m]
+        cm = rep[m]
+        sources.setdefault(cm, set()).add(rec.s)
+        ranges.setdefault(cm, set()).add(rec.r)
+        left.setdefault(rel.rep(rec.s), {}).setdefault(cm, m)
+        right.setdefault(rel.rep(rec.r), {}).setdefault(cm, m)
     for w, lbucket in left.items():
         rbucket = right.get(w)
         if not rbucket:
@@ -327,13 +334,13 @@ def quotient(graph: FiniteKGraph, rel: MorphismRelation) -> FiniteKGraph:
             continue
         morphisms[m0] = (graph.d(m0), rel.rep(graph.r(m0)), rel.rep(graph.s(m0)))
 
+    # check_congruence has composed every table pair, and identity pairs
+    # land on the quotient's implicit identity pairs (vertex classes hold
+    # only vertices), so the stored table is all that carries over.
+    rep = rel._rep
     table = {}
-    vset = set(vertices)
-    for a, b in graph.composable_pairs(include_identities=True):
-        qa, qb = rel.rep(a), rel.rep(b)
-        if qa in vset or qb in vset:
-            continue
-        table[(qa, qb)] = rel.rep(graph.compose(a, b))
+    for (a, b), c in graph._compose.items():
+        table[(rep[a], rep[b])] = rep[c] if c in rep else rel.rep(c)
 
     return FiniteKGraph(graph.rank, vertices, morphisms, table)
 

@@ -218,3 +218,144 @@ def quadratic_validate_skeleton(sk: Skeleton2Graph) -> list[Violation]:
                         )
                     )
     return out
+
+
+def face_based_boundaries(model):
+    """Reference copy of `chain_complex`'s boundary assembly as it was when
+    every face came from `face()` and category faces from `factorise`
+    (`factorise_face` below).  Returns (bases, boundary matrices) of an
+    already validated model.  Oracle for the index-read faces, matrix
+    entry insertion order included.
+    """
+    from kgraphs.core import FiniteKGraph, cubes, face
+    from kgraphs.homology import SparseIntMatrix
+
+    top = model.rank if isinstance(model, FiniteKGraph) else 2
+    face_of = factorise_face if isinstance(model, FiniteKGraph) else face
+
+    bases = []
+    cube_lists = []
+    for n in range(top + 1):
+        cs = cubes(model, n)
+        cube_lists.append(cs)
+        bases.append([c.key for c in cs])
+
+    boundaries = [SparseIntMatrix((0, len(bases[0])))]
+    for n in range(1, top + 1):
+        row_of = {key: i for i, key in enumerate(bases[n - 1])}
+        mat = SparseIntMatrix((len(bases[n - 1]), len(bases[n])))
+        for col, cb in enumerate(cube_lists[n]):
+            dirs = [i + 1 for i, x in enumerate(cb.degree) if x == 1]
+            for j, i in enumerate(dirs, start=1):
+                sign = -1 if j % 2 else 1
+                hi = row_of[face_of(model, cb, i, 1).key]
+                lo = row_of[face_of(model, cb, i, 0).key]
+                for row, val in ((hi, sign), (lo, -sign)):
+                    new = mat.entries.get((row, col), 0) + val
+                    if new:
+                        mat.entries[(row, col)] = new
+                    else:
+                        mat.entries.pop((row, col), None)
+        boundaries.append(mat)
+    return bases, boundaries
+
+
+def factorise_face(g, cube, i, side):
+    """Reference copy of `face` on a category model as it was before faces
+    were read from the factorisation index: one `factorise` per face."""
+    from kgraphs.core import Cube, deg_sub, unit_degree
+
+    d = cube.degree
+    if side == 0:
+        head, _ = g.factorise(cube.key, deg_sub(d, unit_degree(g.rank, i)))
+        return Cube(head, g.d(head))
+    _, tail = g.factorise(cube.key, unit_degree(g.rank, i))
+    return Cube(tail, g.d(tail))
+
+
+def reference_check_congruence(rel):
+    """Reference copy of `check_congruence` as it was when every composable
+    pair, identities included, went through `compose` and `rel.rep`.
+    Oracle for the table-reading version: verdicts, witnesses, details and
+    raised errors must match.
+    """
+    from kgraphs.core import _splits
+    from kgraphs.quotient import CongruenceVerdict
+
+    g = rel.graph
+
+    for cls in rel.classes():
+        d0 = g.d(cls[0])
+        for m in cls[1:]:
+            if g.d(m) != d0:
+                return CongruenceVerdict(
+                    False,
+                    "d",
+                    (cls[0], m),
+                    f"related morphisms have degrees {d0} and {g.d(m)}",
+                )
+
+    first: dict[tuple[str, str], tuple[str, str, str]] = {}
+    for a, b in g.composable_pairs(include_identities=True):
+        ab = g.compose(a, b)
+        key = (rel.rep(a), rel.rep(b))
+        old = first.get(key)
+        if old is None:
+            first[key] = (a, b, ab)
+        elif not rel.same(old[2], ab):
+            return CongruenceVerdict(
+                False,
+                "comp",
+                (old[0], a, old[1], b),
+                f"composites {old[2]!r} and {ab!r} are unrelated",
+            )
+
+    for cls in rel.classes():
+        if len(cls) < 2:
+            continue
+        m0 = cls[0]
+        for p in _splits(g.d(m0)):
+            h0, t0 = g.factorise(m0, p)
+            for m in cls[1:]:
+                h, t = g.factorise(m, p)
+                if not rel.same(h0, h):
+                    return CongruenceVerdict(
+                        False,
+                        "factor",
+                        (m0, m),
+                        f"heads {h0!r} and {h!r} at split {p} are unrelated",
+                    )
+                if not rel.same(t0, t):
+                    return CongruenceVerdict(
+                        False,
+                        "factor",
+                        (m0, m),
+                        f"tails {t0!r} and {t!r} at split {p} are unrelated",
+                    )
+
+    sources: dict[str, set[str]] = {}
+    ranges: dict[str, set[str]] = {}
+    left: dict[str, dict[str, str]] = {}
+    right: dict[str, dict[str, str]] = {}
+    for m in g.morphism_ids():
+        cm = rel.rep(m)
+        sources.setdefault(cm, set()).add(g.s(m))
+        ranges.setdefault(cm, set()).add(g.r(m))
+        left.setdefault(rel.rep(g.s(m)), {}).setdefault(cm, m)
+        right.setdefault(rel.rep(g.r(m)), {}).setdefault(cm, m)
+    for w, lbucket in left.items():
+        rbucket = right.get(w)
+        if not rbucket:
+            continue
+        for ca, alpha in lbucket.items():
+            src = sources[ca]
+            for cb, beta in rbucket.items():
+                if src.isdisjoint(ranges[cb]):
+                    return CongruenceVerdict(
+                        False,
+                        "lift",
+                        (alpha, beta),
+                        "source class meets range class but no related pair composes",
+                    )
+
+    return CongruenceVerdict(True)

@@ -232,9 +232,11 @@ def test_placings_count_uses_the_recurrence(capsys):
         ("build", "surface", "--spec", "T,Q"),
         ("placings", "--k", "-1"),
         ("placings", "--k", "two"),
+        ("validate", "-"),  # stdin below: JSON nested too deeply to parse
     ],
 )
-def test_bad_builder_arguments_are_one_line_usage_errors(capsys, argv):
+def test_bad_builder_arguments_are_one_line_usage_errors(capsys, monkeypatch, argv):
+    feed(monkeypatch, "[" * 100000 + "]" * 100000)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -112,6 +112,85 @@ def test_validator_catches_missing_entry():
     assert "compose-total" in rules
 
 
+def test_validation_is_found_once_and_returned_fresh():
+    g = tiny()
+    table = dict(g.compose_table())
+    del table[("e1", "e0")]
+
+    def broken():
+        return FiniteKGraph(
+            rank=1,
+            vertices=g.vertices,
+            morphisms={m: (g.d(m), g.r(m), g.s(m)) for m in g.nonidentity_ids()},
+            compose=table,
+        )
+
+    b = broken()
+    first = validate_kgraph(b)
+    assert first == validate_kgraph(broken()) != []
+    first.clear()
+    first.append("not a violation")
+    assert validate_kgraph(b) == validate_kgraph(broken())
+    assert validate_kgraph(b) is not validate_kgraph(b)
+
+
+def parallel_path_category(steps: int) -> FiniteKGraph:
+    """The free category on a path of `steps` steps with two parallel edges
+    per step.  A path from vi of length L is "p{i}:" plus L bits naming the
+    edge taken at each step; composing concatenates the bits."""
+    morphisms = {}
+    leaving: dict[str, list[str]] = {}
+    for i in range(steps):
+        for length in range(1, steps - i + 1):
+            for bits in product("01", repeat=length):
+                m = f"p{i}:{''.join(bits)}"
+                morphisms[m] = ((length,), f"v{i + length}", f"v{i}")
+                leaving.setdefault(f"v{i}", []).append(m)
+    compose = {}
+    for q, (_, end, start) in morphisms.items():  # q runs first
+        for p in leaving.get(end, ()):
+            compose[(p, q)] = f"p{start[1:]}:{q.split(':')[1]}{p.split(':')[1]}"
+    return FiniteKGraph(1, [f"v{i}" for i in range(steps + 1)], morphisms, compose)
+
+
+def brute_force_assoc(g: FiniteKGraph) -> list[tuple]:
+    """(witness, detail) of every associativity failure, by composing each
+    composable triple both ways straight from the table."""
+    table = g.compose_table()
+    after: dict[str, list[str]] = {}  # vertex -> morphisms with that range
+    for m in g.nonidentity_ids():
+        after.setdefault(g.r(m), []).append(m)
+    out = []
+    for a, b in sorted(table):
+        for c in after.get(g.s(b), ()):
+            if (b, c) not in table:
+                continue
+            left = table.get((table[(a, b)], c))
+            right = table.get((a, table[(b, c)]))
+            if left is not None and right is not None and left != right:
+                out.append(((a, b, c), f"(a b) c = {left!r} but a (b c) = {right!r}"))
+    return out
+
+
+def test_associativity_is_checked_on_every_triple():
+    g = parallel_path_category(11)
+    assert len(g.nonidentity_ids()) == 8166
+    table = g.compose_table()
+    triples = sum(len([c for c in g.morphisms_with_range(g.s(b)) if not g.is_identity(c)])
+                  for (_, b) in table)
+    assert triples == 245_640  # above the 200k budget that used to be sampled
+    # swap one composite for its parallel twin: same endpoints and degree
+    pair = ("p5:010", "p1:0110")
+    assert table[pair] == "p1:0110010"
+    table[pair] = "p1:1110010"
+    broken = FiniteKGraph(
+        1, g.vertices, {m: (g.d(m), g.r(m), g.s(m)) for m in g.nonidentity_ids()}, table
+    )
+    found = [(v.witness, v.detail) for v in validate_kgraph(broken) if v.rule == "assoc"]
+    assert found == brute_force_assoc(broken)
+    assert len(found) > 0
+
+
 def test_degree_zero_morphisms_rejected():
     with pytest.raises(ValueError):
         FiniteKGraph(rank=1, vertices=["v"], morphisms={"m": ((0,), "v", "v")},

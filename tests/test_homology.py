@@ -12,15 +12,25 @@ from kgraphs import (
     ChainComplex,
     SparseIntMatrix,
     build_simplex,
+    build_sphere,
+    build_wedge,
+    cartesian_product,
     chain_complex,
+    compact_surface,
     euler_characteristic,
     homology,
     smith_normal_form,
+    validate_kgraph,
 )
 from kgraphs.errors import InvalidModel
 from kgraphs.core import FiniteKGraph
 
-from helpers import component_count, random_grid_category, random_path_category
+from helpers import (
+    component_count,
+    face_based_boundaries,
+    random_grid_category,
+    random_path_category,
+)
 
 
 def sympy_diagonal(rows):
@@ -165,14 +175,25 @@ def test_homology_invariant_under_basis_permutation():
 
 
 def test_invalid_model_is_rejected_before_homology():
-    g = FiniteKGraph(
-        rank=1, vertices=["a", "b"],
-        morphisms={"e": ((1,), "b", "a"), "f": ((1,), "b", "a"),
-                   "ef?": ((2,), "b", "a")},
-        compose={},
-    )
-    with pytest.raises(InvalidModel):
-        chain_complex(g)
+    def broken():
+        return FiniteKGraph(
+            rank=1, vertices=["a", "b"],
+            morphisms={"e": ((1,), "b", "a"), "f": ((1,), "b", "a"),
+                       "ef?": ((2,), "b", "a")},
+            compose={},
+        )
+
+    # the same message whether or not the graph was validated first
+    messages = []
+    for validate_first in (False, True):
+        g = broken()
+        if validate_first:
+            assert validate_kgraph(g)
+        with pytest.raises(InvalidModel) as exc:
+            chain_complex(g)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("model fails validation (")
 
 
 def test_euler_characteristic_matches_alternating_cell_sum():
@@ -181,3 +202,32 @@ def test_euler_characteristic_matches_alternating_cell_sum():
         cx = chain_complex(g)
         total = sum((-1) ** n * len(cx.bases[n]) for n in range(cx.top + 1))
         assert euler_characteristic(cx) == total == 1
+
+
+def oracle_models():
+    """Sigma_k and S^k for k <= 4, a wedge of eight 3-spheres, {0,1} x Sigma_3
+    and every other model of acceptance criterion 11."""
+    two = FiniteKGraph(rank=0, vertices=("0", "1"), morphisms={}, compose={})
+    for k in range(5):
+        yield build_simplex(k)
+        yield build_sphere(k)
+    yield build_wedge(3, 8)
+    yield cartesian_product(two, build_simplex(3))
+    for k in range(1, 4):
+        yield build_wedge(k, 3)
+    for spec in ("S", "T", "K", "P", "T,T", "T,K", "T,P", "T,T,P"):
+        yield compact_surface(spec).skeleton
+    rng = random.Random(0xB0B)
+    for i in range(100):
+        yield random_path_category(rng) if i % 2 else random_grid_category(rng)
+
+
+def test_boundaries_match_the_face_based_assembly():
+    for model in oracle_models():
+        cx = chain_complex(model)
+        bases, boundaries = face_based_boundaries(model)
+        assert list(cx.bases) == [tuple(b) for b in bases]
+        for mat, ref in zip(cx.boundaries, boundaries, strict=True):
+            assert mat.shape == ref.shape
+            assert list(mat.entries.items()) == list(ref.entries.items())
+

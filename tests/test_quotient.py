@@ -1,6 +1,10 @@
 """Congruences: the four closure conditions, quotients, and gluing."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgraphs import (
     FiniteKGraph,
@@ -20,10 +24,19 @@ from kgraphs import (
     sphere_pole,
     validate_kgraph,
 )
-from kgraphs.errors import ForeignId, NotACongruence, NotHereditary, NotInjective
+from kgraphs.errors import (
+    ForeignId,
+    InvalidModel,
+    KGraphError,
+    NotACongruence,
+    NotComposable,
+    NotHereditary,
+    NotInjective,
+    UnknownId,
+)
 from kgraphs.simplex import _sphere_pairs, enumerate_placings, placing_id
 
-from helpers import path_category
+from helpers import path_category, reference_check_congruence
 
 
 def two_points():
@@ -203,6 +216,21 @@ def test_glue_rejects_broken_endpoints():
         glue_on_common(common, chain, chain, phi_l, phi_r)
 
 
+def test_glue_rejects_a_broken_summand_validated_beforehand():
+    chain = path_category(3, [(0, 1), (1, 2)])
+    bad = FiniteKGraph(
+        rank=1, vertices=chain.vertices,
+        morphisms={m: (chain.d(m), chain.r(m), chain.s(m)) for m in chain.nonidentity_ids()},
+        compose={("e1", "e0"): "e1"},  # the composite of a 2-path is an edge
+    )
+    assert validate_kgraph(bad)
+    common = path_category(1, [])
+    phi = {"v0": "v0"}
+    with pytest.raises(InvalidModel, match="glued graph fails validation: "
+                       r"\[compose-endpoints\]"):
+        glue_on_common(common, bad, chain, phi, dict(phi))
+
+
 def test_pullback_hypotheses_reports():
     k = 2
     simplex = build_simplex(k)
@@ -224,3 +252,116 @@ def test_pullback_hypotheses_reports():
         "complement-saturated:left": True,
         "complement-saturated:right": True,
     }
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except KGraphError as e:
+        return (type(e), str(e))
+
+
+def test_congruence_verdicts_match_the_reference_on_mutations():
+    # the mutations of acceptance criterion 08
+    two = two_points()
+    prod = cartesian_product(two, build_simplex(2))
+    base = [list(c) for c in relation_from_pairs(prod, _sphere_pairs(2)).classes()]
+    rng = random.Random(0xACCE55)
+    verdicts = set()
+    for _ in range(200):
+        i, j = rng.sample(range(len(base)), 2)
+        mutated = [c for idx, c in enumerate(base) if idx not in (i, j)]
+        mutated.append(base[i] + base[j])
+        rel = relation_from_classes(prod, mutated)
+        got = check_congruence(rel)
+        assert got == reference_check_congruence(rel)
+        verdicts.add(got.violated)
+    assert verdicts == {None, "d", "factor", "lift"}
+
+
+GRAPHS = {"simplex": build_simplex(2), "sphere": build_sphere(2)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    which=st.sampled_from(sorted(GRAPHS)),
+    picks=st.lists(
+        st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), st.booleans()), max_size=4
+    ),
+    mode=st.sampled_from(["explicit", "generated"]),
+)
+def test_congruence_verdicts_match_the_reference_on_random_relations(which, picks, mode):
+    # pairs of equal degree, when asked, so that "comp" and "factor" are reached
+    g = GRAPHS[which]
+    ids = g.morphism_ids()
+    pairs = []
+    for a, b, same_degree in picks:
+        m = ids[a % len(ids)]
+        pool = g.by_degree(g.d(m)) if same_degree else ids
+        pairs.append((m, pool[b % len(pool)]))
+    rel = relation_from_pairs(g, pairs, mode)
+    assert check_congruence(rel) == reference_check_congruence(rel)
+
+
+def with_table(table):
+    """Two parallel edges e0, e1 followed by f, with the given table."""
+    m = {
+        "e0": ((1,), "v1", "v0"),
+        "e1": ((1,), "v1", "v0"),
+        "f": ((1,), "v2", "v1"),
+        "e0.f": ((2,), "v2", "v0"),
+        "e1.f": ((2,), "v2", "v0"),
+    }
+    return FiniteKGraph(rank=1, vertices=["v0", "v1", "v2"], morphisms=m, compose=table)
+
+
+NOT_COMPOSABLE = (NotComposable, "source('e0') = 'v0' differs from range('f') = 'v2'")
+UNKNOWN = (UnknownId, "no morphism with id 'ghost'")
+
+
+def test_congruence_errors_on_broken_tables_match_the_reference():
+    # a table entry for a pair that does not compose: source(e0) != range(f)
+    g = with_table({("f", "e0"): "e0.f", ("f", "e1"): "e1.f", ("e0", "f"): "e0.f"})
+    rel = relation_from_classes(g, [])
+    got = outcome(check_congruence, rel)
+    assert got == outcome(reference_check_congruence, rel) == NOT_COMPOSABLE
+    assert outcome(quotient, g, rel) == got
+    assert outcome(relation_from_pairs, g, [("e0", "e1")]) == got
+    assert outcome(cartesian_product, two_points(), g) == got
+    assert outcome(cartesian_product, g, two_points()) == got
+
+    # a composite naming an unknown id, met when (f, e1) shares its
+    # class pair with (f, e0)
+    g = with_table({("f", "e0"): "e0.f", ("f", "e1"): "ghost"})
+    rel = relation_from_classes(g, [["e0", "e1"]])
+    got = outcome(check_congruence, rel)
+    assert got == outcome(reference_check_congruence, rel)
+    assert got == (ForeignId, "'ghost' is not a morphism of the relation's graph")
+    # unmerged, the unknown composite passes the check and the quotient
+    # names it when it looks up its class
+    trivial = relation_from_classes(g, [])
+    assert check_congruence(trivial) == reference_check_congruence(trivial)
+    assert outcome(quotient, g, trivial) == got
+
+    # a table entry naming an unknown id: every loop over the table,
+    # saturation included, reports it as compose does
+    g = with_table({("f", "e0"): "e0.f", ("f", "ghost"): "e1.f"})
+    trivial = relation_from_classes(g, [])
+    got = outcome(check_congruence, trivial)
+    assert got == outcome(reference_check_congruence, trivial) == UNKNOWN
+    assert outcome(relation_from_pairs, g, [("e0", "e1")]) == got
+    assert outcome(cartesian_product, g, two_points()) == got
+
+
+def test_product_of_two_broken_tables_reports_the_first_pair_met():
+    # composing pair by pair in product order meets a's first pair, then
+    # every pair of b, then a's later pairs
+    broken_first = with_table({("e0", "f"): "e0.f", ("f", "e0"): "e0.f"})
+    broken_later = with_table({("f", "e0"): "e0.f", ("e0", "f"): "e0.f"})
+    unknown = with_table({("f", "e0"): "e0.f", ("f", "ghost"): "e1.f"})
+    assert outcome(cartesian_product, broken_first, unknown) == NOT_COMPOSABLE
+    assert outcome(cartesian_product, broken_later, unknown) == UNKNOWN
+    assert outcome(cartesian_product, unknown, broken_later) == NOT_COMPOSABLE
+    empty = FiniteKGraph(rank=0, vertices=(), morphisms={}, compose={})
+    assert len(cartesian_product(broken_first, empty)) == 0

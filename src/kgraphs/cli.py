@@ -65,7 +65,7 @@ def _build_parser() -> _Parser:
     sh.add_argument("--json", action="store_true")
 
     se = sub.add_parser("export", help="write dot / off / json renderings")
-    se.add_argument("format", choices=["dot", "off", "mesh", "json"])
+    se.add_argument("format", choices=["dot", "off", "json"])
     se.add_argument("file")
 
     return p
@@ -207,7 +207,7 @@ def _cmd_export(args) -> int:
         sys.stdout.write(export_json(model))
     elif fmt == "dot":
         sys.stdout.write(export_dot(_bare(model)))
-    else:  # off / mesh
+    else:  # off
         sys.stdout.write(export_mesh(_bare(model)))
     return 0
 

@@ -18,6 +18,11 @@ not congruences) can be inspected.  A graph does not change after
 construction, so it keeps what is derived from it: the factorisation
 index (from which cube faces are read) and its list of violations,
 found by the first `validate_kgraph` call.
+
+Both models are cube complexes with one view: `rank`, `_cubes()` (the
+unit cubes in basis order) and `_unit_faces(key)` (a cube's faces per
+direction, oriented as documented on `Cube`).  `cubes`, `face`,
+`homology.chain_complex` and the exports read a model only through it.
 """
 
 from __future__ import annotations
@@ -331,6 +336,33 @@ class FiniteKGraph:
             raise InvalidModel(f"factorisation of {mid!r} at split {p} is ambiguous")
         return hit
 
+    # -- the cube view (see Cube) --------------------------------------------
+
+    def _cubes(self) -> list[Cube]:
+        """The morphisms of degree <= (1,...,1), by dimension, degree, id."""
+        out = []
+        for m in self._ids:
+            d = self._mor[m].d
+            if len(d) == self.rank and not (d and max(d) > 1):
+                out.append(Cube(m, d))
+        out.sort(key=lambda c: (deg_total(c.degree), c.degree, c.key))
+        return out
+
+    def _unit_faces(self, key: str) -> dict:
+        """Faces read from the factorisation index: in direction i, the
+        tail after the unit step and the head before it.  Raises
+        InvalidModel when a factorisation is missing or ambiguous."""
+        rec = self._rec(key)
+        d = rec.d
+        out = {}
+        for i, x in enumerate(d):
+            if x == 1:
+                unit = (0,) * i + (1,) + (0,) * (len(d) - i - 1)
+                rest = d[:i] + (0,) + d[i + 1:]
+                tail = self._split(key, rec, unit)[1]
+                out[i + 1] = (tail, self._split(key, rec, rest)[0], rest)
+        return out
+
     # -- simple indexes ------------------------------------------------------
 
     def by_degree(self, n) -> tuple[str, ...]:
@@ -545,6 +577,8 @@ class Skeleton2Graph:
     red-blue path (and vice versa); `validate_skeleton` checks this.
     """
 
+    rank = 2
+
     def __init__(self, vertices, blue, red, squares):
         vs = [str(v) for v in vertices]
         self.vertices: tuple[str, ...] = tuple(sorted(vs))
@@ -576,6 +610,24 @@ class Skeleton2Graph:
         if e in self.red:
             return 2
         raise UnknownId(f"no edge with id {e!r}")
+
+    def _cubes(self) -> list[Cube]:
+        return [
+            *(Cube(v, ()) for v in self.vertices),
+            *(Cube(e, (1, 0)) for e in sorted(self.blue)),
+            *(Cube(e, (0, 1)) for e in sorted(self.red)),
+            *(Cube(sq, (1, 1)) for sq in self.squares),
+        ]
+
+    def _unit_faces(self, key) -> dict:
+        """An edge's faces are its endpoints, in its colour's direction; a
+        square (f, g, g2, f2) has the red g, g2 in direction 1 and the
+        blue f2, f in direction 2."""
+        if isinstance(key, tuple):
+            f, gg, g2, f2 = key
+            return {1: (gg, g2, (0, 1)), 2: (f2, f, (1, 0))}
+        e = self.edge(key)
+        return {self.colour(key): (e.s, e.r, ())}
 
     def __repr__(self) -> str:
         return (
@@ -674,7 +726,14 @@ class Cube:
     """A unit cube of a model: a morphism of degree <= (1,...,1).
 
     For category models the key is the morphism id; for skeletons it is a
-    vertex id, an edge id or a square quadruple.
+    vertex id (degree ()), an edge id or a square quadruple.
+
+    A model's `_unit_faces(key)` maps each direction i the cube extends
+    in, in increasing order, to (side-1 key, side-0 key, face degree):
+    side 0 is the face at the range end (the head before the unit step
+    in direction i), side 1 the face at the source end (the tail after
+    it), and both have the cube's degree with coordinate i set to 0 (or
+    (), for a skeleton's vertices).
     """
 
     key: object
@@ -691,78 +750,27 @@ def cubes(model, n: int | None = None) -> list[Cube]:
     Cubes come back in a fixed canonical order (the chain-complex basis
     order).  Raises DimensionTooLarge when n exceeds the rank.
     """
-    if isinstance(model, Skeleton2Graph):
-        rank = 2
-        if n is not None and n > rank:
-            raise DimensionTooLarge(f"a rank-2 skeleton has no {n}-cubes")
-        out: list[Cube] = []
-        if n in (None, 0):
-            out.extend(Cube(v, ()) for v in model.vertices)
-        if n in (None, 1):
-            out.extend(Cube(e, (1, 0)) for e in sorted(model.blue))
-            out.extend(Cube(e, (0, 1)) for e in sorted(model.red))
-        if n in (None, 2):
-            out.extend(Cube(sq, (1, 1)) for sq in model.squares)
-        return out
-
-    g: FiniteKGraph = model
-    if n is not None and n > g.rank:
-        raise DimensionTooLarge(f"a rank-{g.rank} graph has no {n}-cubes")
-    out = []
-    for m in g.morphism_ids():
-        d = g._mor[m].d
-        if len(d) != g.rank or (d and max(d) > 1):
-            continue
-        if n is None or deg_total(d) == n:
-            out.append(Cube(m, d))
-    out.sort(key=lambda c: (deg_total(c.degree), c.degree, c.key))
-    return out
+    if n is not None and n > model.rank:
+        raise DimensionTooLarge(f"a rank-{model.rank} graph has no {n}-cubes")
+    out = model._cubes()
+    return out if n is None else [c for c in out if c.dim == n]
 
 
 def face(model, cube: Cube, i: int, side: int) -> Cube:
     """The side-0 / side-1 face of a cube in direction i (1-based).
 
     Side 0 is the face at the range end (the head complement), side 1 the
-    face at the source end.  For category models both are read from the
-    graph's factorisation index, as `chain_complex` reads them.
+    face at the source end; see `Cube`.
     """
     if side not in (0, 1):
         raise ValueError("side must be 0 or 1")
-    rank = 2 if isinstance(model, Skeleton2Graph) else model.rank
-    if not 1 <= i <= rank or i > len(cube.degree) or cube.degree[i - 1] != 1:
+    faces = {}
+    if 1 <= i <= len(cube.degree) and cube.degree[i - 1] == 1:
+        faces = model._unit_faces(cube.key)
+    if i not in faces:
         raise BadDirection(f"cube {cube.key!r} has no extent in direction {i}")
-
-    if isinstance(model, Skeleton2Graph):
-        if cube.dim == 1:
-            e = model.edge(cube.key)
-            return Cube(e.r if side == 0 else e.s, ())
-        f, gg, g2, f2 = cube.key
-        if i == 1:
-            return Cube(g2 if side == 0 else gg, (0, 1))
-        return Cube(f if side == 0 else f2, (1, 0))
-
-    g: FiniteKGraph = model
-    dirs = [j + 1 for j, x in enumerate(g.d(cube.key)) if x == 1]
-    if i not in dirs:
-        raise BadDirection(f"cube {cube.key!r} has no extent in direction {i}")
-    key = _unit_faces(g, cube.key)[dirs.index(i)][1 - side]
-    return Cube(key, g.d(key))
-
-
-def _unit_faces(g: FiniteKGraph, key: str) -> list[tuple[str, str]]:
-    """(side-1, side-0) face keys of the cube `key` for each direction it
-    extends in, in increasing order: the tail after the unit step in that
-    direction and the head before it, read from the factorisation index.
-    Raises InvalidModel when a factorisation is missing or ambiguous."""
-    rec = g._rec(key)
-    d = rec.d
-    out = []
-    for i, x in enumerate(d):
-        if x == 1:
-            unit = (0,) * i + (1,) + (0,) * (len(d) - i - 1)
-            rest = d[:i] + (0,) + d[i + 1:]
-            out.append((g._split(key, rec, unit)[1], g._split(key, rec, rest)[0]))
-    return out
+    hi, lo, degree = faces[i]
+    return Cube(lo if side == 0 else hi, degree)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Exports: GraphViz skeletons and OFF quad meshes.
 
-The dot export draws the 1-skeleton with one style per colour (direction
-1 solid, direction 2 dashed, anything higher dotted), arrows running
+Both read a model only through its cube view (`core.Cube`): the
+vertices are its 0-cubes, an edge's endpoints are the two faces of a
+1-cube, and a 2-cube's quad corners are read from the faces of its
+faces.  The dot export draws the 1-skeleton with one style per
+direction (1 solid, 2 dashed, anything higher dotted), arrows running
 source -> range.  The mesh export needs a model that carries an exact
 vertex embedding (the simplex and sphere builders provide one) and emits
 one quad per 2-cube; coordinates are printed to 12 significant digits.
@@ -11,8 +14,8 @@ higher-dimensional embeddings use the nOFF variant.
 
 from __future__ import annotations
 
-from .core import Cube, FiniteKGraph, Skeleton2Graph, cubes
-from .errors import NoEmbedding
+from .core import cubes
+from .errors import InvalidModel, NoEmbedding
 from . import io as kio
 
 
@@ -27,25 +30,11 @@ def _style(direction: int) -> str:
 def export_dot(model) -> str:
     """The 1-skeleton as a GraphViz digraph, deterministically ordered."""
     lines = ["digraph {"]
-    if isinstance(model, Skeleton2Graph):
-        for v in model.vertices:
-            lines.append(f'  "{v}";')
-        for colour, edges in ((1, model.blue), (2, model.red)):
-            for e in sorted(edges):
-                rec = edges[e]
-                lines.append(
-                    f'  "{rec.s}" -> "{rec.r}" [label="{e}", style={_style(colour)}];'
-                )
-    else:
-        g: FiniteKGraph = model
-        for v in g.vertices:
-            lines.append(f'  "{v}";')
-        for c in cubes(g, 1) if g.rank else []:
-            direction = c.degree.index(1) + 1
-            lines.append(
-                f'  "{g.s(c.key)}" -> "{g.r(c.key)}" '
-                f'[label="{c.key}", style={_style(direction)}];'
-            )
+    for c in cubes(model, 0):
+        lines.append(f'  "{c.key}";')
+    for c in cubes(model, 1) if model.rank else []:
+        ((direction, (s, r, _)),) = model._unit_faces(c.key).items()
+        lines.append(f'  "{s}" -> "{r}" [label="{c.key}", style={_style(direction)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -54,27 +43,28 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _corner(g: FiniteKGraph, cube: Cube, a: int, b: int, i: int, j: int) -> str:
-    split = tuple(
-        a if pos == i - 1 else (b if pos == j - 1 else 0)
-        for pos in range(g.rank)
-    )
-    head, _ = g.factorise(cube.key, split)
-    return g.s(head)
+def _ends(model, key) -> tuple:
+    """(source, range) of a 1-cube: its side-1 and side-0 faces."""
+    faces = list(model._unit_faces(key).values())
+    if len(faces) != 1:
+        raise InvalidModel(f"{key!r}, a face of a 2-cube, is not a 1-cube")
+    s, r, _ = faces[0]
+    return s, r
 
 
 def export_mesh(model) -> str:
     """OFF mesh of an embedded model: its vertices plus one quad per 2-cube."""
-    if not isinstance(model, FiniteKGraph) or model.embedding is None:
+    embedding = getattr(model, "embedding", None)
+    if embedding is None:
         raise NoEmbedding(
             "mesh export needs a model with an exact vertex embedding "
             "(surface skeletons and quotient builds carry none)"
         )
     vertex_ids = [c.key for c in cubes(model, 0)]
-    missing = [v for v in vertex_ids if v not in model.embedding]
+    missing = [v for v in vertex_ids if v not in embedding]
     if missing:
         raise NoEmbedding(f"embedding misses vertices {missing[:3]}")
-    coords = [tuple(model.embedding[v]) for v in vertex_ids]
+    coords = [tuple(embedding[v]) for v in vertex_ids]
     dims = {len(c) for c in coords}
     if len(dims) != 1:
         raise NoEmbedding("embedding coordinates have mixed dimensions")
@@ -85,16 +75,15 @@ def export_mesh(model) -> str:
 
     index = {v: i for i, v in enumerate(vertex_ids)}
     faces = []
-    if model.rank >= 2:
-        for cb in cubes(model, 2):
-            i, j = (pos + 1 for pos, x in enumerate(cb.degree) if x == 1)
-            quad = [
-                _corner(model, cb, 0, 0, i, j),
-                _corner(model, cb, 1, 0, i, j),
-                _corner(model, cb, 1, 1, i, j),
-                _corner(model, cb, 0, 1, i, j),
-            ]
-            faces.append([index[v] for v in quad])
+    for cb in cubes(model, 2) if model.rank >= 2 else []:
+        # corners r(cube), r(hi_1), s(hi_1), r(hi_2): the unit steps in
+        # directions i and j, taken from the range end
+        (hi1, lo1, _), (hi2, _, _) = model._unit_faces(cb.key).values()
+        s1, r1 = _ends(model, hi1)
+        quad = [_ends(model, lo1)[1], r1, s1, _ends(model, hi2)[1]]
+        if not all(v in index for v in quad):
+            raise InvalidModel(f"the corners {quad} of {cb.key!r} are not all vertices")
+        faces.append([index[v] for v in quad])
 
     lines = []
     if dim == 3:

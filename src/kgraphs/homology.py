@@ -18,13 +18,9 @@ import heapq
 from dataclasses import dataclass
 
 from .core import (
-    Cube,
     FiniteKGraph,
     Skeleton2Graph,
-    _unit_faces,
     cubes,
-    deg_total,
-    face,
     validate_kgraph,
     validate_skeleton,
 )
@@ -135,45 +131,35 @@ class ChainComplex:
         return f"ChainComplex(dims={[len(b) for b in self.bases]})"
 
 
-def _face_keys(model, cube: Cube) -> list[tuple]:
-    """(side-1, side-0) face keys of a cube for each direction it extends
-    in, in increasing order."""
-    if isinstance(model, FiniteKGraph):
-        return _unit_faces(model, cube.key)
-    dirs = [i + 1 for i, x in enumerate(cube.degree) if x == 1]
-    return [(face(model, cube, i, 1).key, face(model, cube, i, 0).key) for i in dirs]
-
-
 def chain_complex(model) -> ChainComplex:
     """The cubical chain complex of a validated model.
 
     Raises InvalidModel when the model fails validation -- boundary
-    matrices of a broken category would be meaningless.  Category faces
-    are read from the graph's factorisation index.
+    matrices of a broken category would be meaningless.  Cubes and faces
+    come from the model's cube view (see `core.Cube`).
     """
     if isinstance(model, Skeleton2Graph):
         problems = validate_skeleton(model)
-        top = 2
     elif isinstance(model, FiniteKGraph):
         problems = validate_kgraph(model)
-        top = model.rank
     else:
         raise InvalidModel(f"cannot build a chain complex from {type(model).__name__}")
     if problems:
         shown = "; ".join(str(p) for p in problems[:3])
         raise InvalidModel(f"model fails validation ({len(problems)} violations): {shown}")
 
-    cube_lists = [[] for _ in range(top + 1)]
+    top = model.rank
+    bases = [[] for _ in range(top + 1)]
     for c in cubes(model):
-        cube_lists[c.dim].append(c)
-    bases = [[c.key for c in cs] for cs in cube_lists]
+        bases[c.dim].append(c.key)
 
     boundaries = [SparseIntMatrix((0, len(bases[0])))]
     for n in range(1, top + 1):
         row_of = {key: i for i, key in enumerate(bases[n - 1])}
         mat = SparseIntMatrix((len(bases[n - 1]), len(bases[n])))
-        for col, cb in enumerate(cube_lists[n]):
-            for j, (hi_key, lo_key) in enumerate(_face_keys(model, cb), start=1):
+        for col, key in enumerate(bases[n]):
+            faces = model._unit_faces(key).values()
+            for j, (hi_key, lo_key, _) in enumerate(faces, start=1):
                 sign = -1 if j % 2 else 1
                 hi, lo = row_of[hi_key], row_of[lo_key]
                 for row, val in ((hi, sign), (lo, -sign)):

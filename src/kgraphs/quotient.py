@@ -100,6 +100,8 @@ class _UnionFind:
 
     def find(self, x):
         p = self.parent
+        if x not in p:  # a broken table's composite or factor
+            raise ForeignId(f"{x!r} is not a morphism of the graph")
         root = x
         while p[root] != root:
             root = p[root]

@@ -223,20 +223,24 @@ def quadratic_validate_skeleton(sk: Skeleton2Graph) -> list[Violation]:
 def face_based_boundaries(model):
     """Reference copy of `chain_complex`'s boundary assembly as it was when
     every face came from `face()` and category faces from `factorise`
-    (`factorise_face` below).  Returns (bases, boundary matrices) of an
-    already validated model.  Oracle for the index-read faces, matrix
-    entry insertion order included.
+    (`factorise_face` below).  Skeleton cubes and faces come from
+    `skeleton_cubes` and `skeleton_face`, copies of the skeleton code of
+    that time.  Returns (bases, boundary matrices) of an already validated
+    model.  Oracle for the one cube view, matrix entry insertion order
+    included.
     """
-    from kgraphs.core import FiniteKGraph, cubes, face
+    from kgraphs.core import FiniteKGraph, cubes
     from kgraphs.homology import SparseIntMatrix
 
-    top = model.rank if isinstance(model, FiniteKGraph) else 2
-    face_of = factorise_face if isinstance(model, FiniteKGraph) else face
+    if isinstance(model, FiniteKGraph):
+        top, cubes_of, face_of = model.rank, cubes, factorise_face
+    else:
+        top, cubes_of, face_of = 2, skeleton_cubes, skeleton_face
 
     bases = []
     cube_lists = []
     for n in range(top + 1):
-        cs = cubes(model, n)
+        cs = cubes_of(model, n)
         cube_lists.append(cs)
         bases.append([c.key for c in cs])
 
@@ -271,6 +275,37 @@ def factorise_face(g, cube, i, side):
         return Cube(head, g.d(head))
     _, tail = g.factorise(cube.key, unit_degree(g.rank, i))
     return Cube(tail, g.d(tail))
+
+
+def skeleton_cubes(sk, n):
+    """Reference copy of `cubes` on a skeleton as it was before skeletons
+    and category models shared one cube view."""
+    from kgraphs.core import Cube
+
+    out = []
+    if n in (None, 0):
+        out.extend(Cube(v, ()) for v in sk.vertices)
+    if n in (None, 1):
+        out.extend(Cube(e, (1, 0)) for e in sorted(sk.blue))
+        out.extend(Cube(e, (0, 1)) for e in sorted(sk.red))
+    if n in (None, 2):
+        out.extend(Cube(sq, (1, 1)) for sq in sk.squares)
+    return out
+
+
+def skeleton_face(sk, cube, i, side):
+    """Reference copy of `face` on a skeleton as it was before skeletons
+    and category models shared one cube view (direction checks left out:
+    the assembly only asks for directions the cube extends in)."""
+    from kgraphs.core import Cube
+
+    if cube.dim == 1:
+        e = sk.edge(cube.key)
+        return Cube(e.r if side == 0 else e.s, ())
+    f, gg, g2, f2 = cube.key
+    if i == 1:
+        return Cube(g2 if side == 0 else gg, (0, 1))
+    return Cube(f if side == 0 else f2, (1, 0))
 
 
 def reference_check_congruence(rel):
@@ -359,3 +394,32 @@ def reference_check_congruence(rel):
                     )
 
     return CongruenceVerdict(True)
+
+
+def cube_view_digests(model) -> tuple[str, ...]:
+    """Short sha256 digests of four views of a model's cubes: every cube
+    with its degree; every face in every direction 1..rank on both sides
+    (the face, or the error's type and message); the dot export; and the
+    mesh export or its error.  Pins the cube view across refactors."""
+    from hashlib import sha256
+
+    from kgraphs.core import cubes, face
+    from kgraphs.errors import KGraphError
+    from kgraphs.export import export_dot, export_mesh
+
+    cs = cubes(model)
+    faces = []
+    for c in cs:
+        for i in range(1, model.rank + 1):
+            for side in (0, 1):
+                try:
+                    f = face(model, c, i, side)
+                    faces.append((c.key, i, side, f.key, f.degree))
+                except KGraphError as exc:
+                    faces.append((c.key, i, side, type(exc).__name__, str(exc)))
+    try:
+        mesh = export_mesh(model)
+    except KGraphError as exc:
+        mesh = f"{type(exc).__name__}: {exc}"
+    texts = (repr([(c.key, c.degree) for c in cs]), repr(faces), export_dot(model), mesh)
+    return tuple(sha256(t.encode("utf-8")).hexdigest()[:16] for t in texts)

@@ -242,3 +242,139 @@ def test_bad_builder_arguments_are_one_line_usage_errors(capsys, monkeypatch, ar
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+BROKEN_CATEGORY = {  # e's source "zz" is not a vertex
+    "kind": "category", "rank": 1, "vertices": ["u", "v"],
+    "morphisms": [{"id": "e", "d": [1], "r": "u", "s": "zz"}], "compose": [],
+}
+BROKEN_SKELETON = {
+    "kind": "skeleton2", "vertices": ["u", "v"],
+    "blue": [{"id": "e", "r": "u", "s": "zz"}], "red": [], "squares": [],
+}
+
+
+def embedded_square(a_source, b_degree):
+    """An embedded rank-2 document with one square sq = a b = c d."""
+    return {
+        "kind": "category", "rank": 2, "vertices": ["p", "q", "r", "s"],
+        "morphisms": [
+            {"id": "a", "d": [1, 0], "r": "p", "s": a_source},
+            {"id": "b", "d": b_degree, "r": a_source, "s": "s"},
+            {"id": "c", "d": [0, 1], "r": "p", "s": "r"},
+            {"id": "d", "d": [1, 0], "r": "r", "s": "s"},
+            {"id": "sq", "d": [1, 1], "r": "p", "s": "s"},
+        ],
+        "compose": [["a", "b", "sq"], ["c", "d", "sq"]],
+        "embedding": {"p": [0, 0], "q": [1, 0], "r": [0, 1], "s": [1, 1]},
+    }
+
+
+@pytest.mark.parametrize("doc", [BROKEN_CATEGORY, BROKEN_SKELETON])
+def test_export_dot_draws_broken_documents(capsys, monkeypatch, doc):
+    feed(monkeypatch, json.dumps(doc))
+    code, out, err = run(capsys, "export", "dot", "-")
+    assert code == 0 and "Traceback" not in err
+    assert out == (
+        'digraph {\n  "u";\n  "v";\n  "zz" -> "u" [label="e", style=solid];\n}\n'
+    )
+
+
+def test_export_mesh_is_not_a_format(capsys, monkeypatch):
+    code, doc, _ = run(capsys, "build", "simplex", "--k", "2")
+    feed(monkeypatch, doc)
+    code, out, err = run(capsys, "export", "mesh", "-")
+    assert code == 1 and out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture
+def documents(tmp_path, capsys):
+    """Paths of well-formed and malformed documents, by name."""
+    docs = {
+        "garbage": "{')",
+        "deep": "[" * 100000 + "]" * 100000,
+        "no-kind": json.dumps({"rank": 1}),
+        "bad-rank": json.dumps({**BROKEN_CATEGORY, "rank": True}),
+        "broken-category": json.dumps(BROKEN_CATEGORY),
+        "broken-skeleton": json.dumps(BROKEN_SKELETON),
+        "corner-off-vertices": json.dumps(embedded_square("zz", [0, 1])),
+        "face-not-an-edge": json.dumps(embedded_square("q", [2, 0])),
+        "foreign-relation": json.dumps(
+            {"kind": "relation", "over": "", "mode": "generated", "pairs": [["0", "nope"]]}
+        ),
+        "empty-relation": json.dumps(
+            {"kind": "relation", "over": "", "mode": "generated", "pairs": []}
+        ),
+    }
+    for name, argv in (
+        ("simplex", ("build", "simplex", "--k", "1")),
+        ("torus", ("build", "surface", "--spec", "T")),
+    ):
+        code, text, _ = run(capsys, *argv)
+        assert code == 0
+        docs[name] = text
+    unmarked = json.loads(docs["torus"])
+    for key in ("u", "v", "square"):
+        del unmarked[key]
+    docs["unmarked"] = json.dumps(unmarked)
+    paths = {}
+    for name, text in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("validate",), 1),
+        (("validate", "garbage"), 1),
+        (("validate", "no-kind"), 1),
+        (("validate", "bad-rank"), 1),
+        (("validate", "empty-relation"), 1),
+        (("validate", "broken-category"), 2),
+        (("validate", "broken-skeleton"), 2),
+        (("homology",), 1),
+        (("homology", "deep"), 1),
+        (("homology", "garbage"), 1),
+        (("homology", "empty-relation"), 1),
+        (("homology", "broken-category"), 2),
+        (("homology", "--json", "broken-skeleton"), 2),
+        (("homology", "--json", "garbage"), 1),
+        (("homology", "--json", "broken-category"), 2),
+        (("export", "png", "simplex"), 1),
+        (("export", "dot"), 1),
+        (("export", "dot", "garbage"), 1),
+        (("export", "dot", "empty-relation"), 1),
+        (("export", "off", "deep"), 1),
+        (("export", "off", "torus"), 2),
+        (("export", "off", "broken-category"), 2),
+        (("export", "off", "broken-skeleton"), 2),
+        (("export", "off", "corner-off-vertices"), 2),
+        (("export", "off", "face-not-an-edge"), 2),
+        (("export", "json", "no-kind"), 1),
+        (("export", "json", "empty-relation"), 1),
+        (("quotient", "simplex"), 1),
+        (("quotient", "garbage", "--relation", "empty-relation"), 1),
+        (("quotient", "simplex", "--relation", "garbage"), 1),
+        (("quotient", "simplex", "--relation", "foreign-relation"), 2),
+        (("quotient", "empty-relation", "--relation", "simplex"), 1),
+        (("quotient", "simplex", "--relation", "simplex"), 1),
+        (("quotient", "broken-category", "--relation", "empty-relation"), 2),
+        (("quotient", "torus", "--relation", "empty-relation"), 1),
+        (("connected-sum", "torus"), 1),
+        (("connected-sum", "torus", "unmarked"), 1),
+        (("connected-sum", "unmarked", "torus"), 1),
+        (("connected-sum", "torus", "garbage"), 1),
+        (("connected-sum", "torus", "simplex"), 1),
+    ],
+)
+def test_every_verb_fails_without_a_traceback(capsys, documents, argv, code):
+    argv = [str(documents.get(a, a)) for a in argv]
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert "Traceback" not in err
+    if code == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1

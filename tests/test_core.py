@@ -29,9 +29,16 @@ from kgraphs.errors import (
     NotComposable,
     UnknownId,
 )
-from kgraphs.simplex import build_simplex
+from kgraphs.simplex import build_simplex, build_sphere, build_wedge
+from kgraphs.surfaces import compact_surface
 
-from helpers import path_category, random_dag, random_path_category, grid_category
+from helpers import (
+    cube_view_digests,
+    grid_category,
+    path_category,
+    random_dag,
+    random_path_category,
+)
 
 
 def tiny():
@@ -393,3 +400,42 @@ def test_skeleton_cubes():
     assert face(sk, sq, 1, 1).key == "g"
     assert face(sk, sq, 2, 0).key == "f"
     assert face(sk, sq, 2, 1).key == "f2"
+
+
+# sha256 prefixes of (cubes, faces, dot, mesh), from `cube_view_digests`,
+# recorded before category models and skeletons shared one cube view
+CUBE_VIEW_DIGESTS = {
+    "simplex 0": ("1649829eceb0c6d3", "4f53cda18c2baa0c", "11682532cd8fcf84", "836388311a989ec5"),
+    "sphere 0": ("c4db57b6d89653ed", "4f53cda18c2baa0c", "40ae84c2686765ff", "bdf6cb44a71b132a"),
+    "simplex 1": ("37abcfa822e8978b", "f12f69fcd4dd3554", "7157fd11937162fa", "34c1f01d8d91dd21"),
+    "sphere 1": ("fe62aa0359e53cd3", "f571c9178278ad3f", "b7cad05fe8d50e68", "667ddde476b88985"),
+    "simplex 2": ("49ffc52acebb5cfb", "5f5b711f19f4302a", "b934fbd038226902", "c2eb009bc0ccefe3"),
+    "sphere 2": ("5f1253f7afd32acb", "58dcd1d29ce808ce", "d3e750c87917ac3a", "9f387cf79b3ae8e8"),
+    "simplex 3": ("b45a6bf36a195de5", "3872471133f8b069", "ce98db1fc8bde72d", "ea9f0a2fc38dc2be"),
+    "sphere 3": ("fd665874bc62ae2f", "27816679c4b896f2", "7513ee71ad2ce909", "cbc65e8d2d709cd1"),
+    "simplex 4": ("c314e0779a05f4c4", "f59776efc25482c6", "45ba2b164de9e8c0", "bec340a345c081b8"),
+    "sphere 4": ("06737ac8cfaca0d1", "58417347b8acc785", "56409c6d78f6c918", "54665fefd35fc985"),
+    "wedge 2 3": ("86b242e85911b2ad", "e0cc9a102eaa9ce8", "ff565062c6afa8eb", "b4371d4734bb235d"),
+    "surface S": ("ae7c35919643683a", "1224dd5d137f803f", "9542c70df901e8e2", "b4371d4734bb235d"),
+    "surface T": ("87ad8dcacf34163d", "8968f9c82381abeb", "f1dfeb19758a8faf", "b4371d4734bb235d"),
+    "surface K": ("9091b566a4735e36", "0f0204c2b2badff0", "f1dfeb19758a8faf", "b4371d4734bb235d"),
+    "surface P": ("db996fef478cd6d7", "91f682272b64cdb8", "ddaa14b12b1a2444", "b4371d4734bb235d"),
+    "surface T,T": ("b182c900ea57c850", "8099821ec1d17322", "e51de044cdbc38b9", "b4371d4734bb235d"),
+    "surface T,K": ("dc677295c5d636c8", "1ad4a199b3840d5e", "e51de044cdbc38b9", "b4371d4734bb235d"),
+    "surface T,P": ("7d3bd1e7fd264966", "868ce6c9e7a22ec0", "f0f609a052fe15d1", "b4371d4734bb235d"),
+    "surface T,T,P": ("dbfd599e33985acf", "49dbbc021be526a3", "52a6a545400fb923", "b4371d4734bb235d"),
+}
+
+
+def pinned_models():
+    for k in range(5):
+        yield f"simplex {k}", build_simplex(k)
+        yield f"sphere {k}", build_sphere(k)
+    yield "wedge 2 3", build_wedge(2, 3)
+    for spec in ("S", "T", "K", "P", "T,T", "T,K", "T,P", "T,T,P"):
+        yield f"surface {spec}", compact_surface(spec).skeleton
+
+
+def test_cube_view_is_pinned():
+    seen = {name: cube_view_digests(model) for name, model in pinned_models()}
+    assert seen == CUBE_VIEW_DIGESTS

@@ -354,6 +354,14 @@ def test_congruence_errors_on_broken_tables_match_the_reference():
     assert outcome(cartesian_product, g, two_points()) == got
 
 
+def test_saturation_names_an_unknown_composite():
+    # merging e0 with e1 forces e0.f ~ (f after e1), which the table names
+    # "ghost": saturation reports it as check_congruence and quotient do
+    g = with_table({("f", "e0"): "e0.f", ("f", "e1"): "ghost"})
+    with pytest.raises(ForeignId, match="'ghost'"):
+        relation_from_pairs(g, [("e0", "e1")])
+
+
 def test_product_of_two_broken_tables_reports_the_first_pair_met():
     # composing pair by pair in product order meets a's first pair, then
     # every pair of b, then a's later pairs

@@ -36,6 +36,7 @@ from .errors import (
     NotInjective,
     OutOfBox,
     OutOfRange,
+    OverlappingClasses,
     ParseError,
     RankMismatch,
     UnknownId,

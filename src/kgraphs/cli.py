@@ -13,7 +13,7 @@ import sys
 
 from . import io as kio
 from .core import FiniteKGraph, Skeleton2Graph, validate_kgraph, validate_skeleton
-from .errors import BadSurfaceSpec, KGraphError, NotACongruence, ParseError
+from .errors import BadSurfaceSpec, KGraphError, NotACongruence, OverlappingClasses, ParseError
 from .export import export_dot, export_json, export_mesh
 from .homology import chain_complex, euler_characteristic, homology
 from .quotient import quotient
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.verb](args)
-    except (ParseError, BadSurfaceSpec, OSError) as exc:
+    except (ParseError, BadSurfaceSpec, OverlappingClasses, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NotACongruence as exc:

@@ -95,6 +95,10 @@ class BadSurfaceSpec(KGraphError, ValueError):
     """
 
 
+class OverlappingClasses(KGraphError, ValueError):
+    """An explicit relation lists a morphism in two classes (still a ValueError)."""
+
+
 class OutOfRange(KGraphError):
     """A would-be placing has values outside {0, ..., k} or a bad shape."""
 

@@ -29,10 +29,9 @@ def _style(direction: int) -> str:
 
 def export_dot(model) -> str:
     """The 1-skeleton as a GraphViz digraph, deterministically ordered."""
-    lines = ["digraph {"]
-    for c in cubes(model, 0):
-        lines.append(f'  "{c.key}";')
-    for c in cubes(model, 1) if model.rank else []:
+    all_cubes = cubes(model)
+    lines = ["digraph {"] + [f'  "{c.key}";' for c in all_cubes if c.dim == 0]
+    for c in (c for c in all_cubes if c.dim == 1):
         ((direction, (s, r, _)),) = model._unit_faces(c.key).items()
         lines.append(f'  "{s}" -> "{r}" [label="{c.key}", style={_style(direction)}];')
     lines.append("}")
@@ -60,7 +59,8 @@ def export_mesh(model) -> str:
             "mesh export needs a model with an exact vertex embedding "
             "(surface skeletons and quotient builds carry none)"
         )
-    vertex_ids = [c.key for c in cubes(model, 0)]
+    all_cubes = cubes(model)
+    vertex_ids = [c.key for c in all_cubes if c.dim == 0]
     missing = [v for v in vertex_ids if v not in embedding]
     if missing:
         raise NoEmbedding(f"embedding misses vertices {missing[:3]}")
@@ -75,7 +75,7 @@ def export_mesh(model) -> str:
 
     index = {v: i for i, v in enumerate(vertex_ids)}
     faces = []
-    for cb in cubes(model, 2) if model.rank >= 2 else []:
+    for cb in (c for c in all_cubes if c.dim == 2):
         # corners r(cube), r(hi_1), s(hi_1), r(hi_2): the unit steps in
         # directions i and j, taken from the range end
         (hi1, lo1, _), (hi2, _, _) = model._unit_faces(cb.key).values()

@@ -35,6 +35,7 @@ from .errors import (
     NotACongruence,
     NotHereditary,
     NotInjective,
+    OverlappingClasses,
 )
 
 
@@ -164,7 +165,7 @@ def relation_from_classes(graph: FiniteKGraph, classes) -> MorphismRelation:
             if not graph.has(m):
                 raise ForeignId(f"{m!r} is not a morphism of the graph")
             if m in seen:
-                raise ValueError(f"classes overlap at {m!r}")
+                raise OverlappingClasses(f"classes overlap at {m!r}")
             seen.add(m)
         for m in cls[1:]:
             uf.union(cls[0], m)

@@ -11,9 +11,9 @@ The catalog square sets are frozen constants, certified by their
 homology; `regenerate_squares` re-derives them by searching the
 endpoint-preserving pairings of two-colour paths that contain the
 marked square and have the right homology, taking the least such set.
-Each catalog surface is certified (validated and homology-checked) once
-per process, on its first use; every `basic_surface` call still returns
-a fresh skeleton.
+Each catalog surface is certified (validated, homology-checked and its
+marking checked) once per process, on its first use; every
+`basic_surface` call still returns a fresh skeleton.
 """
 
 from __future__ import annotations
@@ -118,14 +118,6 @@ def validate_marking(ms: MarkedSkeleton) -> list[str]:
     return problems
 
 
-def _marked(skeleton: Skeleton2Graph, u: str, v: str, square: Square) -> MarkedSkeleton:
-    ms = MarkedSkeleton(skeleton, u, v, square)
-    problems = validate_marking(ms)
-    if problems:
-        raise BadMarking("; ".join(problems))
-    return ms
-
-
 def _skeleton_homology(sk: Skeleton2Graph):
     return tuple((h.betti, h.torsion) for h in homology(chain_complex(sk)))
 
@@ -194,9 +186,9 @@ def regenerate_squares(tag: str) -> tuple[Square, ...]:
     return min(winners)
 
 
-# Catalog tags whose skeleton passed validation and its homology
-# certificate in this process; the frozen data cannot change, so once is
-# enough.
+# Catalog tags whose skeleton passed validation, its homology certificate
+# and the marking check in this process; the frozen data cannot change,
+# so once is enough.
 _CERTIFIED: set[str] = set()
 
 
@@ -207,42 +199,65 @@ def basic_surface(tag) -> MarkedSkeleton:
     another one gets.
     """
     tag = tag.tag if isinstance(tag, SurfaceSummand) else SurfaceSummand(str(tag)).tag
-    squares = _FROZEN_SQUARES.get(tag)
-    if squares is None:
-        squares = regenerate_squares(tag)
-        _FROZEN_SQUARES[tag] = squares
     data = _DIGRAPHS[tag]
-    sk = Skeleton2Graph(data["vertices"], data["blue"], data["red"], squares)
+    sk = Skeleton2Graph(data["vertices"], data["blue"], data["red"], _FROZEN_SQUARES[tag])
+    ms = MarkedSkeleton(sk, "u", "v", _MARKED_SQUARE)
     if tag not in _CERTIFIED:
         if validate_skeleton(sk):
             raise InvalidModel(f"catalog skeleton {tag} fails validation")
         if _skeleton_homology(sk) != _EXPECTED_HOMOLOGY[tag]:
             raise InvalidModel(f"catalog skeleton {tag} fails its homology certificate")
+        problems = validate_marking(ms)
+        if problems:
+            raise BadMarking("; ".join(problems))
         _CERTIFIED.add(tag)
-    return _marked(sk, "u", "v", _MARKED_SQUARE)
+    return ms
 
 
 # ---------------------------------------------------------------------------
 # connected sums
 
 
-def _prime_ids(ms: MarkedSkeleton, taken: set[str]) -> MarkedSkeleton:
-    """Rename every id of ms with appended primes until disjoint from taken."""
-    sk = ms.skeleton
-    ids = set(sk.vertices) | set(sk.blue) | set(sk.red)
-    suffix = ""
-    while any((x + suffix) in taken for x in ids):
-        suffix += "'"
-    if not suffix:
-        return ms
-    ren = lambda x: x + suffix
-    sk2 = Skeleton2Graph(
-        [ren(v) for v in sk.vertices],
-        {ren(e): (ren(rec.r), ren(rec.s)) for e, rec in sk.blue.items()},
-        {ren(e): (ren(rec.r), ren(rec.s)) for e, rec in sk.red.items()},
-        [tuple(ren(x) for x in sq) for sq in sk.squares],
-    )
-    return MarkedSkeleton(sk2, ren(ms.u), ren(ms.v), tuple(ren(x) for x in ms.square))
+def _splice(summands: list[MarkedSkeleton]) -> MarkedSkeleton:
+    """The connected sum of one or more marked summands, in one pass.
+
+    Summand i's ids get the fewest appended primes that free them from
+    the ids placed before it.  The cut-open marked squares are re-paired
+    in a cycle: summand i is closed by (f_i, g_i, g2_{i-1}, f2_{i-1}),
+    and the square closing summand 0 marks the result.  That is what a
+    left fold of `connected_sum` builds, validated once instead of per
+    step.
+    """
+    for i, ms in enumerate(summands):
+        problems = validate_marking(ms)
+        if problems:
+            raise BadMarking(f"{'right' if i else 'left'} summand: " + "; ".join(problems))
+
+    top, bottom = summands[0].u, summands[0].v
+    vertices, taken, blue, red, squares, marked = set(), set(), {}, {}, [], []
+    for ms in summands:
+        sk = ms.skeleton
+        ids = {*sk.vertices, *sk.blue, *sk.red}
+        suffix = ""
+        while any((x + suffix) in taken for x in ids):
+            suffix += "'"
+        merge = {ms.u: top, ms.v: bottom}
+        fix = lambda x: merge.get(x, x + suffix)
+        vertices.update(map(fix, sk.vertices))
+        for table, edges in ((blue, sk.blue), (red, sk.red)):
+            table.update((e + suffix, (fix(rec.r), fix(rec.s))) for e, rec in edges.items())
+        squares += [tuple(x + suffix for x in sq) for sq in sk.squares if sq != ms.square]
+        marked.append(tuple(x + suffix for x in ms.square))
+        taken.update(map(fix, ids))
+    closing = [
+        (f, g, g2, f2) for (f, g, _, _), (_, _, g2, f2) in zip(marked, marked[-1:] + marked)
+    ]
+
+    out = Skeleton2Graph(vertices, blue, red, squares + closing)
+    problems = validate_skeleton(out)
+    if problems:
+        raise InvalidModel(f"connected sum fails validation: {problems[0]}")
+    return MarkedSkeleton(out, top, bottom, closing[0])
 
 
 def connected_sum(a: MarkedSkeleton, b: MarkedSkeleton) -> MarkedSkeleton:
@@ -252,51 +267,18 @@ def connected_sum(a: MarkedSkeleton, b: MarkedSkeleton) -> MarkedSkeleton:
     if they clash), the marked top and bottom vertices are merged, the
     two marked squares are removed, and the four loose flaps are
     cross-paired into two new squares.  Marked with a's top and bottom
-    and the square (f_a, g_a, g2_b, f2_b).
+    and the square (f_a, g_a, g2_b, f2_b).  This is the two-summand case
+    of the one splice `compact_surface` also runs.
     """
-    for side, ms in (("left", a), ("right", b)):
-        problems = validate_marking(ms)
-        if problems:
-            raise BadMarking(f"{side} summand: " + "; ".join(problems))
-
-    taken = set(a.skeleton.vertices) | set(a.skeleton.blue) | set(a.skeleton.red)
-    b = _prime_ids(b, taken)
-
-    merge = {b.u: a.u, b.v: a.v}
-    fix = lambda x: merge.get(x, x)
-
-    vertices = list(a.skeleton.vertices) + [
-        v for v in b.skeleton.vertices if v not in (b.u, b.v)
-    ]
-    blue = {e: (rec.r, rec.s) for e, rec in a.skeleton.blue.items()}
-    red = {e: (rec.r, rec.s) for e, rec in a.skeleton.red.items()}
-    for e, rec in b.skeleton.blue.items():
-        blue[e] = (fix(rec.r), fix(rec.s))
-    for e, rec in b.skeleton.red.items():
-        red[e] = (fix(rec.r), fix(rec.s))
-
-    fa, ga, g2a, f2a = a.square
-    fb, gb, g2b, f2b = b.square
-    squares = [sq for sq in a.skeleton.squares if sq != a.square]
-    squares += [sq for sq in b.skeleton.squares if sq != b.square]
-    squares += [(fa, ga, g2b, f2b), (fb, gb, g2a, f2a)]
-
-    sk = Skeleton2Graph(vertices, blue, red, squares)
-    problems = validate_skeleton(sk)
-    if problems:
-        raise InvalidModel(f"connected sum fails validation: {problems[0]}")
-    return _marked(sk, a.u, a.v, (fa, ga, g2b, f2b))
+    return _splice([a, b])
 
 
 def compact_surface(spec) -> MarkedSkeleton:
-    """Left fold of connected sums over a list of tags (or a "T,T,P" string)."""
+    """Connected sum of a list of tags (or a "T,T,P" string), in one splice."""
     if isinstance(spec, str):
         tags = [t.strip() for t in spec.split(",") if t.strip()]
     else:
         tags = [t.tag if isinstance(t, SurfaceSummand) else str(t) for t in spec]
     if not tags:
         raise BadSurfaceSpec("a surface spec needs at least one summand")
-    out = basic_surface(tags[0])
-    for tag in tags[1:]:
-        out = connected_sum(out, basic_surface(tag))
-    return out
+    return _splice([basic_surface(t) for t in tags])

@@ -423,3 +423,90 @@ def cube_view_digests(model) -> tuple[str, ...]:
         mesh = f"{type(exc).__name__}: {exc}"
     texts = (repr([(c.key, c.degree) for c in cs]), repr(faces), export_dot(model), mesh)
     return tuple(sha256(t.encode("utf-8")).hexdigest()[:16] for t in texts)
+
+
+def _reference_marked(skeleton, u, v, square):
+    from kgraphs.errors import BadMarking
+    from kgraphs.surfaces import MarkedSkeleton, validate_marking
+
+    ms = MarkedSkeleton(skeleton, u, v, square)
+    problems = validate_marking(ms)
+    if problems:
+        raise BadMarking("; ".join(problems))
+    return ms
+
+
+def reference_prime_ids(ms, taken: set[str]):
+    """Rename every id of ms with appended primes until disjoint from taken."""
+    from kgraphs.surfaces import MarkedSkeleton
+
+    sk = ms.skeleton
+    ids = set(sk.vertices) | set(sk.blue) | set(sk.red)
+    suffix = ""
+    while any((x + suffix) in taken for x in ids):
+        suffix += "'"
+    if not suffix:
+        return ms
+    ren = lambda x: x + suffix
+    sk2 = Skeleton2Graph(
+        [ren(v) for v in sk.vertices],
+        {ren(e): (ren(rec.r), ren(rec.s)) for e, rec in sk.blue.items()},
+        {ren(e): (ren(rec.r), ren(rec.s)) for e, rec in sk.red.items()},
+        [tuple(ren(x) for x in sq) for sq in sk.squares],
+    )
+    return MarkedSkeleton(sk2, ren(ms.u), ren(ms.v), tuple(ren(x) for x in ms.square))
+
+
+def reference_connected_sum(a, b):
+    """Reference copy of the two-summand `connected_sum` as it was when
+    `compact_surface` folded it over the summands, rebuilding, validating
+    and re-marking every intermediate result.  Oracle for the one-pass
+    splice: ids, squares, marking and errors must match.
+    """
+    from kgraphs.core import validate_skeleton
+    from kgraphs.errors import BadMarking, InvalidModel
+    from kgraphs.surfaces import validate_marking
+
+    for side, ms in (("left", a), ("right", b)):
+        problems = validate_marking(ms)
+        if problems:
+            raise BadMarking(f"{side} summand: " + "; ".join(problems))
+
+    taken = set(a.skeleton.vertices) | set(a.skeleton.blue) | set(a.skeleton.red)
+    b = reference_prime_ids(b, taken)
+
+    merge = {b.u: a.u, b.v: a.v}
+    fix = lambda x: merge.get(x, x)
+
+    vertices = list(a.skeleton.vertices) + [
+        v for v in b.skeleton.vertices if v not in (b.u, b.v)
+    ]
+    blue = {e: (rec.r, rec.s) for e, rec in a.skeleton.blue.items()}
+    red = {e: (rec.r, rec.s) for e, rec in a.skeleton.red.items()}
+    for e, rec in b.skeleton.blue.items():
+        blue[e] = (fix(rec.r), fix(rec.s))
+    for e, rec in b.skeleton.red.items():
+        red[e] = (fix(rec.r), fix(rec.s))
+
+    fa, ga, g2a, f2a = a.square
+    fb, gb, g2b, f2b = b.square
+    squares = [sq for sq in a.skeleton.squares if sq != a.square]
+    squares += [sq for sq in b.skeleton.squares if sq != b.square]
+    squares += [(fa, ga, g2b, f2b), (fb, gb, g2a, f2a)]
+
+    sk = Skeleton2Graph(vertices, blue, red, squares)
+    problems = validate_skeleton(sk)
+    if problems:
+        raise InvalidModel(f"connected sum fails validation: {problems[0]}")
+    return _reference_marked(sk, a.u, a.v, (fa, ga, g2b, f2b))
+
+
+def reference_compact_surface(tags):
+    """Reference copy of the left fold of `reference_connected_sum` over
+    catalog summands (a list of tags)."""
+    from kgraphs.surfaces import basic_surface
+
+    out = basic_surface(tags[0])
+    for tag in tags[1:]:
+        out = reference_connected_sum(out, basic_surface(tag))
+    return out

@@ -2,11 +2,14 @@
 
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kgraphs
 from kgraphs import enumerate_placings
 from kgraphs.cli import main
 
@@ -204,9 +207,12 @@ def test_export_off_needs_embedding(capsys, monkeypatch):
 
 
 def test_console_script_entry_point():
+    # the child imports the same kgraphs as this process, PYTHONPATH set or not
+    src = str(Path(kgraphs.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-m", "kgraphs.cli", "placings", "--k", "2", "--count"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert out.returncode == 0 and out.stdout.strip() == "13"
 
@@ -307,6 +313,10 @@ def documents(tmp_path, capsys):
         "empty-relation": json.dumps(
             {"kind": "relation", "over": "", "mode": "generated", "pairs": []}
         ),
+        "overlapping-relation": json.dumps(
+            {"kind": "relation", "mode": "explicit",
+             "classes": [["0", "(0,{0,1})"], ["0", "{0,1}"]]}
+        ),
     }
     for name, argv in (
         ("simplex", ("build", "simplex", "--k", "1")),
@@ -369,6 +379,7 @@ def documents(tmp_path, capsys):
         (("connected-sum", "unmarked", "torus"), 1),
         (("connected-sum", "torus", "garbage"), 1),
         (("connected-sum", "torus", "simplex"), 1),
+        (("quotient", "simplex", "--relation", "overlapping-relation"), 1),
     ],
 )
 def test_every_verb_fails_without_a_traceback(capsys, documents, argv, code):

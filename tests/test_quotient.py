@@ -32,6 +32,7 @@ from kgraphs.errors import (
     NotComposable,
     NotHereditary,
     NotInjective,
+    OverlappingClasses,
     UnknownId,
 )
 from kgraphs.simplex import _sphere_pairs, enumerate_placings, placing_id
@@ -70,6 +71,8 @@ def test_relation_basics():
 def test_relation_from_classes_rejects_overlap():
     g = chain_with_parallel_edges()
     with pytest.raises(ValueError):
+        relation_from_classes(g, [["e0", "e1"], ["e1", "f"]])
+    with pytest.raises(OverlappingClasses, match="classes overlap at 'e1'"):
         relation_from_classes(g, [["e0", "e1"], ["e1", "f"]])
 
 

@@ -20,10 +20,17 @@ from kgraphs import (
     validate_marking,
     validate_skeleton,
 )
+from kgraphs import surfaces
 from kgraphs.errors import BadMarking, BadSurfaceSpec, KGraphError, UnknownId
+from kgraphs.export import export_json
+from kgraphs.io import loads
 from kgraphs.surfaces import _EXPECTED_HOMOLOGY, _FROZEN_SQUARES
 
-from helpers import quadratic_validate_skeleton
+from helpers import (
+    quadratic_validate_skeleton,
+    reference_compact_surface,
+    reference_connected_sum,
+)
 
 TAGS = "STKP"
 
@@ -210,3 +217,93 @@ def test_large_genus_sums_validate_and_classify():
     assert euler_characteristic(chain_complex(mixed)) == (
         sum(chi[t] for t in tags) - 2 * (len(tags) - 1)
     )
+
+
+def perfbench_tags(seed, n, stream):
+    """The catalog tags `perfbench/workloads.py` draws (`draw_tags`)."""
+    rng = random.Random(f"{stream}:{n}:{seed}")
+    return [rng.choice("STKP") for _ in range(n)]
+
+
+def outcome(fn, *args):
+    """The exported JSON of fn(*args), or the type and message it raises."""
+    try:
+        return export_json(fn(*args))
+    except KGraphError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(TAGS), min_size=1, max_size=30))
+def test_splice_matches_the_reference_fold(tags):
+    assert export_json(compact_surface(tags)) == export_json(reference_compact_surface(tags))
+
+
+@pytest.mark.parametrize("seed", [1, 9001])
+def test_splice_matches_the_reference_fold_on_benchmark_specs(seed):
+    for n in (10, 40, 120):
+        tags = perfbench_tags(seed, n, "surface")
+        assert export_json(compact_surface(tags)) == export_json(reference_compact_surface(tags))
+    # the cli workload sums its 40-summand document with itself
+    tags = perfbench_tags(seed, 40, "cli")
+    doc = export_json(compact_surface(tags))
+    assert doc == export_json(reference_compact_surface(tags))
+    left, right = loads(doc), loads(doc)
+    assert outcome(connected_sum, left, right) == outcome(reference_connected_sum, left, right)
+
+
+def test_two_summand_sums_of_sums_match_the_reference():
+    # the right summand's primed ids clash with ids the left one primed
+    docs = [export_json(compact_surface(spec)) for spec in ("T", "T,T", "T,T,T", "K,P,S", "S,P")]
+    for a in docs:
+        for b in docs:
+            left, right = loads(a), loads(b)
+            want = outcome(reference_connected_sum, left, right)
+            assert outcome(connected_sum, left, right) == want
+            assert not want.startswith(("BadMarking", "InvalidModel"))
+
+
+def test_broken_two_summand_sums_fail_as_the_reference_does():
+    torus = basic_surface("T")
+    swapped = MarkedSkeleton(torus.skeleton, torus.v, torus.u, torus.square)
+    doc = loads(export_json(compact_surface("T,P")))
+    missing = MarkedSkeleton(
+        Skeleton2Graph(
+            doc.skeleton.vertices,
+            {e: (rec.r, rec.s) for e, rec in doc.skeleton.blue.items()},
+            {e: (rec.r, rec.s) for e, rec in doc.skeleton.red.items()},
+            [sq for sq in doc.skeleton.squares if sq != doc.square][1:] + [doc.square],
+        ),
+        doc.u,
+        doc.v,
+        doc.square,
+    )
+    cases = [(swapped, torus), (torus, swapped), (swapped, swapped), (missing, torus),
+             (torus, missing)]
+    for a, b in cases:
+        want = outcome(reference_connected_sum, a, b)
+        assert want.startswith(("BadMarking: left summand", "BadMarking: right summand",
+                                "InvalidModel: connected sum fails validation"))
+        assert outcome(connected_sum, a, b) == want
+
+
+def test_compact_surface_validates_once(monkeypatch):
+    for tag in TAGS:
+        basic_surface(tag)  # certify the catalog first
+    calls = {"skeleton": 0, "marking": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(surfaces, "validate_skeleton", counted("skeleton", validate_skeleton))
+    monkeypatch.setattr(surfaces, "validate_marking", counted("marking", validate_marking))
+    for tags in (["K"], ["T", "P", "S", "K", "T"]):
+        calls.update(skeleton=0, marking=0)
+        compact_surface(tags)
+        assert calls == {"skeleton": 1, "marking": len(tags)}
+    calls.update(skeleton=0, marking=0)
+    connected_sum(basic_surface("T"), basic_surface("P"))
+    assert calls == {"skeleton": 1, "marking": 2}

@@ -20,6 +20,7 @@ from .core import (
     vertex_predicate,
 )
 from .errors import (
+    BadArgument,
     BadDirection,
     BadMarking,
     BadSplit,

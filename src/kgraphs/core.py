@@ -19,6 +19,13 @@ construction, so it keeps what is derived from it: the factorisation
 index (from which cube faces are read) and its list of violations,
 found by the first `validate_kgraph` call.
 
+`FiniteKGraph` has two constructors.  The public one checks shape
+(BadArgument) and normalises ids, degrees and identity records.  The
+private `_from_parts` trusts parts a caller has already checked: distinct
+vertex ids, one record per id (each vertex's identity among them, no other
+of degree zero) and no identity pair in the table.  Each caller says why
+its parts hold.
+
 Both models are cube complexes with one view: `rank`, `_cubes()` (the
 unit cubes in basis order) and `_unit_faces(key)` (a cube's faces per
 direction, oriented as documented on `Cube`).  `cubes`, `face`,
@@ -31,6 +38,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import (
+    BadArgument,
     BadDirection,
     BadSplit,
     DimensionTooLarge,
@@ -137,50 +145,61 @@ class FiniteKGraph:
     """
 
     def __init__(self, rank, vertices, morphisms, compose):
-        self.rank = int(rank)
-        if self.rank < 0:
-            raise ValueError("rank must be >= 0")
+        rank = int(rank)
+        if rank < 0:
+            raise BadArgument("rank must be >= 0")
         vs = [str(v) for v in vertices]
-        if len(vs) != len(set(vs)):
-            raise ValueError("duplicate vertex id")
-        self._vertices = tuple(sorted(vs))
-        vset = set(self._vertices)
-
-        self._mor: dict[str, Morphism] = {
-            v: Morphism(zero_degree(self.rank), v, v) for v in self._vertices
-        }
+        vset = set(vs)
+        if len(vs) != len(vset):
+            raise BadArgument("duplicate vertex id")
+        mor = {v: Morphism(zero_degree(rank), v, v) for v in vs}
         for mid, rec in dict(morphisms).items():
             mid = str(mid)
-            if mid in self._mor:
-                raise ValueError(f"duplicate morphism id {mid!r}")
+            if mid in mor:
+                raise BadArgument(f"duplicate morphism id {mid!r}")
             if isinstance(rec, Morphism):
                 d, r, s = rec.d, rec.r, rec.s
             else:
                 d, r, s = rec
             d = tuple(int(x) for x in d)
-            if len(d) == self.rank and not any(d):
-                raise ValueError(
+            if len(d) == rank and not any(d):
+                raise BadArgument(
                     f"{mid!r} has degree zero; degree-zero morphisms are identities"
                 )
-            self._mor[mid] = Morphism(d, str(r), str(s))
+            mor[mid] = Morphism(d, str(r), str(s))
 
-        self._compose: dict[tuple[str, str], str] = {}
+        table: dict[tuple[str, str], str] = {}
         for (a, b), c in dict(compose).items():
             a, b, c = str(a), str(b), str(c)
             if a in vset or b in vset:
-                raise ValueError(
+                raise BadArgument(
                     f"composition with an identity must stay implicit: ({a}, {b})"
                 )
-            self._compose[(a, b)] = c
+            table[(a, b)] = c
+        self._index(rank, vs, mor, table)
 
-        self._ids = tuple(sorted(self._mor))
+    @classmethod
+    def _from_parts(cls, rank: int, vertices, mor: dict, table: dict) -> FiniteKGraph:
+        """A graph on parts its caller has already checked, taken as they are:
+        the shape that __init__ checks and normalises must already hold (see
+        the module notes).  The graph owns mor and table from now on."""
+        g = cls.__new__(cls)
+        g._index(rank, vertices, mor, table)
+        return g
+
+    def _index(self, rank, vertices, mor, table) -> None:
+        self.rank = rank
+        self._vertices = tuple(sorted(vertices))
+        self._vset = vset = set(self._vertices)
+        self._mor: dict[str, Morphism] = mor
+        self._compose: dict[tuple[str, str], str] = table
+        self._ids = tuple(sorted(mor))
         self._nonid = tuple(m for m in self._ids if m not in vset)
-        self._vset = vset
 
         self._with_range: dict[str, list[str]] = {v: [] for v in self._vertices}
         self._with_source: dict[str, list[str]] = {v: [] for v in self._vertices}
         for mid in self._ids:
-            rec = self._mor[mid]
+            rec = mor[mid]
             if rec.r in vset:
                 self._with_range[rec.r].append(mid)
             if rec.s in vset:
@@ -590,13 +609,13 @@ class Skeleton2Graph:
         }
         ids = vs + list(self.blue) + list(self.red)
         if len(ids) != len(set(ids)):
-            raise ValueError("vertex and edge ids must be pairwise distinct")
+            raise BadArgument("vertex and edge ids must be pairwise distinct")
         self.squares: tuple[Square, ...] = tuple(
             sorted(tuple(str(x) for x in sq) for sq in squares)
         )
         for sq in self.squares:
             if len(sq) != 4:
-                raise ValueError(f"square {sq} is not a quadruple")
+                raise BadArgument(f"square {sq} is not a quadruple")
 
     def edge(self, e: str) -> Edge:
         rec = self.blue.get(e) or self.red.get(e)
@@ -879,21 +898,12 @@ def _pair_id(a: str, b: str) -> str:
 
 def cartesian_product(a: FiniteKGraph, b: FiniteKGraph) -> FiniteKGraph:
     """The product category with componentwise degree; rank adds."""
-    rank = a.rank + b.rank
-    vertices = [_pair_id(u, v) for u in a.vertices for v in b.vertices]
+    mor = {
+        _pair_id(m, n): Morphism(ra.d + rb.d, _pair_id(ra.r, rb.r), _pair_id(ra.s, rb.s))
+        for m, ra in a._mor.items()
+        for n, rb in b._mor.items()
+    }
     av, bv = a._vset, b._vset
-    morphisms = {}
-    for m in a.morphism_ids():
-        ra = a._mor[m]
-        for n in b.morphism_ids():
-            if m in av and n in bv:
-                continue
-            rb = b._mor[n]
-            morphisms[_pair_id(m, n)] = (
-                ra.d + rb.d,
-                _pair_id(ra.r, rb.r),
-                _pair_id(ra.s, rb.s),
-            )
     table = {}
     a_pairs = b_pairs = []
     if (a._compose or a._vertices) and (b._compose or b._vertices):
@@ -907,24 +917,36 @@ def cartesian_product(a: FiniteKGraph, b: FiniteKGraph) -> FiniteKGraph:
             if (x in av and y in bv) or (x2 in av and y2 in bv):
                 continue
             table[(_pair_id(x, y), _pair_id(x2, y2))] = _pair_id(xx, yy)
-    return FiniteKGraph(rank, vertices, morphisms, table)
+    # the records of a and b pair up to one record per pair id, unless ids
+    # with commas collide; the identities are the pairs of vertices, which
+    # the table skips
+    if len(mor) != len(a._mor) * len(b._mor):
+        raise BadArgument("duplicate morphism id: pair ids of the product collide")
+    vertices = [_pair_id(u, v) for u in a.vertices for v in b.vertices]
+    # degrees outside N^rank (broken factors) can add up to zero
+    ids, zero = set(vertices), (0,) * (a.rank + b.rank)
+    bad = sorted(m for m, rec in mor.items() if rec.d == zero and m not in ids)
+    if bad:
+        raise BadArgument(f"{bad[0]!r} has degree zero; degree-zero morphisms are identities")
+    return FiniteKGraph._from_parts(a.rank + b.rank, vertices, mor, table)
 
 
 def _tagged_union(graphs, tags) -> FiniteKGraph:
+    """The union of graphs whose ids are prefixed "tag:"; tags must be
+    distinct and free of ":", so that prefixed ids stay distinct."""
     rank = graphs[0].rank
     vertices = []
-    morphisms = {}
+    mor = {}
     table = {}
     for g, t in zip(graphs, tags, strict=True):
         if g.rank != rank:
             raise RankMismatch(f"cannot union a rank-{g.rank} graph with rank {rank}")
         vertices.extend(f"{t}:{v}" for v in g.vertices)
-        for m in g.nonidentity_ids():
-            rec = g._mor[m]
-            morphisms[f"{t}:{m}"] = (rec.d, f"{t}:{rec.r}", f"{t}:{rec.s}")
+        for m, rec in g._mor.items():
+            mor[f"{t}:{m}"] = Morphism(rec.d, f"{t}:{rec.r}", f"{t}:{rec.s}")
         for (x, y), z in g._compose.items():
             table[(f"{t}:{x}", f"{t}:{y}")] = f"{t}:{z}"
-    return FiniteKGraph(rank, vertices, morphisms, table)
+    return FiniteKGraph._from_parts(rank, vertices, mor, table)
 
 
 def disjoint_union(a: FiniteKGraph, b: FiniteKGraph) -> FiniteKGraph:
@@ -943,13 +965,11 @@ def induced_subgraph(g: FiniteKGraph, vertex_set) -> FiniteKGraph:
     for v in V:
         if not g.is_vertex(v):
             raise UnknownId(f"no vertex with id {v!r}")
-    keep = {m for m in g.morphism_ids() if g.r(m) in V and g.s(m) in V}
-    morphisms = {
-        m: (g.d(m), g.r(m), g.s(m)) for m in keep if not g.is_identity(m)
-    }
+    # g's records and table restricted to V, which keeps its identities
+    mor = {m: rec for m, rec in g._mor.items() if rec.r in V and rec.s in V}
     table = {
         (x, y): z
-        for (x, y), z in g.compose_table().items()
-        if x in keep and y in keep and z in keep
+        for (x, y), z in g._compose.items()
+        if x in mor and y in mor and z in mor
     }
-    return FiniteKGraph(g.rank, sorted(V), morphisms, table)
+    return FiniteKGraph._from_parts(g.rank, V, mor, table)

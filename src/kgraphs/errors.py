@@ -99,6 +99,11 @@ class OverlappingClasses(KGraphError, ValueError):
     """An explicit relation lists a morphism in two classes (still a ValueError)."""
 
 
+class BadArgument(KGraphError, ValueError):
+    """An argument outside the domain of its call, such as constructor parts
+    with duplicate ids or a wedge of no spheres (still a ValueError)."""
+
+
 class OutOfRange(KGraphError):
     """A would-be placing has values outside {0, ..., k} or a bad shape."""
 

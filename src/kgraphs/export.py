@@ -14,12 +14,14 @@ higher-dimensional embeddings use the nOFF variant.
 
 from __future__ import annotations
 
-from .core import cubes
+from .core import FiniteKGraph, cubes
 from .errors import InvalidModel, NoEmbedding
 from . import io as kio
 
 
 def export_json(model) -> str:
+    if isinstance(model, FiniteKGraph):
+        return kio.kgraph_json(model)
     return kio.dumps(kio.model_doc(model))
 
 

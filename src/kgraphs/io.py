@@ -23,9 +23,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
-from .core import FiniteKGraph, Skeleton2Graph
-from .errors import ParseError
+from .core import FiniteKGraph, Morphism, Skeleton2Graph
+from .errors import BadArgument, ParseError
 from .quotient import MorphismRelation, relation_from_classes, relation_from_pairs
 from .surfaces import MarkedSkeleton
 
@@ -43,11 +44,6 @@ class RelationDoc:
 def _expect(cond: bool, message: str):
     if not cond:
         raise ParseError(message)
-
-
-def _is_int(x) -> bool:
-    """A JSON integer: true and false load as Python bools, which are ints."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _str_list(doc, key) -> list[str]:
@@ -80,55 +76,61 @@ def loads(text: str):
 
 def _load_category(doc) -> FiniteKGraph:
     rank = doc.get("rank")
-    _expect(_is_int(rank) and rank >= 0, '"rank" must be a non-negative integer')
+    _expect(type(rank) is int and rank >= 0, '"rank" must be a non-negative integer')
     vertices = _str_list(doc, "vertices")
     vset = set(vertices)
     _expect(len(vset) == len(vertices), "duplicate vertex ids")
 
-    morphisms = {}
+    # Inlined checks format no message unless it is raised.  They are those
+    # of FiniteKGraph(...), made stricter, so the parts go to _from_parts.
+    mor = {v: Morphism((0,) * rank, v, v) for v in vertices}
     raw = doc.get("morphisms")
-    _expect(isinstance(raw, list), '"morphisms" must be a list')
+    _expect(type(raw) is list, '"morphisms" must be a list')
     for rec in raw:
-        _expect(isinstance(rec, dict), "morphism records must be objects")
-        _expect(
-            set(rec) == {"id", "d", "r", "s"},
-            f"morphism record needs exactly id/d/r/s, got {sorted(rec)}",
-        )
+        if type(rec) is not dict:
+            raise ParseError("morphism records must be objects")
+        if rec.keys() != {"id", "d", "r", "s"}:
+            raise ParseError(f"morphism record needs exactly id/d/r/s, got {sorted(rec)}")
         mid, d, r, s = rec["id"], rec["d"], rec["r"], rec["s"]
-        _expect(isinstance(mid, str), "morphism id must be a string")
-        _expect(
-            isinstance(d, list) and all(_is_int(x) and x >= 0 for x in d),
-            f"degree of {mid!r} must be a list of non-negative integers",
-        )
-        _expect(isinstance(r, str) and isinstance(s, str), f"endpoints of {mid!r} must be strings")
-        _expect(mid not in vset, f"morphism id {mid!r} collides with a vertex")
-        _expect(mid not in morphisms, f"duplicate morphism id {mid!r}")
-        _expect(any(d) or len(d) != rank, f"{mid!r} has degree zero; identities are implicit")
-        morphisms[mid] = (tuple(d), r, s)
+        if type(mid) is not str:
+            raise ParseError("morphism id must be a string")
+        if type(d) is not list or not all(type(x) is int and x >= 0 for x in d):
+            raise ParseError(f"degree of {mid!r} must be a list of non-negative integers")
+        if type(r) is not str or type(s) is not str:
+            raise ParseError(f"endpoints of {mid!r} must be strings")
+        if mid in vset:
+            raise ParseError(f"morphism id {mid!r} collides with a vertex")
+        if mid in mor:
+            raise ParseError(f"duplicate morphism id {mid!r}")
+        if len(d) == rank and not any(d):
+            raise ParseError(f"{mid!r} has degree zero; identities are implicit")
+        mor[mid] = Morphism(tuple(d), r, s)
 
     table = {}
     raw = doc.get("compose")
-    _expect(isinstance(raw, list), '"compose" must be a list')
+    _expect(type(raw) is list, '"compose" must be a list')
     for triple in raw:
-        _expect(
-            isinstance(triple, list) and len(triple) == 3 and all(isinstance(x, str) for x in triple),
-            "compose entries must be [a, b, ab] string triples",
-        )
+        if not (type(triple) is list and len(triple) == 3 and type(triple[0]) is str
+                and type(triple[1]) is str and type(triple[2]) is str):
+            raise ParseError("compose entries must be [a, b, ab] string triples")
         a, b, c = triple
-        _expect(a not in vset and b not in vset, f"identity composition [{a}, {b}] must be omitted")
-        _expect((a, b) not in table, f"duplicate compose entry for ({a}, {b})")
+        if a in vset or b in vset:
+            raise ParseError(f"identity composition [{a}, {b}] must be omitted")
+        if (a, b) in table:
+            raise ParseError(f"duplicate compose entry for ({a}, {b})")
         table[(a, b)] = c
 
-    graph = FiniteKGraph(rank, vertices, morphisms, table)
+    graph = FiniteKGraph._from_parts(rank, vertices, mor, table)
     if "embedding" in doc:
         raw = doc["embedding"]
-        _expect(isinstance(raw, dict), '"embedding" must be an object')
+        _expect(type(raw) is dict, '"embedding" must be an object')
         emb = {}
+        parsed = _Memo(Fraction)  # coordinates repeat across vertices
         for v, coords in raw.items():
             _expect(v in vset, f"embedding names unknown vertex {v!r}")
-            _expect(isinstance(coords, list), "embedding coordinates must be lists")
+            _expect(type(coords) is list, "embedding coordinates must be lists")
             try:
-                emb[v] = tuple(Fraction(str(x)) for x in coords)
+                emb[v] = tuple([parsed[str(x)] for x in coords])
             except (ValueError, ZeroDivisionError):
                 raise ParseError(f"bad rational coordinate for vertex {v!r}") from None
         graph.embedding = emb
@@ -169,7 +171,7 @@ def _load_skeleton(doc):
         squares.append(tuple(sq))
     try:
         sk = Skeleton2Graph(vertices, blue, red, squares)
-    except ValueError as e:
+    except BadArgument as e:
         raise ParseError(str(e)) from None
 
     marking = [k for k in ("u", "v", "square") if k in doc]
@@ -302,3 +304,51 @@ def model_doc(model) -> dict:
 
 def dumps(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
+
+
+class _Memo(dict):
+    """fn(key), computed once per distinct key."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        self[key] = out = self.fn(key)
+        return out
+
+
+def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
+    """The json.dumps(indent=2) text of a list (or object) of encoded items
+    that opens at the given indent."""
+    if not items:
+        return brackets
+    inner = "\n" + " " * (indent + 2)
+    return f"{brackets[0]}{inner}{(',' + inner).join(items)}\n{' ' * indent}{brackets[1]}"
+
+
+def kgraph_json(g: FiniteKGraph) -> str:
+    """dumps(kgraph_doc(g)), written from the graph: each id and degree is
+    encoded once, ids by the C string encoder."""
+    q, mor = _Memo(encode_basestring_ascii), g._mor
+    degree = _Memo(lambda d: _block([str(x) for x in d], 6))
+    records = [
+        f'{{\n      "id": {q[m]},\n      "d": {degree[mor[m].d]},\n'
+        f'      "r": {q[mor[m].r]},\n      "s": {q[mor[m].s]}\n    }}'
+        for m in g._nonid
+    ]
+    triples = [
+        f"[\n      {q[a]},\n      {q[b]},\n      {q[c]}\n    ]"
+        for (a, b), c in sorted(g._compose.items())
+    ]
+    out = (
+        f'{{\n  "kind": "category",\n  "rank": {g.rank},\n'
+        f'  "vertices": {_block([q[v] for v in g.vertices], 2)},\n'
+        f'  "morphisms": {_block(records, 2)},\n  "compose": {_block(triples, 2)}'
+    )
+    if g.embedding is not None:
+        points = [
+            f"{q[v]}: {_block([q[str(Fraction(x))] for x in coords], 4)}"
+            for v, coords in sorted(g.embedding.items())
+        ]
+        out += f',\n  "embedding": {_block(points, 2, "{}")}'
+    return out + "\n}\n"

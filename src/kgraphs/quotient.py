@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .core import (
     FiniteKGraph,
+    Morphism,
     VertexSetReport,
     _splits,
     disjoint_union,
@@ -30,6 +31,7 @@ from .core import (
     vertex_predicate,
 )
 from .errors import (
+    BadArgument,
     ForeignId,
     InvalidModel,
     NotACongruence,
@@ -140,6 +142,8 @@ def relation_from_pairs(graph: FiniteKGraph, pairs, mode: str = "generated") -> 
     composition and factorisation conditions, so that every equality they
     force is present; "explicit" mode keeps just the equivalence closure.
     """
+    if mode not in ("generated", "explicit"):
+        raise BadArgument(f"unknown relation mode {mode!r}")
     pairs = [(str(a), str(b)) for a, b in pairs]
     for a, b in pairs:
         for m in (a, b):
@@ -150,8 +154,6 @@ def relation_from_pairs(graph: FiniteKGraph, pairs, mode: str = "generated") -> 
         uf.union(a, b)
     if mode == "generated":
         _saturate(graph, uf)
-    elif mode != "explicit":
-        raise ValueError(f"unknown relation mode {mode!r}")
     return _freeze(graph, uf, mode, pairs)
 
 
@@ -324,28 +326,27 @@ def quotient(graph: FiniteKGraph, rel: MorphismRelation) -> FiniteKGraph:
     composition well-definedly and passes validate_kgraph.
     """
     if rel.graph is not graph:
-        raise ValueError("relation was built over a different graph")
+        raise BadArgument("relation was built over a different graph")
     verdict = check_congruence(rel)
     if not verdict.ok:
         raise NotACongruence(verdict)
 
-    vertices = sorted({rel.rep(v) for v in graph.vertices})
-    morphisms = {}
-    for cls in rel.classes():
-        m0 = cls[0]
-        if graph.is_identity(m0):
-            continue
-        morphisms[m0] = (graph.d(m0), rel.rep(graph.r(m0)), rel.rep(graph.s(m0)))
-
-    # check_congruence has composed every table pair, and identity pairs
-    # land on the quotient's implicit identity pairs (vertex classes hold
-    # only vertices), so the stored table is all that carries over.
+    # One record per class, named by its representative.  By "d" a class
+    # holds only vertices or only non-identities, so the records of vertex
+    # classes are identities and no other has degree zero.  check_congruence
+    # has resolved every endpoint and composed every table pair, and
+    # identity pairs land on the quotient's implicit identity pairs, so the
+    # stored table is all that carries over.
     rep = rel._rep
+    mor = {}
+    for r, members in rel._members.items():
+        rec = graph._mor[members[0]]
+        mor[r] = Morphism(rec.d, rep[rec.r], rep[rec.s])
     table = {}
     for (a, b), c in graph._compose.items():
         table[(rep[a], rep[b])] = rep[c] if c in rep else rel.rep(c)
-
-    return FiniteKGraph(graph.rank, vertices, morphisms, table)
+    vertices = {rep[v] for v in graph.vertices}
+    return FiniteKGraph._from_parts(graph.rank, vertices, mor, table)
 
 
 # ---------------------------------------------------------------------------

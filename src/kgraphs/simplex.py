@@ -38,8 +38,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .core import FiniteKGraph, _tagged_union, cartesian_product
-from .errors import HeightExceeded, OutOfBox, OutOfRange
+from .core import FiniteKGraph, Morphism, _tagged_union, cartesian_product
+from .errors import BadArgument, HeightExceeded, OutOfBox, OutOfRange
 from .quotient import quotient, relation_from_pairs
 
 Placing = tuple[int, ...]
@@ -285,14 +285,14 @@ def build_simplex(k: int) -> FiniteKGraph:
     # above[i]: {j: morphism id} for the placings strictly above placing i,
     # in lexicographic order (g > f pointwise puts g after f)
     above: list[dict[int, str]] = []
-    morphisms = {}
+    mor = {pid: Morphism((0,) * k, pid, pid) for pid in pids}
     for i, up in enumerate(_up_sets(placings)):
         row = {}
         for j in _indices(up & ~(1 << i)):
             mid = _morphism_id(pids[i], pids[j])
             row[j] = mid
             d = tuple(b - a for a, b in zip(heights[i], heights[j]))
-            morphisms[mid] = (d, pids[i], pids[j])
+            mor[mid] = Morphism(d, pids[i], pids[j])
         above.append(row)
 
     table = {}
@@ -301,7 +301,9 @@ def build_simplex(k: int) -> FiniteKGraph:
             for h, bc in above[j].items():
                 table[(ab, bc)] = row[h]
 
-    graph = FiniteKGraph(k, pids, morphisms, table)
+    # placing ids are distinct and "(f,g)" ids parse back to their pair; a
+    # placing strictly above another has a strictly larger height
+    graph = FiniteKGraph._from_parts(int(k), pids, mor, table)
     graph.embedding = {pid: _vertex_point(f) for pid, f in zip(pids, placings)}
     return graph
 
@@ -342,7 +344,7 @@ def build_sphere(k: int) -> FiniteKGraph:
 def sphere_pole(k: int, copy: int = 0) -> str:
     """The vertex id of the given copy's barycentre in build_sphere(k)."""
     if copy not in (0, 1):
-        raise ValueError("copy must be 0 or 1")
+        raise BadArgument("copy must be 0 or 1")
     return f"({copy},{placing_id((0,) * (k + 1))})"
 
 
@@ -352,7 +354,7 @@ def build_wedge(k: int, n: int) -> FiniteKGraph:
     Only identities leave a pole, so the identification is a congruence.
     """
     if n < 1:
-        raise ValueError("a wedge needs n >= 1 spheres")
+        raise BadArgument("a wedge needs n >= 1 spheres")
     sphere = build_sphere(k)
     tags = [str(i) for i in range(1, n + 1)]
     copies = _tagged_union([sphere] * n, tags)

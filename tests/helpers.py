@@ -510,3 +510,94 @@ def reference_compact_surface(tags):
     for tag in tags[1:]:
         out = reference_connected_sum(out, basic_surface(tag))
     return out
+
+
+# -- the category loader before it built through FiniteKGraph._from_parts -----
+
+
+def _reference_expect(cond: bool, message: str):
+    from kgraphs.errors import ParseError
+
+    if not cond:
+        raise ParseError(message)
+
+
+def _reference_is_int(x) -> bool:
+    """A JSON integer: true and false load as Python bools, which are ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _reference_str_list(doc, key) -> list[str]:
+    val = doc.get(key)
+    _reference_expect(isinstance(val, list), f"{key!r} must be a list")
+    for x in val:
+        _reference_expect(isinstance(x, str), f"{key!r} entries must be strings")
+    return val
+
+
+def reference_load_category(doc) -> FiniteKGraph:
+    """Reference copy of `io._load_category` as it was when it checked each
+    field through `_expect` and built with the public constructor, parsing
+    every coordinate on its own.  Oracle for the single-pass loader: graphs,
+    first error types and messages must match.
+    """
+    from fractions import Fraction
+
+    from kgraphs.errors import ParseError
+
+    _expect, _is_int, _str_list = _reference_expect, _reference_is_int, _reference_str_list
+
+    rank = doc.get("rank")
+    _expect(_is_int(rank) and rank >= 0, '"rank" must be a non-negative integer')
+    vertices = _str_list(doc, "vertices")
+    vset = set(vertices)
+    _expect(len(vset) == len(vertices), "duplicate vertex ids")
+
+    morphisms = {}
+    raw = doc.get("morphisms")
+    _expect(isinstance(raw, list), '"morphisms" must be a list')
+    for rec in raw:
+        _expect(isinstance(rec, dict), "morphism records must be objects")
+        _expect(
+            set(rec) == {"id", "d", "r", "s"},
+            f"morphism record needs exactly id/d/r/s, got {sorted(rec)}",
+        )
+        mid, d, r, s = rec["id"], rec["d"], rec["r"], rec["s"]
+        _expect(isinstance(mid, str), "morphism id must be a string")
+        _expect(
+            isinstance(d, list) and all(_is_int(x) and x >= 0 for x in d),
+            f"degree of {mid!r} must be a list of non-negative integers",
+        )
+        _expect(isinstance(r, str) and isinstance(s, str), f"endpoints of {mid!r} must be strings")
+        _expect(mid not in vset, f"morphism id {mid!r} collides with a vertex")
+        _expect(mid not in morphisms, f"duplicate morphism id {mid!r}")
+        _expect(any(d) or len(d) != rank, f"{mid!r} has degree zero; identities are implicit")
+        morphisms[mid] = (tuple(d), r, s)
+
+    table = {}
+    raw = doc.get("compose")
+    _expect(isinstance(raw, list), '"compose" must be a list')
+    for triple in raw:
+        _expect(
+            isinstance(triple, list) and len(triple) == 3 and all(isinstance(x, str) for x in triple),
+            "compose entries must be [a, b, ab] string triples",
+        )
+        a, b, c = triple
+        _expect(a not in vset and b not in vset, f"identity composition [{a}, {b}] must be omitted")
+        _expect((a, b) not in table, f"duplicate compose entry for ({a}, {b})")
+        table[(a, b)] = c
+
+    graph = FiniteKGraph(rank, vertices, morphisms, table)
+    if "embedding" in doc:
+        raw = doc["embedding"]
+        _expect(isinstance(raw, dict), '"embedding" must be an object')
+        emb = {}
+        for v, coords in raw.items():
+            _expect(v in vset, f"embedding names unknown vertex {v!r}")
+            _expect(isinstance(coords, list), "embedding coordinates must be lists")
+            try:
+                emb[v] = tuple(Fraction(str(x)) for x in coords)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad rational coordinate for vertex {v!r}") from None
+        graph.embedding = emb
+    return graph

@@ -1,6 +1,7 @@
 """Category model, validators, cubes/faces, factorisation, vertex predicates."""
 
 import random
+import re
 from itertools import product
 
 import pytest
@@ -23,13 +24,19 @@ from kgraphs.core import (
     validate_skeleton,
     vertex_predicate,
 )
+import kgraphs
 from kgraphs.errors import (
+    BadArgument,
     BadSplit,
     DimensionTooLarge,
+    KGraphError,
     NotComposable,
     UnknownId,
 )
-from kgraphs.simplex import build_simplex, build_sphere, build_wedge
+from kgraphs.io import loads
+from kgraphs.export import export_json
+from kgraphs.quotient import quotient, relation_from_pairs
+from kgraphs.simplex import build_simplex, build_sphere, build_wedge, sphere_pole
 from kgraphs.surfaces import compact_surface
 
 from helpers import (
@@ -209,6 +216,75 @@ def test_identity_composition_is_implicit():
         FiniteKGraph(rank=1, vertices=["v"],
                      morphisms={"m": ((1,), "v", "v")},
                      compose={("v", "m"): "m"})
+
+
+def _quotient_over_another_graph():
+    rel = relation_from_pairs(build_simplex(1), [], "explicit")
+    quotient(build_simplex(1), rel)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FiniteKGraph(-1, [], {}, {}), "rank must be >= 0"),
+        (lambda: FiniteKGraph(1, ["v", "v"], {}, {}), "duplicate vertex id"),
+        (lambda: FiniteKGraph(1, ["v"], {"v": ((1,), "v", "v")}, {}), "duplicate morphism id 'v'"),
+        (lambda: FiniteKGraph(1, ["v"], {"m": ((0,), "v", "v")}, {}),
+         "'m' has degree zero; degree-zero morphisms are identities"),
+        (lambda: FiniteKGraph(1, ["v"], {"m": ((1,), "v", "v")}, {("v", "m"): "m"}),
+         "composition with an identity must stay implicit: (v, m)"),
+        (lambda: Skeleton2Graph(["v"], {"v": ("v", "v")}, {}, []),
+         "vertex and edge ids must be pairwise distinct"),
+        (lambda: Skeleton2Graph(["v"], {}, {}, [("a", "b", "c")]),
+         "square ('a', 'b', 'c') is not a quadruple"),
+        (lambda: build_wedge(1, 0), "a wedge needs n >= 1 spheres"),
+        (lambda: sphere_pole(1, 2), "copy must be 0 or 1"),
+        (_quotient_over_another_graph, "relation was built over a different graph"),
+        # the mode is refused before the (foreign) pairs are looked at
+        (lambda: relation_from_pairs(build_simplex(1), [("ghost", "0")], "closed"),
+         "unknown relation mode 'closed'"),
+    ],
+)
+def test_bad_arguments_raise_a_kgraph_error_that_is_a_value_error(call, message):
+    with pytest.raises(BadArgument, match=f"^{re.escape(message)}$"):
+        call()
+    assert issubclass(BadArgument, KGraphError) and issubclass(BadArgument, ValueError)
+    assert kgraphs.BadArgument is BadArgument
+
+
+def builder_outputs():
+    for k in range(5):
+        yield build_simplex(k)
+        yield build_sphere(k)
+    for n in (1, 2, 3):
+        yield build_wedge(3, n)
+    s1 = build_sphere(1)
+    yield cartesian_product(s1, s1)
+    yield cartesian_product(build_wedge(1, 2), s1)
+    yield disjoint_union(tiny(), s1)
+    yield induced_subgraph(build_simplex(2), ["0", "{0,21}", "{1,20}"])
+    yield loads(export_json(build_sphere(2)))
+
+
+def test_trusted_constructor_matches_the_public_one():
+    for g in builder_outputs():
+        public = FiniteKGraph(
+            g.rank, g.vertices, {m: g._mor[m] for m in g.nonidentity_ids()}, g._compose
+        )
+        public.embedding = g.embedding
+        assert vars(public) == vars(g)
+
+
+def test_product_refuses_what_the_public_constructor_would():
+    a = FiniteKGraph(0, ["p", "p,q"], {}, {})
+    b = FiniteKGraph(0, ["q,r", "r"], {}, {})
+    with pytest.raises(BadArgument, match="pair ids of the product collide"):
+        cartesian_product(a, b)
+    # degrees outside N^1 that add up to zero in N^2
+    a = FiniteKGraph(1, ["u"], {"m": ((0, 0), "u", "u")}, {})
+    b = FiniteKGraph(1, ["v"], {"n": ((), "v", "v")}, {})
+    with pytest.raises(BadArgument, match=r"^'\(m,n\)' has degree zero"):
+        cartesian_product(a, b)
 
 
 def test_cubes_and_faces_on_a_grid():

@@ -22,6 +22,7 @@ from kgraphs import (
     smith_normal_form,
     validate_kgraph,
 )
+from kgraphs.surfaces import basic_surface
 from kgraphs.errors import InvalidModel
 from kgraphs.core import FiniteKGraph
 
@@ -231,3 +232,46 @@ def test_boundaries_match_the_face_based_assembly():
             assert mat.shape == ref.shape
             assert list(mat.entries.items()) == list(ref.entries.items())
 
+
+
+# -- products against the Kunneth formula --------------------------------------
+
+
+def kunneth(hx, hy):
+    """Betti numbers of X x Y from torsion-free factors:
+    b_n = sum over i + j = n of b_i(X) b_j(Y)."""
+    assert all(not h.torsion for h in hx + hy)
+    out = [0] * (len(hx) + len(hy) - 1)
+    for i, a in enumerate(hx):
+        for j, b in enumerate(hy):
+            out[i + j] += a.betti * b.betti
+    return out
+
+
+@pytest.mark.parametrize(
+    "x, y, expected",
+    [
+        ((build_sphere, 1), (build_sphere, 1), ["Z", "Z^2", "Z"]),
+        ((build_sphere, 2), (build_sphere, 1), ["Z", "Z", "Z", "Z"]),
+        ((build_sphere, 2), (build_sphere, 2), ["Z", "0", "Z^2", "0", "Z"]),
+        ((build_sphere, 3), (build_sphere, 1), ["Z", "Z", "0", "Z", "Z"]),
+        ((build_wedge, 1, 2), (build_sphere, 1), ["Z", "Z^3", "Z^2"]),
+    ],
+    ids=["S1xS1", "S2xS1", "S2xS2", "S3xS1", "(S1vS1)xS1"],
+)
+def test_products_obey_kunneth_and_euler_multiplicativity(x, y, expected):
+    a, b = x[0](*x[1:]), y[0](*y[1:])
+    p = cartesian_product(a, b)
+    assert validate_kgraph(p) == []
+    cx, ca, cb = chain_complex(p), chain_complex(a), chain_complex(b)
+    groups = homology(cx)
+    assert [str(h) for h in groups] == expected
+    assert [h.betti for h in groups] == kunneth(homology(ca), homology(cb))
+    assert all(not h.torsion for h in groups)
+    assert euler_characteristic(cx) == euler_characteristic(ca) * euler_characteristic(cb)
+
+
+def test_torus_category_and_skeleton_agree():
+    s1 = build_sphere(1)
+    torus = homology(chain_complex(cartesian_product(s1, s1)))
+    assert torus == homology(chain_complex(basic_surface("T").skeleton))

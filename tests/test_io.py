@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,8 @@ from kgraphs import (
     build_simplex,
     build_sphere,
     dumps,
+    export_json,
+    kgraph_doc,
     loads,
     model_doc,
     relation_from_pairs,
@@ -20,6 +23,13 @@ from kgraphs import (
 from kgraphs.core import Skeleton2Graph
 from kgraphs.errors import ParseError
 from kgraphs.surfaces import MarkedSkeleton, basic_surface
+
+from helpers import (
+    path_category,
+    random_grid_category,
+    random_path_category,
+    reference_load_category,
+)
 
 
 def roundtrip(model):
@@ -176,6 +186,23 @@ def containers(doc):
     return out
 
 
+def mutate(data, doc) -> None:
+    """Overwrite, drop or add one to three values anywhere in a document."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        target = data.draw(st.sampled_from(containers(doc)))
+        value = data.draw(JSON_VALUES)
+        if isinstance(target, dict):
+            key = data.draw(st.sampled_from(sorted(target) + ["kind", "rank", "embedding"]))
+            if data.draw(st.booleans()):
+                target.pop(key, None)
+            else:
+                target[key] = value
+        elif target and data.draw(st.booleans()):
+            target[data.draw(st.integers(0, len(target) - 1))] = value
+        else:
+            target.append(value)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_loads_raises_nothing_but_parse_error(data):
@@ -183,21 +210,143 @@ def test_loads_raises_nothing_but_parse_error(data):
         text = data.draw(st.one_of(st.text(max_size=20), JSON_VALUES.map(json.dumps)))
     else:
         doc = copy.deepcopy(data.draw(st.sampled_from(VALID_DOCS)))
-        for _ in range(data.draw(st.integers(1, 3))):
-            target = data.draw(st.sampled_from(containers(doc)))
-            value = data.draw(JSON_VALUES)
-            if isinstance(target, dict):
-                key = data.draw(st.sampled_from(sorted(target) + ["kind", "rank", "embedding"]))
-                if data.draw(st.booleans()):
-                    target.pop(key, None)
-                else:
-                    target[key] = value
-            elif target and data.draw(st.booleans()):
-                target[data.draw(st.integers(0, len(target) - 1))] = value
-            else:
-                target.append(value)
+        mutate(data, doc)
         text = json.dumps(doc)
     try:
         loads(text)
     except ParseError:
         pass
+
+
+# -- the category writer and loader against the dict API and the old loader --
+
+ID_TEXT = st.text(
+    alphabet=st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\u2028", "é", "€", "\U0001d11e", "a", ",", ":"]),
+    min_size=1,
+    max_size=4,
+)
+COORDINATES = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-3, 4), Fraction(5)])
+
+
+@st.composite
+def exotic_graphs(draw):
+    """A small path or grid category whose ids are renamed to text full of
+    quotes, backslashes, control characters and non-ASCII, sometimes with
+    an embedding whose coordinates repeat."""
+    rng = random.Random(draw(st.integers(0, 10_000)))
+    base = draw(st.sampled_from([random_path_category, random_grid_category]))(rng, max_morphisms=12)
+    ids = base.morphism_ids()
+    names = dict(zip(ids, draw(st.lists(ID_TEXT, min_size=len(ids), max_size=len(ids), unique=True))))
+    g = FiniteKGraph(
+        base.rank,
+        [names[v] for v in base.vertices],
+        {names[m]: (base.d(m), names[base.r(m)], names[base.s(m)]) for m in base.nonidentity_ids()},
+        {(names[a], names[b]): names[c] for (a, b), c in base.compose_table().items()},
+    )
+    if draw(st.booleans()):
+        g.embedding = {v: (draw(COORDINATES), draw(COORDINATES)) for v in g.vertices}
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=exotic_graphs())
+def test_category_writer_matches_dumps_and_loads_back_field_for_field(g):
+    text = export_json(g)
+    assert text == dumps(kgraph_doc(g))
+    assert text.isascii() and text.endswith("\n")
+    assert vars(loads(text)) == vars(g)
+    assert vars(reference_load_category(json.loads(text))) == vars(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=exotic_graphs(), data=st.data())
+def test_bad_coordinate_names_the_first_offending_vertex(g, data):
+    doc = json.loads(export_json(g))
+    order = data.draw(st.permutations(g.vertices))
+    bad = data.draw(st.lists(st.sampled_from(order), min_size=1, unique=True))
+    junk = st.sampled_from(["1/0", "x", "", "nan", None, True, [1]])
+    fine = st.sampled_from(["1/2", "-2/4", 3, 1.5])
+    doc["embedding"] = {v: ["1/2", data.draw(junk if v in bad else fine)] for v in order}
+    first = next(v for v in order if v in bad)
+    with pytest.raises(ParseError) as err:
+        loads(json.dumps(doc))
+    assert str(err.value) == f"bad rational coordinate for vertex {first!r}"
+
+
+CATEGORY_DOCS = [
+    model_doc(build_simplex(1)),
+    model_doc(build_sphere(1)),
+    kgraph_doc(path_category(3, [(0, 1), (1, 2)])),
+]
+
+
+def outcome(load, text):
+    try:
+        return "graph", vars(load(text))
+    except Exception as exc:  # the first error is what is compared
+        return type(exc), str(exc)
+
+
+def _pick(data, items):
+    return data.draw(st.sampled_from(items)) if items else None
+
+
+def _shared_id(data, doc):
+    """Give a morphism record the id of a vertex or of another record."""
+    recs = doc["morphisms"]
+    if recs:
+        ids = doc["vertices"] + [r["id"] for r in recs]
+        _pick(data, recs)["id"] = _pick(data, ids)
+
+
+def _zero_degree(data, doc):
+    if doc["morphisms"]:
+        _pick(data, doc["morphisms"])["d"] = [0] * doc["rank"]
+
+
+def _identity_triple(data, doc):
+    ids = [r["id"] for r in doc["morphisms"]]
+    if ids:
+        v = _pick(data, doc["vertices"])
+        doc["compose"].append(_pick(data, [[v, ids[0], ids[0]], [ids[0], v, ids[0]]]))
+
+
+def _repeat(key):
+    def fault(data, doc):
+        item = _pick(data, doc[key])
+        if item is not None:
+            doc[key].insert(data.draw(st.integers(0, len(doc[key]))), copy.deepcopy(item))
+    return fault
+
+
+def _bad_point(data, doc):
+    points = doc.get("embedding", {})
+    if points:
+        v = _pick(data, sorted(points))
+        points[v] = data.draw(st.sampled_from([["1/0"], ["x", "1"], "1/2", [None]]))
+    else:
+        doc["embedding"] = {"ghost": ["1"]}
+
+
+SEMANTIC_FAULTS = [
+    _shared_id,
+    _zero_degree,
+    _identity_triple,
+    _repeat("vertices"),
+    _repeat("morphisms"),
+    _repeat("compose"),
+    _bad_point,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_loader_faults_match_the_reference_loader(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(CATEGORY_DOCS)))
+    for fault in data.draw(st.lists(st.sampled_from(SEMANTIC_FAULTS), min_size=1, max_size=4)):
+        fault(data, doc)
+    if data.draw(st.booleans()):
+        mutate(data, doc)
+    text = json.dumps(doc)
+    if doc.get("kind") == "category":
+        assert outcome(loads, text) == outcome(lambda t: reference_load_category(json.loads(t)), text)

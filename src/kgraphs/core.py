@@ -782,7 +782,7 @@ def face(model, cube: Cube, i: int, side: int) -> Cube:
     face at the source end; see `Cube`.
     """
     if side not in (0, 1):
-        raise ValueError("side must be 0 or 1")
+        raise BadArgument("side must be 0 or 1")
     faces = {}
     if 1 <= i <= len(cube.degree) and cube.degree[i - 1] == 1:
         faces = model._unit_faces(cube.key)
@@ -817,7 +817,7 @@ def mce_set(g: FiniteKGraph, morphisms) -> list[str]:
     MCE(F) = union over mu in MCE(F - {lam}) of MCE(lam, mu)."""
     F = [str(m) for m in morphisms]
     if not F:
-        raise ValueError("mce_set needs a non-empty set of morphisms")
+        raise BadArgument("mce_set needs a non-empty set of morphisms")
     for m in F:
         if not g.has(m):
             raise UnknownId(f"no morphism with id {m!r}")
@@ -885,7 +885,7 @@ def vertex_predicate(g: FiniteKGraph, vertex_set, kind: str) -> VertexSetReport:
                 return VertexSetReport(kind, False, (v, *E))
         return VertexSetReport(kind, True)
 
-    raise ValueError(f"unknown predicate kind {kind!r}")
+    raise BadArgument(f"unknown predicate kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -5,16 +5,21 @@ boundary of an n-cube is the alternating sum, over the n directions it
 extends in (in increasing order), of its side-1 minus its side-0 face.
 All arithmetic is exact (Python integers), so torsion comes out exactly.
 
-Smith normal forms are computed in two gears: a sparse eliminator that
-chews through the +-1 entries boundary matrices are full of (choosing
-pivots by Markowitz cost, so fill-in stays small), then a dense textbook
-reduction on whatever small core is left.  The dense path can also
-return the unimodular transforms when asked.
+Smith normal forms come from one sweep over the columns of a sparse
+matrix, pivoting on +-1 entries; only the columns that never meet one go
+on to a dense textbook reduction, which can also return the unimodular
+transforms.  homology() sweeps the boundaries from the top down with
+clearing (Chen & Kerber 2011): a column of boundary(n) whose cell was a
+pivot row of boundary(n + 1) is skipped.  That pivot column c has a +-1
+in the cell's row and boundary(n) c = 0, so the cell's column lies in the
+integer span of the kept ones (from the last pivot back, as c is zero in
+earlier pivot rows) and skipping it changes neither the rank nor the
+invariant factors -- which is why ChainComplex refuses boundaries that
+do not compose to zero.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .core import (
@@ -24,7 +29,7 @@ from .core import (
     validate_kgraph,
     validate_skeleton,
 )
-from .errors import InvalidModel
+from .errors import BadArgument, InvalidModel
 
 
 class SparseIntMatrix:
@@ -46,7 +51,7 @@ class SparseIntMatrix:
         out = cls((len(rows), n))
         for i, row in enumerate(rows):
             if len(row) != n:
-                raise ValueError("ragged matrix")
+                raise BadArgument("ragged matrix")
             for j, v in enumerate(row):
                 if v:
                     out.entries[(i, j)] = int(v)
@@ -107,11 +112,29 @@ class ChainComplex:
         self.bases: tuple[tuple, ...] = tuple(tuple(b) for b in bases)
         self.boundaries: tuple[SparseIntMatrix, ...] = tuple(boundaries)
         if len(self.boundaries) != len(self.bases):
-            raise ValueError("need one boundary matrix per dimension (the 0th empty)")
+            raise BadArgument("need one boundary matrix per dimension (the 0th empty)")
         for n in range(1, len(self.bases)):
             want = (len(self.bases[n - 1]), len(self.bases[n]))
             if self.boundaries[n].shape != want:
-                raise ValueError(f"boundary {n} has shape {self.boundaries[n].shape}, expected {want}")
+                raise BadArgument(f"boundary {n} has shape {self.boundaries[n].shape}, expected {want}")
+        for n in range(2, len(self.bases)):
+            lower: dict[int, list[tuple[int, int]]] = {}  # column -> entries
+            for (i, k), v in self.boundaries[n - 1].entries.items():
+                lower.setdefault(k, []).append((i, v))
+            product: dict[tuple[int, int], int] = {}
+            for (k, j), w in self.boundaries[n].entries.items():
+                for i, v in lower.get(k, ()):
+                    product[i, j] = product.get((i, j), 0) + v * w
+            if any(product.values()):
+                raise BadArgument(f"boundary {n - 1} composed with boundary {n} is not zero")
+
+    @classmethod
+    def _from_parts(cls, bases, boundaries) -> ChainComplex:
+        """A complex on parts already known to fit: tuples of cube keys, one
+        matrix of the right shape per basis, consecutive ones composing to 0."""
+        cx = cls.__new__(cls)
+        cx.bases, cx.boundaries = bases, boundaries
+        return cx
 
     @property
     def top(self) -> int:
@@ -169,7 +192,8 @@ def chain_complex(model) -> ChainComplex:
                     else:
                         mat.entries.pop((row, col), None)
         boundaries.append(mat)
-    return ChainComplex(bases, boundaries)
+    # a validated model's boundaries compose to zero (acceptance criterion 11)
+    return ChainComplex._from_parts(tuple(map(tuple, bases)), tuple(boundaries))
 
 
 # ---------------------------------------------------------------------------
@@ -283,80 +307,53 @@ def _snf_dense(rows, want_transforms):
     return diag, U, V
 
 
-def _snf_sparse(entries, m, n):
-    """Rank and invariant factors of a sparse integer matrix.
+def _snf_sparse(entries, m, n, cleared=()):
+    """Rank, invariant factors and pivot rows of a sparse integer matrix.
 
-    Eliminates +-1 pivots chosen by Markowitz cost (least fill) with a
-    lazy heap, then hands the leftover core to the dense routine.
+    Sweeps the columns in increasing index, skipping those in ``cleared``:
+    each is reduced by the +-1 pivots found so far, then pivots on its
+    first remaining +-1 entry in the order the entries were written.  A
+    pivot column is zero in every earlier pivot row, so reducing by it
+    brings in only later ones and ends.  Columns left without a unit are
+    reduced again by all the pivots after the sweep (later pivots can still
+    meet them) and what is left of them goes to the dense routine.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
+    cols: dict[int, dict[int, int]] = {}
     for (i, j), v in entries.items():
-        if v:
-            rows.setdefault(i, {})[j] = int(v)
-            cols.setdefault(j, set()).add(i)
+        if j not in cleared:
+            cols.setdefault(j, {})[i] = v
+    pivots: dict[int, tuple[int, dict[int, int]]] = {}  # row -> (unit, rest of column)
 
-    def cost(i, j):
-        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+    def reduce(col):
+        hits = [i for i in col if i in pivots]
+        while hits:
+            for hit in hits:
+                if c := col.pop(hit, 0):  # an earlier step may have cancelled it
+                    unit, rest = pivots[hit]
+                    mult = -c * unit  # col += mult * pivot column clears hit
+                    for i, w in rest.items():
+                        new = col.get(i, 0) + mult * w
+                        if new:
+                            col[i] = new
+                        else:
+                            del col[i]
+            hits = [i for i in col if i in pivots]
+        return col
 
-    heap = []
-    for i, row in rows.items():
-        for j, v in row.items():
-            if v in (1, -1):
-                heapq.heappush(heap, (cost(i, j), i, j))
-
-    ones = 0
-    while heap:
-        c, i, j = heapq.heappop(heap)
-        v = rows.get(i, {}).get(j)
-        if v not in (1, -1):
-            continue
-        real = cost(i, j)
-        if real > c:
-            heapq.heappush(heap, (real, i, j))
-            continue
-        # eliminate column j using row i, then retire both
-        pivot_row = rows.pop(i)
-        for j2 in pivot_row:
-            cols[j2].discard(i)
-        for i2 in list(cols[j]):
-            c2 = rows[i2].pop(j, 0)
-            cols[j].discard(i2)
-            if not c2:
-                continue
-            mult = -c2 * v  # row_i2 += mult * pivot_row  clears its j entry
-            row2 = rows[i2]
-            for j2, w in pivot_row.items():
-                if j2 == j:
-                    continue
-                new = row2.get(j2, 0) + mult * w
-                if new:
-                    row2[j2] = new
-                    cols[j2].add(i2)
-                    if new in (1, -1):
-                        heapq.heappush(heap, (cost(i2, j2), i2, j2))
-                else:
-                    row2.pop(j2, None)
-                    cols[j2].discard(i2)
-            if not row2:
-                del rows[i2]
-        cols.pop(j, None)
-        ones += 1
-
-    # dense cleanup of whatever has no unit entries left
-    live_rows = sorted(i for i in rows if rows[i])
-    live_cols = sorted({j for i in live_rows for j in rows[i]})
-    if live_rows:
-        jindex = {j: a for a, j in enumerate(live_cols)}
-        dense = [[0] * len(live_cols) for _ in live_rows]
-        for a, i in enumerate(live_rows):
-            for j, v in rows[i].items():
-                dense[a][jindex[j]] = v
-        tail, _, _ = _snf_dense(dense, False)
-    else:
-        tail = []
-    diag = [1] * ones + [abs(d) for d in tail if d]
-    return len(diag), diag
+    aside = []
+    for j in sorted(cols):
+        col = reduce(cols[j])
+        for row, v in col.items():
+            if v == 1 or v == -1:
+                pivots[row] = (col.pop(row), col)
+                break
+        else:
+            aside.append(col)
+    core = [col for col in map(reduce, aside) if col]
+    live_rows = sorted({i for col in core for i in col})
+    tail, _, _ = _snf_dense([[col.get(i, 0) for col in core] for i in live_rows], False)
+    diag = [1] * len(pivots) + [abs(d) for d in tail if d]
+    return len(diag), diag, pivots.keys()
 
 
 def smith_normal_form(matrix, compute_transforms: bool = False) -> SNFResult:
@@ -383,21 +380,22 @@ def smith_normal_form(matrix, compute_transforms: bool = False) -> SNFResult:
             tuple(tuple(r) for r in V),
         )
 
-    rank, diag = _snf_sparse(sparse.entries, m, n)
+    rank, diag, _ = _snf_sparse(sparse.entries, m, n)
     return SNFResult(tuple(diag), rank, (m, n))
 
 
 def homology(cx: ChainComplex) -> list[HomologyGroup]:
-    """H_0 .. H_top of the complex, as Betti number plus invariant factors."""
-    snfs = [smith_normal_form(cx.boundary(n)) for n in range(cx.top + 2)]
-    out = []
-    for n in range(cx.top + 1):
-        rank_in = snfs[n + 1].rank if n + 1 <= cx.top else 0
-        rank_out = snfs[n].rank if n >= 1 else 0
-        betti = cx.dim(n) - rank_out - rank_in
-        torsion = tuple(d for d in (snfs[n + 1].diagonal if n + 1 <= cx.top else ()) if d > 1)
-        out.append(HomologyGroup(betti, torsion))
-    return out
+    """H_0 .. H_top of the complex, as Betti number plus invariant factors,
+    from one sweep per boundary with clearing (see the module notes)."""
+    ranks, torsion, cleared = [0] * (cx.top + 2), [()] * (cx.top + 2), ()
+    for n in range(cx.top, 0, -1):
+        mat = cx.boundaries[n]
+        ranks[n], diag, cleared = _snf_sparse(mat.entries, *mat.shape, cleared)
+        torsion[n] = tuple(d for d in diag if d > 1)
+    return [
+        HomologyGroup(cx.dim(n) - ranks[n] - ranks[n + 1], torsion[n + 1])
+        for n in range(cx.top + 1)
+    ]
 
 
 def euler_characteristic(cx_or_model) -> int:

@@ -356,7 +356,7 @@ def quotient(graph: FiniteKGraph, rel: MorphismRelation) -> FiniteKGraph:
 def _check_embedding(side: str, phi: dict[str, str], common: FiniteKGraph, target: FiniteKGraph):
     for m in common.morphism_ids():
         if m not in phi:
-            raise ValueError(f"gluing map on side {side!r} misses morphism {m!r}")
+            raise BadArgument(f"gluing map on side {side!r} misses morphism {m!r}")
     for m, im in phi.items():
         if not common.has(m):
             raise ForeignId(f"gluing map on side {side!r} has foreign domain id {m!r}")
@@ -366,12 +366,12 @@ def _check_embedding(side: str, phi: dict[str, str], common: FiniteKGraph, targe
         raise NotInjective(side)
     for m in common.morphism_ids():
         if common.d(m) != target.d(phi[m]):
-            raise ValueError(f"map on side {side!r} changes the degree of {m!r}")
+            raise BadArgument(f"map on side {side!r} changes the degree of {m!r}")
         if phi[common.r(m)] != target.r(phi[m]) or phi[common.s(m)] != target.s(phi[m]):
-            raise ValueError(f"map on side {side!r} does not respect endpoints at {m!r}")
+            raise BadArgument(f"map on side {side!r} does not respect endpoints at {m!r}")
     for a, b in common.composable_pairs(include_identities=True):
         if target.compose(phi[a], phi[b]) != phi[common.compose(a, b)]:
-            raise ValueError(f"map on side {side!r} is not functorial at ({a!r}, {b!r})")
+            raise BadArgument(f"map on side {side!r} is not functorial at ({a!r}, {b!r})")
 
 
 def glue_on_common(

@@ -65,7 +65,13 @@ def is_placing(f) -> bool:
         t = _as_table(f)
     except OutOfRange:
         return False
-    return all(v == sum(1 for w in t if w < v) for v in t)
+    # sorted, each new value must be its index (the count of values before it)
+    prev = 0
+    for i, v in enumerate(sorted(t)):
+        if v != prev and v != i:
+            return False
+        prev = v
+    return True
 
 
 def enumerate_placings(k: int) -> list[Placing]:
@@ -146,7 +152,7 @@ def tail_factor(f, z) -> Placing:
     k = len(t) - 1
     z = tuple(int(x) for x in z)
     if len(z) != k or any(x not in (0, 1) for x in z):
-        raise ValueError(f"z must be a 0-1 vector of length {k}")
+        raise BadArgument(f"z must be a 0-1 vector of length {k}")
     h = height(t)
     if any(zi > hi for zi, hi in zip(z, h)):
         raise HeightExceeded(f"{z} is not dominated by height {h}")
@@ -351,7 +357,8 @@ def sphere_pole(k: int, copy: int = 0) -> str:
 def build_wedge(k: int, n: int) -> FiniteKGraph:
     """n tagged copies of the k-sphere with their 0-side poles identified.
 
-    Only identities leave a pole, so the identification is a congruence.
+    Only identities leave a pole, so the identification is a congruence
+    (passed in explicit mode and certified by quotient(), as in build_sphere).
     """
     if n < 1:
         raise BadArgument("a wedge needs n >= 1 spheres")
@@ -360,5 +367,5 @@ def build_wedge(k: int, n: int) -> FiniteKGraph:
     copies = _tagged_union([sphere] * n, tags)
     pole = sphere_pole(k, 0)
     pairs = [(f"{tags[0]}:{pole}", f"{t}:{pole}") for t in tags[1:]]
-    rel = relation_from_pairs(copies, pairs)
+    rel = relation_from_pairs(copies, pairs, mode="explicit")
     return quotient(copies, rel)

@@ -601,3 +601,87 @@ def reference_load_category(doc) -> FiniteKGraph:
                 raise ParseError(f"bad rational coordinate for vertex {v!r}") from None
         graph.embedding = emb
     return graph
+
+
+# -- the sparse Smith normal form before the column sweep ----------------------
+
+
+def reference_snf_sparse(entries, m, n):
+    """Reference copy of the sparse Smith normal form as it was before the
+    column sweep, verbatim: rank and invariant factors of a sparse integer matrix.
+
+    Eliminates +-1 pivots chosen by Markowitz cost (least fill) with a
+    lazy heap, then hands the leftover core to the dense routine.
+    """
+    import heapq
+
+    from kgraphs.homology import _snf_dense
+
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (i, j), v in entries.items():
+        if v:
+            rows.setdefault(i, {})[j] = int(v)
+            cols.setdefault(j, set()).add(i)
+
+    def cost(i, j):
+        return (len(rows[i]) - 1) * (len(cols[j]) - 1)
+
+    heap = []
+    for i, row in rows.items():
+        for j, v in row.items():
+            if v in (1, -1):
+                heapq.heappush(heap, (cost(i, j), i, j))
+
+    ones = 0
+    while heap:
+        c, i, j = heapq.heappop(heap)
+        v = rows.get(i, {}).get(j)
+        if v not in (1, -1):
+            continue
+        real = cost(i, j)
+        if real > c:
+            heapq.heappush(heap, (real, i, j))
+            continue
+        # eliminate column j using row i, then retire both
+        pivot_row = rows.pop(i)
+        for j2 in pivot_row:
+            cols[j2].discard(i)
+        for i2 in list(cols[j]):
+            c2 = rows[i2].pop(j, 0)
+            cols[j].discard(i2)
+            if not c2:
+                continue
+            mult = -c2 * v  # row_i2 += mult * pivot_row  clears its j entry
+            row2 = rows[i2]
+            for j2, w in pivot_row.items():
+                if j2 == j:
+                    continue
+                new = row2.get(j2, 0) + mult * w
+                if new:
+                    row2[j2] = new
+                    cols[j2].add(i2)
+                    if new in (1, -1):
+                        heapq.heappush(heap, (cost(i2, j2), i2, j2))
+                else:
+                    row2.pop(j2, None)
+                    cols[j2].discard(i2)
+            if not row2:
+                del rows[i2]
+        cols.pop(j, None)
+        ones += 1
+
+    # dense cleanup of whatever has no unit entries left
+    live_rows = sorted(i for i in rows if rows[i])
+    live_cols = sorted({j for i in live_rows for j in rows[i]})
+    if live_rows:
+        jindex = {j: a for a, j in enumerate(live_cols)}
+        dense = [[0] * len(live_cols) for _ in live_rows]
+        for a, i in enumerate(live_rows):
+            for j, v in rows[i].items():
+                dense[a][jindex[j]] = v
+        tail, _, _ = _snf_dense(dense, False)
+    else:
+        tail = []
+    diag = [1] * ones + [abs(d) for d in tail if d]
+    return len(diag), diag

@@ -35,8 +35,9 @@ from kgraphs.errors import (
 )
 from kgraphs.io import loads
 from kgraphs.export import export_json
-from kgraphs.quotient import quotient, relation_from_pairs
-from kgraphs.simplex import build_simplex, build_sphere, build_wedge, sphere_pole
+from kgraphs.homology import ChainComplex, SparseIntMatrix
+from kgraphs.quotient import glue_on_common, quotient, relation_from_pairs
+from kgraphs.simplex import build_simplex, build_sphere, build_wedge, sphere_pole, tail_factor
 from kgraphs.surfaces import compact_surface
 
 from helpers import (
@@ -223,6 +224,18 @@ def _quotient_over_another_graph():
     quotient(build_simplex(1), rel)
 
 
+def _glue_into_chain(common, phi):
+    chain = path_category(3, [(0, 1), (1, 2)])
+    glue_on_common(common, chain, chain, phi, dict(phi))
+
+
+def _glue_across_a_square():
+    # e0.e1 and e2.e3 are parallel paths v0 -> v3, so degrees and endpoints hold
+    square = path_category(4, [(0, 1), (1, 3), (0, 2), (2, 3)])
+    phi = {"v0": "v0", "v1": "v1", "v2": "v3", "e0": "e0", "e1": "e1", "e0.e1": "e2.e3"}
+    glue_on_common(tiny(), square, square, phi, dict(phi))
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -243,6 +256,25 @@ def _quotient_over_another_graph():
         # the mode is refused before the (foreign) pairs are looked at
         (lambda: relation_from_pairs(build_simplex(1), [("ghost", "0")], "closed"),
          "unknown relation mode 'closed'"),
+        (lambda: _glue_into_chain(path_category(2, []), {"v0": "v0"}),
+         "gluing map on side 'left' misses morphism 'v1'"),
+        (lambda: _glue_into_chain(path_category(2, [(0, 1)]), {"v0": "v0", "v1": "v1", "e0": "v2"}),
+         "map on side 'left' changes the degree of 'e0'"),
+        (lambda: _glue_into_chain(path_category(2, [(0, 1)]), {"v0": "v0", "v1": "v2", "e0": "e0"}),
+         "map on side 'left' does not respect endpoints at 'e0'"),
+        (_glue_across_a_square, "map on side 'left' is not functorial at ('e1', 'e0')"),
+        (lambda: face(tiny(), cubes(tiny(), 1)[0], 1, 2), "side must be 0 or 1"),
+        (lambda: mce_set(tiny(), []), "mce_set needs a non-empty set of morphisms"),
+        (lambda: vertex_predicate(tiny(), [], "closed"), "unknown predicate kind 'closed'"),
+        (lambda: tail_factor((0, 0), (2,)), "z must be a 0-1 vector of length 1"),
+        (lambda: SparseIntMatrix.from_dense([[1, 2], [3]]), "ragged matrix"),
+        (lambda: ChainComplex([["p"]], []), "need one boundary matrix per dimension (the 0th empty)"),
+        (lambda: ChainComplex([["p"], ["e"]], [SparseIntMatrix((0, 1)), SparseIntMatrix((2, 1))]),
+         "boundary 1 has shape (2, 1), expected (1, 1)"),
+        # each map alone is fine, but the boundary of the boundary of s is p
+        (lambda: ChainComplex([["p"], ["e"], ["s"]], [SparseIntMatrix((0, 1))]
+                              + [SparseIntMatrix.from_dense([[1]])] * 2),
+         "boundary 1 composed with boundary 2 is not zero"),
     ],
 )
 def test_bad_arguments_raise_a_kgraph_error_that_is_a_value_error(call, message):

@@ -31,6 +31,7 @@ from helpers import (
     face_based_boundaries,
     random_grid_category,
     random_path_category,
+    reference_snf_sparse,
 )
 
 
@@ -101,6 +102,23 @@ def test_snf_transforms_are_unimodular(seed):
             expect = res.diagonal[i] if i == j and i < len(res.diagonal) else 0
             assert D[i, j] == expect
     assert abs(U.det()) == 1 and abs(V.det()) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(1, 14),
+    st.integers(1, 14),
+    st.sampled_from([0.1, 0.25, 0.5]),
+)
+def test_column_sweep_matches_the_reference_sparse_snf(seed, m, n, density):
+    rng = random.Random(seed)
+    entries = {
+        (i, j): rng.choice((-3, -2, -1, 1, 2, 3))
+        for i in range(m) for j in range(n) if rng.random() < density
+    }
+    res = smith_normal_form(SparseIntMatrix((m, n), entries))
+    assert (res.rank, list(res.diagonal)) == reference_snf_sparse(entries, m, n)
 
 
 def test_sparse_matrix_roundtrip():
@@ -232,6 +250,42 @@ def test_boundaries_match_the_face_based_assembly():
             assert mat.shape == ref.shape
             assert list(mat.entries.items()) == list(ref.entries.items())
 
+
+
+def reference_homology(cx: ChainComplex):
+    """(betti, torsion) per dimension from the pre-sweep SNF of every
+    boundary, with no column cleared."""
+    snf = [reference_snf_sparse(b.entries, *b.shape) for b in map(cx.boundary, range(cx.top + 2))]
+    return [
+        (cx.dim(n) - snf[n][0] - snf[n + 1][0], tuple(d for d in snf[n + 1][1] if d > 1))
+        for n in range(cx.top + 1)
+    ]
+
+
+def test_homology_with_clearing_matches_the_reference_per_boundary():
+    s1 = build_sphere(1)
+    extra = [compact_surface("P,P,K").skeleton,
+             cartesian_product(build_sphere(2), s1),
+             cartesian_product(build_wedge(1, 2), s1)]
+    for model in [*oracle_models(), *extra]:
+        cx = chain_complex(model)
+        assert [(h.betti, h.torsion) for h in homology(cx)] == reference_homology(cx)
+
+
+def test_homology_with_clearing_on_a_sphere_with_every_basis_shuffled():
+    cx = chain_complex(build_sphere(4))
+    rng = random.Random(4)
+    perms = [rng.sample(range(len(b)), len(b)) for b in cx.bases]  # new index -> old
+    where = [{old: new for new, old in enumerate(p)} for p in perms]
+    mats = [cx.boundaries[0]]
+    for n in range(1, cx.top + 1):
+        mat = cx.boundary(n)
+        mats.append(SparseIntMatrix(mat.shape, {
+            (where[n - 1][i], where[n][j]): v for (i, j), v in mat.entries.items()
+        }))
+    shuffled = ChainComplex([[b[i] for i in p] for b, p in zip(cx.bases, perms)], mats)
+    groups = [(h.betti, h.torsion) for h in homology(shuffled)]
+    assert groups == reference_homology(shuffled) == [(1, ()), (0, ()), (0, ()), (0, ()), (1, ())]
 
 
 # -- products against the Kunneth formula --------------------------------------

@@ -206,11 +206,14 @@ def test_wedge_validates_and_counts():
 
 
 def test_enumerate_matches_filtered_tables():
-    # the definition: every table in {0..k}^(k+1) that is a placing, in
-    # lexicographic order
+    # the definition: every table in {0..k}^(k+1) whose every value equals
+    # the count of strictly smaller values, in lexicographic order; and
+    # is_placing agrees with that definition on every table
     for k in range(6):
-        tables = product(range(k + 1), repeat=k + 1)
-        assert enumerate_placings(k) == [f for f in tables if is_placing(f)]
+        tables = list(product(range(k + 1), repeat=k + 1))
+        literal = [all(v == sum(w < v for w in f) for v in f) for f in tables]
+        assert [is_placing(f) for f in tables] == literal
+        assert enumerate_placings(k) == [f for f, ok in zip(tables, literal) if ok]
 
 
 def test_up_sets_match_pointwise_order():

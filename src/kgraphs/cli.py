@@ -13,7 +13,9 @@ import sys
 
 from . import io as kio
 from .core import FiniteKGraph, Skeleton2Graph, validate_kgraph, validate_skeleton
-from .errors import BadSurfaceSpec, KGraphError, NotACongruence, OverlappingClasses, ParseError
+from .errors import (
+    BadSurfaceSpec, KGraphError, NotACongruence, OutOfRange, OverlappingClasses, ParseError,
+)
 from .export import export_dot, export_json, export_mesh
 from .homology import chain_complex, euler_characteristic, homology
 from .quotient import quotient
@@ -88,8 +90,6 @@ def _bare(model):
 
 
 def _cmd_placings(args) -> int:
-    if args.k < 0:
-        raise ParseError("--k must be >= 0")
     if args.count:
         print(count_placings(args.k))
     else:
@@ -108,8 +108,6 @@ def _cmd_build(args) -> int:
             raise ParseError("build wedge needs --k and --n")
         if args.k is None:
             raise ParseError(f"build {args.what} needs --k")
-        if args.k < 0:
-            raise ParseError("--k must be >= 0")
         if args.what == "simplex":
             model = build_simplex(args.k)
         elif args.what == "sphere":
@@ -228,7 +226,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _DISPATCH[args.verb](args)
-    except (ParseError, BadSurfaceSpec, OverlappingClasses, OSError) as exc:
+    except (ParseError, BadSurfaceSpec, OverlappingClasses, OutOfRange, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NotACongruence as exc:

@@ -15,9 +15,10 @@ Nothing in the constructors enforces the category axioms beyond basic
 shape; `validate_kgraph` / `validate_skeleton` report violations instead
 of raising, so that broken models (e.g. quotients by relations that are
 not congruences) can be inspected.  A graph does not change after
-construction, so it keeps what is derived from it: the factorisation
-index (from which cube faces are read) and its list of violations,
-found by the first `validate_kgraph` call.
+construction, so it keeps what is derived from it: its list of
+violations, found by the first `validate_kgraph` call, and the
+factorisation index, from which cube faces are read.  A validation that
+finds nothing leaves the index it built for the faces to read.
 
 `FiniteKGraph` has two constructors.  The public one checks shape
 (BadArgument) and normalises ids, degrees and identity records.  The
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import add, attrgetter
 
 from .errors import (
     BadArgument,
@@ -425,151 +427,123 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
 
 
 def _find_violations(g: FiniteKGraph) -> list[Violation]:
+    """One walk over the records and one over the stored table, unsorted.
+    Rule groups come in a fixed order, each sorted by witness on its own
+    (factor-unique by its second pair), as a walk in sorted order would
+    find them.  A clean graph keeps the factorisation index built here."""
     out: list[Violation] = []
-    mor = g._mor
-    vset = set(g.vertices)
-    shape_ok: set[str] = set(g.vertices)
-    endpoints_ok: set[str] = set(g.vertices)
-
-    for m in g.nonidentity_ids():
+    mor, vset, rank = g._mor, g._vset, g.rank
+    bad_shape: set[str] = set()
+    bad_ends: set[str] = set()
+    for m in g._nonid:
         rec = mor[m]
-        d = rec.d
-        if len(d) != g.rank or any(x < 0 for x in d):
-            out.append(Violation("degree-shape", (m,), f"degree {d} is not in N^{g.rank}"))
-        else:
-            shape_ok.add(m)
-        bad = [v for v in (rec.r, rec.s) if v not in vset]
-        if bad:
-            out.append(
-                Violation("endpoints", (m,), f"range/source {bad} are not vertices")
-            )
-        else:
-            endpoints_ok.add(m)
+        if len(rec.d) != rank or min(rec.d, default=0) < 0:
+            out.append(Violation("degree-shape", (m,), f"degree {rec.d} is not in N^{rank}"))
+            bad_shape.add(m)
+        if rec.r not in vset or rec.s not in vset:
+            bad = [v for v in (rec.r, rec.s) if v not in vset]
+            out.append(Violation("endpoints", (m,), f"range/source {bad} are not vertices"))
+            bad_ends.add(m)
 
+    # after[a][b] = ab over the usable entries: known ids, a and b with
+    # vertex endpoints, composable.  index[(c, d(a))] = (a, b) over those
+    # with a and b of good shape; clashes holds every pair of a repeated key.
     table = g._compose
-    usable: dict[tuple[str, str], str] = {}
-    for (a, b), c in sorted(table.items()):
-        missing = [x for x in (a, b, c) if x not in mor]
-        if missing:
-            out.append(
-                Violation("compose-domain", (a, b, c), f"unknown ids {missing} in table")
-            )
-            continue
-        if not (a in endpoints_ok and b in endpoints_ok):
-            continue
-        if mor[a].s != mor[b].r:
-            out.append(
-                Violation(
-                    "compose-domain",
-                    (a, b),
-                    f"table entry for a non-composable pair: source({a!r}) != range({b!r})",
-                )
-            )
-            continue
-        usable[(a, b)] = c
-
-    for a in g.nonidentity_ids():
-        if a not in endpoints_ok:
-            continue
-        for b in g._with_range[mor[a].s]:
-            if b in vset:
-                continue
-            if (a, b) not in table:
-                out.append(
-                    Violation(
-                        "compose-total",
-                        (a, b),
-                        "composable pair has no composite in the table",
-                    )
-                )
-
-    for (a, b), c in sorted(usable.items()):
-        ra, rb, rc = mor[a], mor[b], mor[c]
-        if c in endpoints_ok and (rc.r != ra.r or rc.s != rb.s):
-            out.append(
-                Violation(
-                    "compose-endpoints",
-                    (a, b, c),
-                    "composite endpoints disagree with range(a) / source(b)",
-                )
-            )
-        if a in shape_ok and b in shape_ok and c in shape_ok:
-            if rc.d != deg_add(ra.d, rb.d):
-                out.append(
-                    Violation(
-                        "compose-degree",
-                        (a, b, c),
-                        f"d({c!r}) = {rc.d} differs from d(a)+d(b) = "
-                        f"{deg_add(ra.d, rb.d)}",
-                    )
-                )
-
-    out.extend(_check_associativity(g, usable))
-    out.extend(_check_factorisations(g, usable, shape_ok, endpoints_ok))
-    return out
-
-
-def _check_associativity(g: FiniteKGraph, usable) -> list[Violation]:
-    """Every composable triple (a, b, c) with (a, b) usable, in sorted
-    (a, b) order and then c in id order."""
-    out: list[Violation] = []
-    mor = g._mor
-    by_range: dict[str, list[str]] = {}
-    for m in g.nonidentity_ids():
-        by_range.setdefault(mor[m].r, []).append(m)
-    for (a, b), ab in sorted(usable.items()):
-        for c in by_range.get(mor[b].s, ()):
-            bc = usable.get((b, c))
-            if bc is None:
-                continue
-            left = usable.get((ab, c))
-            right = usable.get((a, bc))
-            if left is None or right is None:
-                continue  # incompleteness is reported by compose-total
-            if left != right:
-                out.append(
-                    Violation(
-                        "assoc",
-                        (a, b, c),
-                        f"(a b) c = {left!r} but a (b c) = {right!r}",
-                    )
-                )
-    return out
-
-
-def _check_factorisations(g, usable, shape_ok, endpoints_ok) -> list[Violation]:
-    out: list[Violation] = []
+    domain: list[Violation] = []
+    composite: list[Violation] = []
+    after: dict[str, dict[str, str]] = {}
     index: dict[tuple[str, Degree], tuple[str, str]] = {}
-    for (a, b), c in sorted(usable.items()):
-        if a not in shape_ok or b not in shape_ok:
+    clashes: dict[tuple[str, Degree], list[tuple[str, str]]] = {}
+    for ab, c in table.items():
+        a, b = ab
+        ra, rb, rc = mor.get(a), mor.get(b), mor.get(c)
+        if ra is None or rb is None or rc is None:
+            missing = [x for x in (a, b, c) if x not in mor]
+            domain.append(Violation("compose-domain", (a, b, c), f"unknown ids {missing} in table"))
             continue
-        key = (c, g._mor[a].d)
-        old = index.get(key)
-        if old is None:
-            index[key] = (a, b)
-        elif old != (a, b):
-            out.append(
-                Violation(
-                    "factor-unique",
-                    (c, old[0], old[1], a, b),
-                    f"two factorisations of {c!r} at split {key[1]}",
-                )
-            )
-    for m in g.nonidentity_ids():
-        if m not in shape_ok or m not in endpoints_ok:
+        if a in bad_ends or b in bad_ends:
             continue
-        d = g._mor[m].d
-        for p in _splits(d):
-            if not any(p) or p == d:
+        if ra.s != rb.r:
+            domain.append(Violation(
+                "compose-domain",
+                ab,
+                f"table entry for a non-composable pair: source({a!r}) != range({b!r})",
+            ))
+            continue
+        after.setdefault(a, {})[b] = c
+        if (rc.r != ra.r or rc.s != rb.s) and c not in bad_ends:
+            composite.append(Violation(
+                "compose-endpoints",
+                (a, b, c),
+                "composite endpoints disagree with range(a) / source(b)",
+            ))
+        if a in bad_shape or b in bad_shape:
+            continue
+        if c not in bad_shape and rc.d != tuple(map(add, ra.d, rb.d)):
+            composite.append(Violation(
+                "compose-degree",
+                (a, b, c),
+                f"d({c!r}) = {rc.d} differs from d(a)+d(b) = {deg_add(ra.d, rb.d)}",
+            ))
+        key = (c, ra.d)
+        old = index.setdefault(key, ab)
+        if old != ab:
+            clashes.setdefault(key, [old]).append(ab)
+    by_witness = attrgetter("witness")
+    out += sorted(domain, key=by_witness)
+
+    for a in g._nonid:
+        if a in bad_ends:
+            continue
+        # one of the followers is the identity of source(a)
+        followers = g._with_range[mor[a].s]
+        if len(after.get(a, ())) == len(followers) - 1:
+            continue
+        for b in followers:
+            if (a, b) not in table and b not in vset:
+                detail = "composable pair has no composite in the table"
+                out.append(Violation("compose-total", (a, b), detail))
+
+    # a stable sort keeps compose-endpoints before compose-degree per pair
+    out += sorted(composite, key=by_witness)
+
+    assoc = []
+    for a, a_row in after.items():
+        for b, ab in a_row.items():
+            b_row, ab_row = after.get(b), after.get(ab)
+            if b_row is None or ab_row is None:
                 continue
-            if (m, p) not in index:
-                out.append(
-                    Violation(
-                        "factor-exists",
-                        (m,),
-                        f"no factorisation of {m!r} at split {p}",
+            for c, bc in b_row.items():
+                left, right = ab_row.get(c), a_row.get(bc)
+                # a missing composite is reported by compose-total
+                if left is not None and right is not None and left != right:
+                    assoc.append(
+                        Violation("assoc", (a, b, c), f"(a b) c = {left!r} but a (b c) = {right!r}")
                     )
-                )
+    out += sorted(assoc, key=by_witness)
+
+    unique = []
+    for (c, p), pairs in clashes.items():
+        pairs.sort()
+        a0, b0 = pairs[0]
+        detail = f"two factorisations of {c!r} at split {p}"
+        unique += [Violation("factor-unique", (c, a0, b0, a, b), detail) for a, b in pairs[1:]]
+    out += sorted(unique, key=lambda v: v.witness[3:])
+
+    inner: dict[Degree, list[Degree]] = {}  # the splits p of d with 0 < p < d
+    for m in g._nonid:
+        if m in bad_shape or m in bad_ends:
+            continue
+        d = mor[m].d
+        if d not in inner:
+            inner[d] = [p for p in _splits(d) if any(p) and p != d]
+        for p in inner[d]:
+            if (m, p) not in index:
+                detail = f"no factorisation of {m!r} at split {p}"
+                out.append(Violation("factor-exists", (m,), detail))
+
+    if not out:
+        g._factor_index = index
     return out
 
 

@@ -48,9 +48,10 @@ def _expect(cond: bool, message: str):
 
 def _str_list(doc, key) -> list[str]:
     val = doc.get(key)
-    _expect(isinstance(val, list), f"{key!r} must be a list")
-    for x in val:
-        _expect(isinstance(x, str), f"{key!r} entries must be strings")
+    if type(val) is not list:
+        raise ParseError(f"{key!r} must be a list")
+    if not all(type(x) is str for x in val):
+        raise ParseError(f"{key!r} entries must be strings")
     return val
 
 
@@ -139,17 +140,19 @@ def _load_category(doc) -> FiniteKGraph:
 
 def _load_edges(doc, key) -> dict:
     raw = doc.get(key)
-    _expect(isinstance(raw, list), f"{key!r} must be a list")
+    if type(raw) is not list:
+        raise ParseError(f"{key!r} must be a list")
     edges = {}
     for rec in raw:
-        _expect(isinstance(rec, dict), "edge records must be objects")
-        _expect(
-            set(rec) == {"id", "r", "s"},
-            f"edge record needs exactly id/r/s, got {sorted(rec)}",
-        )
+        if type(rec) is not dict:
+            raise ParseError("edge records must be objects")
+        if rec.keys() != {"id", "r", "s"}:
+            raise ParseError(f"edge record needs exactly id/r/s, got {sorted(rec)}")
         eid, r, s = rec["id"], rec["r"], rec["s"]
-        _expect(all(isinstance(x, str) for x in (eid, r, s)), "edge fields must be strings")
-        _expect(eid not in edges, f"duplicate edge id {eid!r}")
+        if type(eid) is not str or type(r) is not str or type(s) is not str:
+            raise ParseError("edge fields must be strings")
+        if eid in edges:
+            raise ParseError(f"duplicate edge id {eid!r}")
         edges[eid] = (r, s)
     return edges
 
@@ -164,10 +167,9 @@ def _load_skeleton(doc):
     _expect(isinstance(raw, list), '"squares" must be a list')
     squares = []
     for sq in raw:
-        _expect(
-            isinstance(sq, list) and len(sq) == 4 and all(isinstance(x, str) for x in sq),
-            "squares must be [f, g, g2, f2] string quadruples",
-        )
+        if not (type(sq) is list and len(sq) == 4 and type(sq[0]) is str
+                and type(sq[1]) is str and type(sq[2]) is str and type(sq[3]) is str):
+            raise ParseError("squares must be [f, g, g2, f2] string quadruples")
         squares.append(tuple(sq))
     try:
         sk = Skeleton2Graph(vertices, blue, red, squares)

@@ -227,29 +227,35 @@ def check_congruence(rel: MorphismRelation) -> CongruenceVerdict:
     """Test the four congruence conditions, in order, stopping at the first
     failure.  The verdict's witness names morphisms that replay it."""
     g = rel.graph
+    mor, rep = g._mor, rel._rep
+    # rep.get(x, 0) != rep.get(y, 1) holds when x and y are unrelated or
+    # either is unknown; rel.same then answers, or raises ForeignId.
+    classes = sorted(ms for ms in rel._members.values() if len(ms) > 1)  # by representative
 
-    for cls in rel.classes():
-        d0 = g.d(cls[0])
+    for cls in classes:
+        d0 = mor[cls[0]].d
         for m in cls[1:]:
-            if g.d(m) != d0:
+            if mor[m].d != d0:
                 return CongruenceVerdict(
                     False,
                     "d",
                     (cls[0], m),
-                    f"related morphisms have degrees {d0} and {g.d(m)}",
+                    f"related morphisms have degrees {d0} and {mor[m].d}",
                 )
 
     # Only the stored table can fail "comp": once "d" holds, vertex classes
     # hold only vertices, so an implicit identity pair shares its class
     # pair only with identity pairs, whose composites are then related.
-    rep = rel._rep
     first: dict[tuple[str, str], tuple[str, str, str]] = {}
-    for a, b, ab in g._composites():
+    for (a, b), ab in g._compose.items():
+        ra, rb = mor.get(a), mor.get(b)
+        if ra is None or rb is None or ra.s != rb.r:
+            g.compose(a, b)  # raises what composing the entry raises
         key = (rep[a], rep[b])
         old = first.get(key)
         if old is None:
             first[key] = (a, b, ab)
-        elif not rel.same(old[2], ab):
+        elif rep.get(old[2], 0) != rep.get(ab, 1) and not rel.same(old[2], ab):
             return CongruenceVerdict(
                 False,
                 "comp",
@@ -257,24 +263,25 @@ def check_congruence(rel: MorphismRelation) -> CongruenceVerdict:
                 f"composites {old[2]!r} and {ab!r} are unrelated",
             )
 
-    for cls in rel.classes():
-        if len(cls) < 2:
-            continue
+    for cls in classes:
         m0 = cls[0]
-        rest = [(m, g._mor[m]) for m in cls[1:]]
-        for p in _splits(g.d(m0)):
-            h0, t0 = g.factorise(m0, p)
-            # factorise has checked p against m0, whose degree m shares ("d")
+        rec0 = mor[m0]
+        if len(rec0.d) != g.rank and min(rec0.d, default=0) >= 0:
+            g.factorise(m0, (0,) * len(rec0.d))  # raises BadSplit, as at the first split
+        # members share d ("d"), so each split lies between 0 and their degree
+        rest = [(m, mor[m]) for m in cls[1:]]
+        for p in _splits(rec0.d):
+            h0, t0 = g._split(m0, rec0, p)
             for m, rec in rest:
                 h, t = g._split(m, rec, p)
-                if not rel.same(h0, h):
+                if rep.get(h0, 0) != rep.get(h, 1) and not rel.same(h0, h):
                     return CongruenceVerdict(
                         False,
                         "factor",
                         (m0, m),
                         f"heads {h0!r} and {h!r} at split {p} are unrelated",
                     )
-                if not rel.same(t0, t):
+                if rep.get(t0, 0) != rep.get(t, 1) and not rel.same(t0, t):
                     return CongruenceVerdict(
                         False,
                         "factor",
@@ -284,24 +291,28 @@ def check_congruence(rel: MorphismRelation) -> CongruenceVerdict:
 
     # lift: group morphism classes by the vertex classes of their sources
     # and ranges; each (A, B) meeting through a vertex class must contain
-    # an actually composable pair.
+    # an actually composable pair.  A holding a source in every vertex of
+    # the class meets every such B.
     sources: dict[str, set[str]] = {}
     ranges: dict[str, set[str]] = {}
     left: dict[str, dict[str, str]] = {}   # vertex class -> {morphism class: exemplar}
     right: dict[str, dict[str, str]] = {}
-    for m in g.morphism_ids():
-        rec = g._mor[m]
+    for m in g._ids:
+        rec = mor[m]
         cm = rep[m]
         sources.setdefault(cm, set()).add(rec.s)
         ranges.setdefault(cm, set()).add(rec.r)
-        left.setdefault(rel.rep(rec.s), {}).setdefault(cm, m)
-        right.setdefault(rel.rep(rec.r), {}).setdefault(cm, m)
+        left.setdefault(rep.get(rec.s) or rel.rep(rec.s), {}).setdefault(cm, m)
+        right.setdefault(rep.get(rec.r) or rel.rep(rec.r), {}).setdefault(cm, m)
     for w, lbucket in left.items():
         rbucket = right.get(w)
         if not rbucket:
             continue
+        vclass = rel._members[w]
         for ca, alpha in lbucket.items():
             src = sources[ca]
+            if len(src) >= len(vclass) and src.issuperset(vclass):
+                continue
             for cb, beta in rbucket.items():
                 if src.isdisjoint(ranges[cb]):
                     return CongruenceVerdict(

@@ -35,6 +35,7 @@ prints as "0".  A morphism f <= g prints as "(f,g)".
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import comb
 
@@ -48,7 +49,7 @@ Placing = tuple[int, ...]
 def _as_table(f) -> Placing:
     try:
         t = tuple(int(x) for x in f)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise OutOfRange(f"not a function table: {f!r}") from None
     if not t:
         raise OutOfRange("a placing has domain {0, ..., k} with k >= 0")
@@ -80,6 +81,8 @@ def enumerate_placings(k: int) -> list[Placing]:
     if k < 0:
         raise OutOfRange("k must be >= 0")
     n = k + 1
+    if n >= sys.maxsize.bit_length():  # more subsets of {0, ..., k} than a list holds
+        raise OutOfRange(f"k = {k} is too large to list placings")
     members = [[j for j in range(n) if m >> j & 1] for m in range(1 << n)]
     out: list[Placing] = []
     table = [0] * n
@@ -106,6 +109,8 @@ def count_placings(k: int) -> int:
     ordered Bell number a(k+1), where a(n) = sum_j C(n, j) a(n - j)."""
     if k < 0:
         raise OutOfRange("k must be >= 0")
+    if k >= sys.maxsize:  # the recurrence keeps k + 2 terms
+        raise OutOfRange(f"k = {k} is too large to count placings")
     a = [1]
     for n in range(1, k + 2):
         a.append(sum(comb(n, j) * a[n - j] for j in range(1, n + 1)))
@@ -150,8 +155,11 @@ def tail_factor(f, z) -> Placing:
     (level 0 is always kept)."""
     t = _as_table(f)
     k = len(t) - 1
-    z = tuple(int(x) for x in z)
-    if len(z) != k or any(x not in (0, 1) for x in z):
+    try:
+        z = tuple(int(x) for x in z)
+    except (TypeError, ValueError, OverflowError):
+        z = None
+    if z is None or len(z) != k or any(x not in (0, 1) for x in z):
         raise BadArgument(f"z must be a 0-1 vector of length {k}")
     h = height(t)
     if any(zi > hi for zi, hi in zip(z, h)):
@@ -162,8 +170,11 @@ def tail_factor(f, z) -> Placing:
 
 
 def leq(f, g) -> bool:
-    """Pointwise order on placings."""
-    return all(a <= b for a, b in zip(_as_table(f), _as_table(g), strict=True))
+    """Pointwise order on placings of the same {0, ..., k}."""
+    s, t = _as_table(f), _as_table(g)
+    if len(s) != len(t):
+        raise OutOfRange(f"{s} and {t} have different domains")
+    return all(a <= b for a, b in zip(s, t))
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +209,7 @@ def embed(f, t) -> tuple[Fraction, ...]:
     k = len(table) - 1
     try:
         point = tuple(Fraction(x) for x in t)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise OutOfBox(f"not a box point: {t!r}") from None
     if len(point) != k:
         raise OutOfBox(f"box point needs {k} coordinates, got {len(point)}")
@@ -351,7 +362,9 @@ def sphere_pole(k: int, copy: int = 0) -> str:
     """The vertex id of the given copy's barycentre in build_sphere(k)."""
     if copy not in (0, 1):
         raise BadArgument("copy must be 0 or 1")
-    return f"({copy},{placing_id((0,) * (k + 1))})"
+    if k < 0:
+        raise OutOfRange("a placing has domain {0, ..., k} with k >= 0")
+    return f"({copy},0)"  # the zero placing prints as "0" for every k
 
 
 def build_wedge(k: int, n: int) -> FiniteKGraph:

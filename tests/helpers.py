@@ -396,6 +396,214 @@ def reference_check_congruence(rel):
     return CongruenceVerdict(True)
 
 
+def mutated_category(g: FiniteKGraph, pick, faults: int) -> FiniteKGraph:
+    """A copy of g built through the public constructor with `faults` faults,
+    each chosen by pick (which returns one item of a non-empty sequence): drop a
+    table entry, redirect a composite, name a ghost id, perturb a degree or
+    its length, break an endpoint, duplicate a factorisation or add the
+    reversed pair of an entry."""
+    mor = {m: (g.d(m), g.r(m), g.s(m)) for m in g.nonidentity_ids()}
+    table = g.compose_table()
+    ids = list(g.morphism_ids()) + ["ghost"]
+    for _ in range(faults):
+        keys = sorted(table)
+        kind = pick(["drop", "redirect", "ghost", "degree", "endpoint", "duplicate", "reverse"])
+        if kind in ("drop", "redirect", "ghost", "duplicate", "reverse") and not keys:
+            continue
+        if kind == "drop":
+            del table[pick(keys)]
+        elif kind == "redirect":
+            table[pick(keys)] = pick(ids)
+        elif kind == "ghost":
+            a, b = pick(keys)
+            table[pick([(a, "ghost"), ("ghost", b)])] = table[(a, b)]
+        elif kind == "duplicate":
+            # another pair whose head has the degree of this one's
+            a, b = key = pick(keys)
+            degree = {m: rec[0] for m, rec in mor.items()}
+            twins = [k for k in keys if k != key and degree.get(k[0], ()) == degree.get(a)]
+            if twins:
+                table[pick(twins)] = table[key]
+        elif kind == "reverse":
+            a, b = key = pick(keys)
+            table[(b, a)] = table[key]
+        else:
+            m = pick(sorted(mor))
+            d, r, s = mor[m]
+            if kind == "endpoint":
+                new = pick(["ghost", *g.vertices])
+                mor[m] = (d, new, s) if pick([0, 1]) else (d, r, new)
+            else:
+                i = pick(range(len(d))) if d else 0
+                changes = [(abs(d[i]) + 1,), (-1,)] if d else []
+                d = pick([d[:i] + x + d[i + 1:] for x in changes] + [d + (1,), d[:-1]])
+                mor[m] = (d, r, s)
+    # in shuffled order, so that the order of violations is the validator's own
+    entries = random.Random(pick(range(1000))).sample(sorted(table.items()), len(table))
+    return FiniteKGraph(g.rank, g.vertices, mor, dict(entries))
+
+
+# -- validation before the unsorted walk ----------------------------------------
+
+
+def reference_find_violations(g: FiniteKGraph) -> list[Violation]:
+    """Reference copy of `core._find_violations` as it was when it sorted the
+    table and checked associativity and factorisations in their own sorted
+    passes, verbatim.  Oracle for the unsorted walk: rules, witnesses,
+    details and order must match.
+    """
+    from kgraphs.core import deg_add
+
+    out: list[Violation] = []
+    mor = g._mor
+    vset = set(g.vertices)
+    shape_ok: set[str] = set(g.vertices)
+    endpoints_ok: set[str] = set(g.vertices)
+
+    for m in g.nonidentity_ids():
+        rec = mor[m]
+        d = rec.d
+        if len(d) != g.rank or any(x < 0 for x in d):
+            out.append(Violation("degree-shape", (m,), f"degree {d} is not in N^{g.rank}"))
+        else:
+            shape_ok.add(m)
+        bad = [v for v in (rec.r, rec.s) if v not in vset]
+        if bad:
+            out.append(
+                Violation("endpoints", (m,), f"range/source {bad} are not vertices")
+            )
+        else:
+            endpoints_ok.add(m)
+
+    table = g._compose
+    usable: dict[tuple[str, str], str] = {}
+    for (a, b), c in sorted(table.items()):
+        missing = [x for x in (a, b, c) if x not in mor]
+        if missing:
+            out.append(
+                Violation("compose-domain", (a, b, c), f"unknown ids {missing} in table")
+            )
+            continue
+        if not (a in endpoints_ok and b in endpoints_ok):
+            continue
+        if mor[a].s != mor[b].r:
+            out.append(
+                Violation(
+                    "compose-domain",
+                    (a, b),
+                    f"table entry for a non-composable pair: source({a!r}) != range({b!r})",
+                )
+            )
+            continue
+        usable[(a, b)] = c
+
+    for a in g.nonidentity_ids():
+        if a not in endpoints_ok:
+            continue
+        for b in g._with_range[mor[a].s]:
+            if b in vset:
+                continue
+            if (a, b) not in table:
+                out.append(
+                    Violation(
+                        "compose-total",
+                        (a, b),
+                        "composable pair has no composite in the table",
+                    )
+                )
+
+    for (a, b), c in sorted(usable.items()):
+        ra, rb, rc = mor[a], mor[b], mor[c]
+        if c in endpoints_ok and (rc.r != ra.r or rc.s != rb.s):
+            out.append(
+                Violation(
+                    "compose-endpoints",
+                    (a, b, c),
+                    "composite endpoints disagree with range(a) / source(b)",
+                )
+            )
+        if a in shape_ok and b in shape_ok and c in shape_ok:
+            if rc.d != deg_add(ra.d, rb.d):
+                out.append(
+                    Violation(
+                        "compose-degree",
+                        (a, b, c),
+                        f"d({c!r}) = {rc.d} differs from d(a)+d(b) = "
+                        f"{deg_add(ra.d, rb.d)}",
+                    )
+                )
+
+    out.extend(_reference_check_associativity(g, usable))
+    out.extend(_reference_check_factorisations(g, usable, shape_ok, endpoints_ok))
+    return out
+
+
+def _reference_check_associativity(g: FiniteKGraph, usable) -> list[Violation]:
+    """Every composable triple (a, b, c) with (a, b) usable, in sorted
+    (a, b) order and then c in id order."""
+    out: list[Violation] = []
+    mor = g._mor
+    by_range: dict[str, list[str]] = {}
+    for m in g.nonidentity_ids():
+        by_range.setdefault(mor[m].r, []).append(m)
+    for (a, b), ab in sorted(usable.items()):
+        for c in by_range.get(mor[b].s, ()):
+            bc = usable.get((b, c))
+            if bc is None:
+                continue
+            left = usable.get((ab, c))
+            right = usable.get((a, bc))
+            if left is None or right is None:
+                continue  # incompleteness is reported by compose-total
+            if left != right:
+                out.append(
+                    Violation(
+                        "assoc",
+                        (a, b, c),
+                        f"(a b) c = {left!r} but a (b c) = {right!r}",
+                    )
+                )
+    return out
+
+
+def _reference_check_factorisations(g, usable, shape_ok, endpoints_ok) -> list[Violation]:
+    from kgraphs.core import Degree, _splits
+
+    out: list[Violation] = []
+    index: dict[tuple[str, Degree], tuple[str, str]] = {}
+    for (a, b), c in sorted(usable.items()):
+        if a not in shape_ok or b not in shape_ok:
+            continue
+        key = (c, g._mor[a].d)
+        old = index.get(key)
+        if old is None:
+            index[key] = (a, b)
+        elif old != (a, b):
+            out.append(
+                Violation(
+                    "factor-unique",
+                    (c, old[0], old[1], a, b),
+                    f"two factorisations of {c!r} at split {key[1]}",
+                )
+            )
+    for m in g.nonidentity_ids():
+        if m not in shape_ok or m not in endpoints_ok:
+            continue
+        d = g._mor[m].d
+        for p in _splits(d):
+            if not any(p) or p == d:
+                continue
+            if (m, p) not in index:
+                out.append(
+                    Violation(
+                        "factor-exists",
+                        (m,),
+                        f"no factorisation of {m!r} at split {p}",
+                    )
+                )
+    return out
+
+
 def cube_view_digests(model) -> tuple[str, ...]:
     """Short sha256 digests of four views of a model's cubes: every cube
     with its degree; every face in every direction 1..rank on both sides
@@ -601,6 +809,70 @@ def reference_load_category(doc) -> FiniteKGraph:
                 raise ParseError(f"bad rational coordinate for vertex {v!r}") from None
         graph.embedding = emb
     return graph
+
+
+# -- the skeleton loader before its checks were inlined -----------------------
+
+
+def _reference_load_edges(doc, key) -> dict:
+    _expect = _reference_expect
+    raw = doc.get(key)
+    _expect(isinstance(raw, list), f"{key!r} must be a list")
+    edges = {}
+    for rec in raw:
+        _expect(isinstance(rec, dict), "edge records must be objects")
+        _expect(
+            set(rec) == {"id", "r", "s"},
+            f"edge record needs exactly id/r/s, got {sorted(rec)}",
+        )
+        eid, r, s = rec["id"], rec["r"], rec["s"]
+        _expect(all(isinstance(x, str) for x in (eid, r, s)), "edge fields must be strings")
+        _expect(eid not in edges, f"duplicate edge id {eid!r}")
+        edges[eid] = (r, s)
+    return edges
+
+
+def reference_load_skeleton(doc):
+    """Reference copy of `io._load_skeleton` (with `_load_edges` and
+    `_str_list`) as it was when every check went through `_expect`,
+    verbatim.  Oracle for the inlined checks: skeletons, markings, first
+    error types and messages must match.
+    """
+    from kgraphs.errors import BadArgument, ParseError
+    from kgraphs.surfaces import MarkedSkeleton
+
+    _expect, _str_list, _load_edges = _reference_expect, _reference_str_list, _reference_load_edges
+
+    vertices = _str_list(doc, "vertices")
+    vset = set(vertices)
+    _expect(len(vset) == len(vertices), "duplicate vertex ids")
+    blue = _load_edges(doc, "blue")
+    red = _load_edges(doc, "red")
+    raw = doc.get("squares")
+    _expect(isinstance(raw, list), '"squares" must be a list')
+    squares = []
+    for sq in raw:
+        _expect(
+            isinstance(sq, list) and len(sq) == 4 and all(isinstance(x, str) for x in sq),
+            "squares must be [f, g, g2, f2] string quadruples",
+        )
+        squares.append(tuple(sq))
+    try:
+        sk = Skeleton2Graph(vertices, blue, red, squares)
+    except BadArgument as e:
+        raise ParseError(str(e)) from None
+
+    marking = [k for k in ("u", "v", "square") if k in doc]
+    if not marking:
+        return sk
+    _expect(len(marking) == 3, 'marking needs all three of "u", "v", "square"')
+    u, v, sq = doc["u"], doc["v"], doc["square"]
+    _expect(isinstance(u, str) and isinstance(v, str), "marking u/v must be strings")
+    _expect(
+        isinstance(sq, list) and len(sq) == 4 and all(isinstance(x, str) for x in sq),
+        '"square" must be an [f, g, g2, f2] quadruple',
+    )
+    return MarkedSkeleton(sk, u, v, tuple(sq))
 
 
 # -- the sparse Smith normal form before the column sweep ----------------------

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,16 @@ from pathlib import Path
 import pytest
 
 import kgraphs
-from kgraphs import enumerate_placings
+from kgraphs import enumerate_placings, export_json, loads
 from kgraphs.cli import main
+from kgraphs.errors import ParseError
+
+from helpers import (
+    mutated_category,
+    random_grid_category,
+    random_path_category,
+    reference_find_violations,
+)
 
 
 def run(capsys, *argv):
@@ -108,6 +117,31 @@ def test_validate_reports_witnesses(capsys, monkeypatch, tmp_path):
     code, out, _ = run(capsys, "validate", str(p))
     assert code == 2
     assert "endpoints" in out
+
+
+def broken_documents(count: int) -> list[str]:
+    """Documents of mutated path and grid categories that load but fail validation."""
+    rng = random.Random(2024)
+    out = []
+    while len(out) < count:
+        base = rng.choice([random_path_category, random_grid_category])(rng, max_morphisms=20)
+        text = export_json(mutated_category(base, rng.choice, rng.randint(1, 4)))
+        try:
+            g = loads(text)
+        except ParseError:  # negative degrees do not load
+            continue
+        if reference_find_violations(g):
+            out.append(text)
+    return out
+
+
+@pytest.mark.parametrize("text", broken_documents(8))
+def test_validate_prints_the_reference_violations(capsys, monkeypatch, text):
+    feed(monkeypatch, text)
+    code, out, _ = run(capsys, "validate", "-")
+    violations = reference_find_violations(loads(text))
+    expected = "".join(f"{v.rule}: {v.detail}  witness={v.witness!r}\n" for v in violations)
+    assert code == 2 and out == expected
 
 
 def test_validate_bad_json_is_exit_1(capsys, monkeypatch):
@@ -336,6 +370,9 @@ def documents(tmp_path, capsys):
     return paths
 
 
+HUGE = "99999999999999999999"
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -380,6 +417,12 @@ def documents(tmp_path, capsys):
         (("connected-sum", "torus", "garbage"), 1),
         (("connected-sum", "torus", "simplex"), 1),
         (("quotient", "simplex", "--relation", "overlapping-relation"), 1),
+        # far past anything listable, so refused before any allocation
+        (("placings", "--k", HUGE), 1),
+        (("placings", "--count", "--k", HUGE), 1),
+        (("build", "simplex", "--k", HUGE), 1),
+        (("build", "sphere", "--k", HUGE), 1),
+        (("build", "wedge", "--k", HUGE, "--n", "2"), 1),
     ],
 )
 def test_every_verb_fails_without_a_traceback(capsys, documents, argv, code):

@@ -5,7 +5,7 @@ import re
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgraphs.core import (
@@ -35,17 +35,34 @@ from kgraphs.errors import (
 )
 from kgraphs.io import loads
 from kgraphs.export import export_json
-from kgraphs.homology import ChainComplex, SparseIntMatrix
+from kgraphs.homology import ChainComplex, SparseIntMatrix, chain_complex
 from kgraphs.quotient import glue_on_common, quotient, relation_from_pairs
-from kgraphs.simplex import build_simplex, build_sphere, build_wedge, sphere_pole, tail_factor
-from kgraphs.surfaces import compact_surface
+from kgraphs.simplex import (
+    basis_point,
+    build_simplex,
+    build_sphere,
+    build_wedge,
+    count_placings,
+    embed,
+    enumerate_placings,
+    height,
+    is_placing,
+    leq,
+    placing_id,
+    sphere_pole,
+    tail_factor,
+)
+from kgraphs.surfaces import basic_surface, compact_surface
 
 from helpers import (
     cube_view_digests,
     grid_category,
+    mutated_category,
     path_category,
     random_dag,
+    random_grid_category,
     random_path_category,
+    reference_find_violations,
 )
 
 
@@ -147,6 +164,28 @@ def test_validation_is_found_once_and_returned_fresh():
     first.append("not a violation")
     assert validate_kgraph(b) == validate_kgraph(broken())
     assert validate_kgraph(b) is not validate_kgraph(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10_000), faults=st.integers(0, 4))
+@example(seed=38, faults=4)  # two factor-unique clashes whose witnesses sort otherwise
+def test_validation_matches_the_reference_on_mutated_categories(seed, faults):
+    rng = random.Random(seed)
+    base = rng.choice([random_path_category, random_grid_category])(rng, max_morphisms=30)
+    g = mutated_category(base, rng.choice, faults)
+    assert validate_kgraph(g) == reference_find_violations(g)
+
+
+def test_clean_validation_leaves_the_factorisation_index_faces_read():
+    for g in (tiny(), build_sphere(2), build_wedge(2, 2), grid_category(tiny(), tiny())):
+        fresh = FiniteKGraph._from_parts(g.rank, g.vertices, dict(g._mor), dict(g._compose))
+        assert validate_kgraph(fresh) == []
+        index = fresh._factor_index
+        assert index is not None and index == g._factors()
+        cx, reference = chain_complex(fresh), chain_complex(g)
+        assert cx.bases == reference.bases
+        assert [m.entries for m in cx.boundaries] == [m.entries for m in reference.boundaries]
+        assert fresh._factor_index is index
 
 
 def parallel_path_category(steps: int) -> FiniteKGraph:
@@ -282,6 +321,46 @@ def test_bad_arguments_raise_a_kgraph_error_that_is_a_value_error(call, message)
         call()
     assert issubclass(BadArgument, KGraphError) and issubclass(BadArgument, ValueError)
     assert kgraphs.BadArgument is BadArgument
+
+
+# k only negative or past 2**64: moderate values would allocate 2**(k+1) lists
+BAD_K = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
+NUMBERS = st.one_of(st.integers(-2, 3), st.integers(min_value=2**64), st.floats())
+JUNK = st.one_of(NUMBERS, st.none(), st.text(max_size=2))
+# near-placings mostly, so that calls get past their first check
+TABLES = st.one_of(st.lists(st.integers(0, 1), max_size=3), st.lists(JUNK, max_size=3), JUNK)
+BAD_CALLS = st.one_of(
+    st.tuples(st.sampled_from([enumerate_placings, count_placings, build_simplex, build_sphere]),
+              st.tuples(BAD_K)),
+    st.tuples(st.just(build_wedge), st.tuples(BAD_K, st.integers(1, 2))),
+    st.tuples(st.just(build_wedge), st.tuples(st.integers(0, 1), st.integers(max_value=0))),
+    st.tuples(st.just(sphere_pole), st.tuples(BAD_K, st.sampled_from([0, 1]))),
+    st.tuples(st.just(sphere_pole), st.tuples(st.integers(0, 3), JUNK)),
+    st.tuples(st.sampled_from([placing_id, height, is_placing]), st.tuples(TABLES)),
+    st.tuples(st.sampled_from([leq, tail_factor, embed]), st.tuples(TABLES, TABLES)),
+    st.tuples(st.just(basis_point), st.tuples(TABLES, NUMBERS)),
+    st.tuples(st.sampled_from([basic_surface, compact_surface]), st.tuples(st.text(max_size=4))),
+    st.tuples(st.just(compact_surface), st.tuples(st.lists(st.text(max_size=2), max_size=3))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(call=BAD_CALLS)
+@example(call=(enumerate_placings, (2**64,)))
+@example(call=(count_placings, (2**64,)))
+@example(call=(sphere_pole, (2**64, 0)))
+@example(call=(build_wedge, (2**64, 2)))
+@example(call=(leq, ([0, 0], [0, 0, 1])))
+@example(call=(tail_factor, ([0, 1], None)))
+@example(call=(tail_factor, ([0], "l")))
+@example(call=(placing_id, ([float("inf")],)))
+@example(call=(embed, ([0, 0], [float("inf")])))
+def test_builders_and_helpers_raise_only_kgraph_errors_on_bad_arguments(call):
+    fn, args = call
+    try:
+        fn(*args)
+    except KGraphError:
+        pass
 
 
 def builder_outputs():

@@ -22,13 +22,14 @@ from kgraphs import (
 )
 from kgraphs.core import Skeleton2Graph
 from kgraphs.errors import ParseError
-from kgraphs.surfaces import MarkedSkeleton, basic_surface
+from kgraphs.surfaces import MarkedSkeleton, basic_surface, compact_surface
 
 from helpers import (
     path_category,
     random_grid_category,
     random_path_category,
     reference_load_category,
+    reference_load_skeleton,
 )
 
 
@@ -350,3 +351,30 @@ def test_loader_faults_match_the_reference_loader(data):
     text = json.dumps(doc)
     if doc.get("kind") == "category":
         assert outcome(loads, text) == outcome(lambda t: reference_load_category(json.loads(t)), text)
+
+
+SKELETON_DOCS = [
+    model_doc(basic_surface("K")),
+    model_doc(basic_surface("T").skeleton),
+    model_doc(compact_surface(["T", "P"])),
+]
+
+
+def _skeleton_outcome(load, text):
+    try:
+        return "model", model_doc(load(text))
+    except Exception as exc:  # the first error is what is compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_skeleton_loader_matches_the_reference_loader(data):
+    doc = copy.deepcopy(data.draw(st.sampled_from(SKELETON_DOCS)))
+    if data.draw(st.booleans()):
+        _repeat(data.draw(st.sampled_from(["vertices", "blue", "red", "squares"])))(data, doc)
+    mutate(data, doc)
+    text = json.dumps(doc)
+    if doc.get("kind") == "skeleton2":
+        reference = lambda t: reference_load_skeleton(json.loads(t))
+        assert _skeleton_outcome(loads, text) == _skeleton_outcome(reference, text)

@@ -25,6 +25,7 @@ from kgraphs import (
     validate_kgraph,
 )
 from kgraphs.errors import (
+    BadSplit,
     ForeignId,
     InvalidModel,
     KGraphError,
@@ -37,7 +38,13 @@ from kgraphs.errors import (
 )
 from kgraphs.simplex import _sphere_pairs, enumerate_placings, placing_id
 
-from helpers import path_category, reference_check_congruence
+from helpers import (
+    mutated_category,
+    path_category,
+    random_grid_category,
+    random_path_category,
+    reference_check_congruence,
+)
 
 
 def two_points():
@@ -307,6 +314,22 @@ def test_congruence_verdicts_match_the_reference_on_random_relations(which, pick
     assert check_congruence(rel) == reference_check_congruence(rel)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_congruence_verdicts_and_errors_match_the_reference_on_broken_tables(seed, data):
+    rng = random.Random(seed)
+    base = rng.choice([random_path_category, random_grid_category])(rng, max_morphisms=20)
+    pick = lambda items: data.draw(st.sampled_from(items))
+    g = mutated_category(base, pick, data.draw(st.integers(0, 3)))
+    ids = g.morphism_ids()
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        m = pick(ids)
+        pairs.append((m, pick(g.by_degree(g.d(m)) if data.draw(st.booleans()) else ids)))
+    rel = relation_from_pairs(g, pairs, "explicit")
+    assert outcome(check_congruence, rel) == outcome(reference_check_congruence, rel)
+
+
 def with_table(table):
     """Two parallel edges e0, e1 followed by f, with the given table."""
     m = {
@@ -355,6 +378,35 @@ def test_congruence_errors_on_broken_tables_match_the_reference():
     assert got == outcome(reference_check_congruence, trivial) == UNKNOWN
     assert outcome(relation_from_pairs, g, [("e0", "e1")]) == got
     assert outcome(cartesian_product, g, two_points()) == got
+
+
+def parallel_pairs(a: tuple) -> FiniteKGraph:
+    """Records a0, a1 (both a) and b0 (v1 <- v0), b1 (v2 <- v0); no table."""
+    m = {"a0": a, "a1": a, "b0": ((1,), "v1", "v0"), "b1": ((1,), "v2", "v0")}
+    return FiniteKGraph(rank=1, vertices=["v0", "v1", "v2"], morphisms=m, compose={})
+
+
+GHOST = (ForeignId, "'ghost' is not a morphism of the relation's graph")
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        # the class {a0, a1} has unknown heads (at split 0) or tails (at
+        # split d): that is raised before the heads of b0 and b1 differ
+        (parallel_pairs(((1,), "ghost", "v0")), GHOST),
+        (parallel_pairs(((1,), "v1", "ghost")), GHOST),
+        # a degree of the wrong length fails at its first split
+        (parallel_pairs(((1, 0), "v1", "v0")),
+         (BadSplit, "split (0, 0) is not between 0 and d('a0') = (1, 0)")),
+        # two composites with the same unknown name are not related
+        (with_table({("f", "e0"): "ghost", ("f", "e1"): "ghost"}), GHOST),
+    ],
+)
+def test_congruence_errors_on_bad_records_match_the_reference(g, expected):
+    classes = [["a0", "a1"], ["b0", "b1"]] if g.has("a0") else [["e0", "e1"]]
+    rel = relation_from_classes(g, classes)
+    assert outcome(check_congruence, rel) == outcome(reference_check_congruence, rel) == expected
 
 
 def test_saturation_names_an_unknown_composite():

@@ -36,6 +36,7 @@ direction, oriented as documented on `Cube`).  `cubes`, `face`,
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from operator import add, attrgetter
 
@@ -150,6 +151,8 @@ class FiniteKGraph:
         rank = int(rank)
         if rank < 0:
             raise BadArgument("rank must be >= 0")
+        if rank > sys.maxsize:  # no degree tuple is that long
+            raise BadArgument(f"rank = {rank} is too large")
         vs = [str(v) for v in vertices]
         vset = set(vs)
         if len(vs) != len(vset):
@@ -305,12 +308,13 @@ class FiniteKGraph:
                 if rec.s in self._vset:
                     yield (m, rec.s)
 
-    def _composites(self, include_identities: bool = False):
-        """(a, b, compose(a, b)) for each of composable_pairs(...), in that
-        order, read from the table and the records.  A table entry that
-        compose would reject raises compose's error when it is reached."""
+    def _composites(self):
+        """(a, b, compose(a, b)) for each composable pair, identities
+        included, in composable_pairs order, read from the table and the
+        records.  A table entry that compose would reject raises compose's
+        error when it is reached."""
         table, mor, vset = self._compose, self._mor, self._vset
-        for a, b in self.composable_pairs(include_identities):
+        for a, b in self.composable_pairs(include_identities=True):
             if a in vset:
                 yield a, b, b
             elif b in vset:
@@ -883,9 +887,9 @@ def cartesian_product(a: FiniteKGraph, b: FiniteKGraph) -> FiniteKGraph:
     if (a._compose or a._vertices) and (b._compose or b._vertices):
         # On a broken table, raise what composing pair by pair in product
         # order raises first: a's first pair, then b's pairs, then a's.
-        next(a._composites(include_identities=True))
-        b_pairs = list(b._composites(include_identities=True))
-        a_pairs = list(a._composites(include_identities=True))
+        next(a._composites())
+        b_pairs = list(b._composites())
+        a_pairs = list(a._composites())
     for x, x2, xx in a_pairs:
         for y, y2, yy in b_pairs:
             if (x in av and y in bv) or (x2 in av and y2 in bv):

@@ -7,15 +7,15 @@ All arithmetic is exact (Python integers), so torsion comes out exactly.
 
 Smith normal forms come from one sweep over the columns of a sparse
 matrix, pivoting on +-1 entries; only the columns that never meet one go
-on to a dense textbook reduction, which can also return the unimodular
-transforms.  homology() sweeps the boundaries from the top down with
-clearing (Chen & Kerber 2011): a column of boundary(n) whose cell was a
-pivot row of boundary(n + 1) is skipped.  That pivot column c has a +-1
-in the cell's row and boundary(n) c = 0, so the cell's column lies in the
-integer span of the kept ones (from the last pivot back, as c is zero in
-earlier pivot rows) and skipping it changes neither the rank nor the
-invariant factors -- which is why ChainComplex refuses boundaries that
-do not compose to zero.
+on to a dense reduction that pivots on the least entry left, which can
+also return the unimodular transforms.  homology() sweeps the boundaries
+from the top down with clearing (Chen & Kerber 2011): a column of
+boundary(n) whose cell was a pivot row of boundary(n + 1) is skipped.
+That pivot column c has a +-1 in the cell's row and boundary(n) c = 0,
+so the cell's column lies in the integer span of the kept ones (from the
+last pivot back, as c is zero in earlier pivot rows) and skipping it
+changes neither the rank nor the invariant factors -- which is why
+ChainComplex refuses boundaries that do not compose to zero.
 """
 
 from __future__ import annotations
@@ -32,30 +32,39 @@ from .core import (
 from .errors import BadArgument, InvalidModel
 
 
+def _integer(x) -> int:
+    """x as an int; BadArgument unless x is an integral number."""
+    try:
+        if (n := int(x)) == x:
+            return n
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise BadArgument(f"matrix shapes and entries must be integers, not {x!r}")
+
+
 class SparseIntMatrix:
     """A sparse integer matrix: shape plus a {(row, col): value} map."""
 
     def __init__(self, shape, entries=None):
-        self.shape = (int(shape[0]), int(shape[1]))
+        self.shape = (_integer(shape[0]), _integer(shape[1]))
+        if min(self.shape) < 0:
+            raise BadArgument(f"shape {self.shape} has a negative side")
         self.entries: dict[tuple[int, int], int] = {}
-        if entries:
-            for (i, j), v in dict(entries).items():
-                v = int(v)
-                if v:
-                    self.entries[(int(i), int(j))] = v
+        for (i, j), v in dict(entries or {}).items():
+            i, j, v = _integer(i), _integer(j), _integer(v)
+            if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
+                raise BadArgument(f"entry ({i}, {j}) lies outside shape {self.shape}")
+            if v:
+                self.entries[(i, j)] = v
 
     @classmethod
     def from_dense(cls, rows):
         rows = [list(r) for r in rows]
         n = len(rows[0]) if rows else 0
-        out = cls((len(rows), n))
-        for i, row in enumerate(rows):
-            if len(row) != n:
-                raise BadArgument("ragged matrix")
-            for j, v in enumerate(row):
-                if v:
-                    out.entries[(i, j)] = int(v)
-        return out
+        if any(len(row) != n for row in rows):
+            raise BadArgument("ragged matrix")
+        entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+        return cls((len(rows), n), entries)
 
     def dense(self) -> list[list[int]]:
         m, n = self.shape
@@ -201,109 +210,64 @@ def chain_complex(model) -> ChainComplex:
 
 
 def _snf_dense(rows, want_transforms):
-    """Textbook SNF on a dense list-of-lists.  Returns (diag, U, V)."""
+    """Smith normal form of a dense list-of-lists: (positive diag, U, V).
+
+    Each round moves the least nonzero entry of the block left to (t, t) and
+    clears column t by row and row t by column operations, with floor
+    quotients.  A remainder, or one made in row t by adding into it a row the
+    pivot does not divide, is less than the pivot and starts a new round, so
+    pivots shrink until one divides its block.  U and V (None unless wanted)
+    take the same row and column operations as A.
+    """
     A = [list(map(int, r)) for r in rows]
-    m = len(A)
-    n = len(A[0]) if m else 0
+    m, n = len(A), len(A[0]) if A else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
     V = [[int(i == j) for j in range(n)] for i in range(n)] if want_transforms else None
+    by_rows, by_cols = ((A, U), (A, V)) if want_transforms else ((A,), (A,))
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(dst, src, mult):  # row_dst += mult * row_src
-        Ad, As = A[dst], A[src]
-        for j in range(n):
-            Ad[j] += mult * As[j]
-        if U is not None:
-            Ud, Us = U[dst], U[src]
-            for j in range(m):
-                Ud[j] += mult * Us[j]
+    def add_row(dst, src, mult):  # row dst += mult * row src; add_row(t, t, -2) negates
+        for M in by_rows:
+            M[dst] = [x + mult * y for x, y in zip(M[dst], M[src])]
 
     def add_col(dst, src, mult):
-        for row in A:
-            row[dst] += mult * row[src]
-        if V is not None:
-            for row in V:
+        for M in by_cols:
+            for row in M:
                 row[dst] += mult * row[src]
 
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        if U is not None:
-            U[i] = [-x for x in U[i]]
-
     diag = []
-    t = 0
-    while t < m and t < n:
-        # find the smallest-magnitude nonzero entry in the working block
-        pivot = None
-        best = None
-        for i in range(t, m):
-            row = A[i]
-            for j in range(t, n):
-                v = row[j]
-                if v and (best is None or abs(v) < best):
-                    best = abs(v)
-                    pivot = (i, j)
-                    if best == 1:
-                        break
-            if best == 1:
-                break
-        if pivot is None:
-            break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
-
+    for t in range(min(m, n)):
         while True:
-            # clear column t with row operations, improving the pivot as we go
-            dirty = True
-            while dirty:
-                dirty = False
-                if A[t][t] < 0:
-                    negate_row(t)
-                for i in range(t + 1, m):
-                    if A[i][t]:
-                        q = A[i][t] // A[t][t]
-                        add_row(i, t, -q)
-                        if A[i][t]:  # remainder beats the pivot; promote it
-                            swap_rows(t, i)
-                            dirty = True
-            for j in range(t + 1, n):
-                if A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    add_col(j, t, -q)
-                    if A[t][j]:
-                        swap_cols(t, j)
-                        break
-            else:
-                # row and column are clear; enforce divisibility downstream
-                piv = A[t][t]
-                culprit = None
-                for i in range(t + 1, m):
-                    row = A[i]
-                    for j in range(t + 1, n):
-                        if row[j] % piv:
-                            culprit = i
-                            break
-                    if culprit is not None:
-                        break
-                if culprit is None:
+            least, p, q = 0, t, t
+            for i in range(t, m):
+                for j, v in enumerate(A[i][t:], t):
+                    if v and (not least or abs(v) < least):
+                        least, p, q = abs(v), i, j
+                if least == 1:
                     break
-                add_row(t, culprit, 1)
-            # else: go round again with the dirty column
-
+            if not least:
+                return diag, U, V
+            if p != t:  # swap rows t and p, negating row p, by three additions
+                for dst, src, mult in ((t, p, 1), (p, t, -1), (t, p, 1)):
+                    add_row(dst, src, mult)
+            if q != t:
+                for dst, src, mult in ((t, q, 1), (q, t, -1), (t, q, 1)):
+                    add_col(dst, src, mult)
+            piv = A[t][t]
+            for i in range(t + 1, m):
+                if c := A[i][t]:
+                    add_row(i, t, -(c // piv))
+            for j in range(t + 1, n):
+                if c := A[t][j]:
+                    add_col(j, t, -(c // piv))
+            if any(A[i][t] for i in range(t + 1, m)) or any(A[t][t + 1:]):
+                continue
+            bad = next((i for i in range(t + 1, m) for x in A[i][t + 1:] if x % piv), None)
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+        if A[t][t] < 0:
+            add_row(t, t, -2)
         diag.append(A[t][t])
-        t += 1
-
     return diag, U, V
 
 
@@ -352,7 +316,7 @@ def _snf_sparse(entries, m, n, cleared=()):
     core = [col for col in map(reduce, aside) if col]
     live_rows = sorted({i for col in core for i in col})
     tail, _, _ = _snf_dense([[col.get(i, 0) for col in core] for i in live_rows], False)
-    diag = [1] * len(pivots) + [abs(d) for d in tail if d]
+    diag = [1] * len(pivots) + tail
     return len(diag), diag, pivots.keys()
 
 
@@ -363,23 +327,12 @@ def smith_normal_form(matrix, compute_transforms: bool = False) -> SNFResult:
     ``compute_transforms`` the dense algorithm runs and the result carries
     unimodular U (rows) and V (columns) with U * M * V diagonal.
     """
-    if isinstance(matrix, SparseIntMatrix):
-        sparse = matrix
-    else:
-        sparse = SparseIntMatrix.from_dense(matrix)
+    sparse = matrix if isinstance(matrix, SparseIntMatrix) else SparseIntMatrix.from_dense(matrix)
     m, n = sparse.shape
-
     if compute_transforms:
         diag, U, V = _snf_dense(sparse.dense(), True)
-        diag = [abs(d) for d in diag if d]
-        return SNFResult(
-            tuple(diag),
-            len(diag),
-            (m, n),
-            tuple(tuple(r) for r in U),
-            tuple(tuple(r) for r in V),
-        )
-
+        U, V = (tuple(map(tuple, X)) for X in (U, V))
+        return SNFResult(tuple(diag), len(diag), (m, n), U, V)
     rank, diag, _ = _snf_sparse(sparse.entries, m, n)
     return SNFResult(tuple(diag), rank, (m, n))
 

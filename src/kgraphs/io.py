@@ -21,6 +21,7 @@ is not JSON or nests too deeply to parse; `loads` raises nothing else.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -78,6 +79,8 @@ def loads(text: str):
 def _load_category(doc) -> FiniteKGraph:
     rank = doc.get("rank")
     _expect(type(rank) is int and rank >= 0, '"rank" must be a non-negative integer')
+    if rank > sys.maxsize:  # no degree tuple is that long
+        raise ParseError(f'"rank" {rank} is too large')
     vertices = _str_list(doc, "vertices")
     vset = set(vertices)
     _expect(len(vset) == len(vertices), "duplicate vertex ids")

@@ -124,15 +124,8 @@ class _UnionFind:
 
 
 def _freeze(graph, uf, mode, pairs) -> MorphismRelation:
-    groups: dict[str, list[str]] = {}
-    for m in graph.morphism_ids():
-        groups.setdefault(uf.find(m), []).append(m)
-    rep = {}
-    for ms in groups.values():
-        least = min(ms)
-        for m in ms:
-            rep[m] = least
-    return MorphismRelation(graph, rep, mode, pairs)
+    # union keeps each class's least id as its root
+    return MorphismRelation(graph, {m: uf.find(m) for m in graph.morphism_ids()}, mode, pairs)
 
 
 def relation_from_pairs(graph: FiniteKGraph, pairs, mode: str = "generated") -> MorphismRelation:
@@ -180,7 +173,7 @@ def _saturate(graph: FiniteKGraph, uf: _UnionFind) -> None:
     while changed:
         changed = False
         products: dict[tuple[str, str], str] = {}
-        for a, b, ab in graph._composites(include_identities=True):
+        for a, b, ab in graph._composites():
             key = (uf.find(a), uf.find(b))
             old = products.get(key)
             if old is None:

@@ -351,6 +351,9 @@ def documents(tmp_path, capsys):
             {"kind": "relation", "mode": "explicit",
              "classes": [["0", "(0,{0,1})"], ["0", "{0,1}"]]}
         ),
+        "huge-rank": json.dumps(
+            {"kind": "category", "rank": 2**64, "vertices": ["v"], "morphisms": [], "compose": []}
+        ),
     }
     for name, argv in (
         ("simplex", ("build", "simplex", "--k", "1")),
@@ -423,6 +426,7 @@ HUGE = "99999999999999999999"
         (("build", "simplex", "--k", HUGE), 1),
         (("build", "sphere", "--k", HUGE), 1),
         (("build", "wedge", "--k", HUGE, "--n", "2"), 1),
+        (("validate", "huge-rank"), 1),
     ],
 )
 def test_every_verb_fails_without_a_traceback(capsys, documents, argv, code):

@@ -35,7 +35,7 @@ from kgraphs.errors import (
 )
 from kgraphs.io import loads
 from kgraphs.export import export_json
-from kgraphs.homology import ChainComplex, SparseIntMatrix, chain_complex
+from kgraphs.homology import ChainComplex, SparseIntMatrix, chain_complex, smith_normal_form
 from kgraphs.quotient import glue_on_common, quotient, relation_from_pairs
 from kgraphs.simplex import (
     basis_point,
@@ -314,6 +314,14 @@ def _glue_across_a_square():
         (lambda: ChainComplex([["p"], ["e"], ["s"]], [SparseIntMatrix((0, 1))]
                               + [SparseIntMatrix.from_dense([[1]])] * 2),
          "boundary 1 composed with boundary 2 is not zero"),
+        (lambda: SparseIntMatrix((2, 2), {(5, 5): 1}), "entry (5, 5) lies outside shape (2, 2)"),
+        (lambda: SparseIntMatrix((-1, 2)), "shape (-1, 2) has a negative side"),
+        (lambda: smith_normal_form([[1.5, 2]]), "matrix shapes and entries must be integers, not 1.5"),
+        (lambda: SparseIntMatrix((2, 2), {(0, 0): "x"}),
+         "matrix shapes and entries must be integers, not 'x'"),
+        # refused before any degree is built: only ranks past sys.maxsize
+        (lambda: FiniteKGraph(2**63, ["v"], {}, {}), "rank = 9223372036854775808 is too large"),
+        (lambda: FiniteKGraph(2**64, ["v"], {}, {}), "rank = 18446744073709551616 is too large"),
     ],
 )
 def test_bad_arguments_raise_a_kgraph_error_that_is_a_value_error(call, message):

@@ -1,6 +1,8 @@
 """Smith normal form against sympy, boundary soundness, homology checks."""
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 import sympy
@@ -101,6 +103,47 @@ def test_snf_transforms_are_unimodular(seed):
         for j in range(n):
             expect = res.diagonal[i] if i == j and i < len(res.diagonal) else 0
             assert D[i, j] == expect
+    assert abs(U.det()) == 1 and abs(V.det()) == 1
+
+
+class Overrun(Exception):
+    pass
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the block with Overrun if it runs past `seconds` (so a hang fails)."""
+    def overrun(*_):
+        raise Overrun(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_dense_random_matrices_reduce_fast_and_exactly(seed):
+    # Up to 25x25 with every entry drawn: the sweep finds few units, so the
+    # dense core gets up to 23 columns of 9-17-bit entries.  A reduction whose
+    # entries blow up runs for minutes on a third of these.
+    rng = random.Random(seed)
+    m, n = rng.randint(1, 25), rng.randint(1, 25)
+    rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+    with time_limit(3):
+        swept = smith_normal_form(SparseIntMatrix.from_dense(rows))
+    with time_limit(3):
+        res = smith_normal_form(SparseIntMatrix.from_dense(rows), compute_transforms=True)
+    want = sympy_diagonal(rows)
+    assert list(swept.diagonal) == want and list(res.diagonal) == want
+    U, V = sympy.Matrix(res.U), sympy.Matrix(res.V)
+    D = sympy.zeros(m, n)
+    for i, d in enumerate(res.diagonal):
+        D[i, i] = d
+    assert U * sympy.Matrix(rows) * V == D
     assert abs(U.det()) == 1 and abs(V.det()) == 1
 
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgraphs import (
@@ -204,15 +204,27 @@ def mutate(data, doc) -> None:
             target.append(value)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_loads_raises_nothing_but_parse_error(data):
+@st.composite
+def loadable_texts(draw):
+    """Any short text or JSON value, or a valid document mutated."""
+    data = draw(st.data())
     if data.draw(st.booleans()):
-        text = data.draw(st.one_of(st.text(max_size=20), JSON_VALUES.map(json.dumps)))
-    else:
-        doc = copy.deepcopy(data.draw(st.sampled_from(VALID_DOCS)))
-        mutate(data, doc)
-        text = json.dumps(doc)
+        return data.draw(st.one_of(st.text(max_size=20), JSON_VALUES.map(json.dumps)))
+    doc = copy.deepcopy(data.draw(st.sampled_from(VALID_DOCS)))
+    mutate(data, doc)
+    return json.dumps(doc)
+
+
+def huge_rank_category(rank):
+    return json.dumps({"kind": "category", "rank": rank, "vertices": ["v"], "morphisms": [], "compose": []})
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=loadable_texts())
+# ranks no degree tuple can hold; smaller huge ranks would try to allocate one
+@example(text=huge_rank_category(2**63))
+@example(text=huge_rank_category(2**64))
+def test_loads_raises_nothing_but_parse_error(text):
     try:
         loads(text)
     except ParseError:

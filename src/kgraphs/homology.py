@@ -42,16 +42,24 @@ def _integer(x) -> int:
     raise BadArgument(f"matrix shapes and entries must be integers, not {x!r}")
 
 
+def _integer_pair(x, what: str) -> tuple[int, int]:
+    try:
+        i, j = x
+    except (TypeError, ValueError):
+        raise BadArgument(f"{what} {x!r} is not a pair of integers") from None
+    return _integer(i), _integer(j)
+
+
 class SparseIntMatrix:
     """A sparse integer matrix: shape plus a {(row, col): value} map."""
 
     def __init__(self, shape, entries=None):
-        self.shape = (_integer(shape[0]), _integer(shape[1]))
+        self.shape = _integer_pair(shape, "shape")
         if min(self.shape) < 0:
             raise BadArgument(f"shape {self.shape} has a negative side")
         self.entries: dict[tuple[int, int], int] = {}
-        for (i, j), v in dict(entries or {}).items():
-            i, j, v = _integer(i), _integer(j), _integer(v)
+        for key, v in dict(entries or {}).items():
+            (i, j), v = _integer_pair(key, "entry"), _integer(v)
             if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
                 raise BadArgument(f"entry ({i}, {j}) lies outside shape {self.shape}")
             if v:
@@ -59,7 +67,10 @@ class SparseIntMatrix:
 
     @classmethod
     def from_dense(cls, rows):
-        rows = [list(r) for r in rows]
+        try:
+            rows = [list(r) for r in rows]
+        except TypeError:
+            raise BadArgument("a dense matrix must be a sequence of rows") from None
         n = len(rows[0]) if rows else 0
         if any(len(row) != n for row in rows):
             raise BadArgument("ragged matrix")
@@ -209,8 +220,9 @@ def chain_complex(model) -> ChainComplex:
 # Smith normal form
 
 
-def _snf_dense(rows, want_transforms):
-    """Smith normal form of a dense list-of-lists: (positive diag, U, V).
+def _snf_dense(rows, want_transforms, n=0):
+    """Smith normal form of a dense list-of-lists, n columns wide if it has
+    no rows: (positive diag, U, V).
 
     Each round moves the least nonzero entry of the block left to (t, t) and
     clears column t by row and row t by column operations, with floor
@@ -220,7 +232,7 @@ def _snf_dense(rows, want_transforms):
     take the same row and column operations as A.
     """
     A = [list(map(int, r)) for r in rows]
-    m, n = len(A), len(A[0]) if A else 0
+    m, n = len(A), len(A[0]) if A else n
     U = [[int(i == j) for j in range(m)] for i in range(m)] if want_transforms else None
     V = [[int(i == j) for j in range(n)] for i in range(n)] if want_transforms else None
     by_rows, by_cols = ((A, U), (A, V)) if want_transforms else ((A,), (A,))
@@ -330,7 +342,7 @@ def smith_normal_form(matrix, compute_transforms: bool = False) -> SNFResult:
     sparse = matrix if isinstance(matrix, SparseIntMatrix) else SparseIntMatrix.from_dense(matrix)
     m, n = sparse.shape
     if compute_transforms:
-        diag, U, V = _snf_dense(sparse.dense(), True)
+        diag, U, V = _snf_dense(sparse.dense(), True, n)
         U, V = (tuple(map(tuple, X)) for X in (U, V))
         return SNFResult(tuple(diag), len(diag), (m, n), U, V)
     rank, diag, _ = _snf_sparse(sparse.entries, m, n)

@@ -232,13 +232,12 @@ def bind_relation(rdoc: RelationDoc, graph: FiniteKGraph) -> MorphismRelation:
         for cls in rdoc.classes or ():
             pairs.extend((cls[0], m) for m in cls[1:])
         return relation_from_pairs(graph, pairs, "generated")
-    if rdoc.pairs:
-        # explicit mode takes the partition literally; extra pairs just merge
-        class_pairs = [
-            (cls[0], m) for cls in rdoc.classes or () for m in cls[1:]
-        ]
-        return relation_from_pairs(graph, class_pairs + list(rdoc.pairs), "explicit")
-    return relation_from_classes(graph, rdoc.classes or ())
+    # explicit mode takes the partition literally; extra pairs just merge
+    rel = relation_from_classes(graph, rdoc.classes or ())
+    if not rdoc.pairs:
+        return rel
+    class_pairs = [(cls[0], m) for cls in rdoc.classes or () for m in cls[1:]]
+    return relation_from_pairs(graph, class_pairs + list(rdoc.pairs), "explicit")
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,11 @@ Under these the quotient category inherits degree, endpoints and
 composition and is again a k-graph.  check_congruence reports the first
 failing condition with a witness that can be replayed against the graph;
 quotient refuses (NotACongruence) unless all four hold.
+
+Generated relations are closed by re-running the check's comp and factor
+scan (_forced): merge every pair it finds unrelated, comparing members of
+one degree split by split, and scan again until it finds none.  A merged
+class that a model cannot factorise raises InvalidModel, as in the check.
 """
 
 from __future__ import annotations
@@ -168,48 +173,69 @@ def relation_from_classes(graph: FiniteKGraph, classes) -> MorphismRelation:
 
 
 def _saturate(graph: FiniteKGraph, uf: _UnionFind) -> None:
-    """Close under the equalities forced by the comp and factor conditions."""
-    changed = True
-    while changed:
-        changed = False
-        products: dict[tuple[str, str], str] = {}
-        for a, b, ab in graph._composites():
-            key = (uf.find(a), uf.find(b))
-            old = products.get(key)
-            if old is None:
-                products[key] = ab
-            elif uf.union(old, ab):
-                changed = True
+    """Close under the equalities forced by the comp and factor conditions:
+    merge what one scan finds unrelated, and scan again until it finds
+    nothing.  Only members of one degree are compared split by split."""
+    ids, mor = graph._ids, graph._mor
+    while True:
+        rep = {m: uf.find(m) for m in ids}
+        groups: dict[tuple, list[str]] = {}
+        for m in ids:
+            groups.setdefault((rep[m], mor[m].d), []).append(m)
+        classes = [ms for ms in groups.values() if len(ms) > 1]
+        merged = False
+        for x, y, *_ in _forced(graph, rep, classes):
+            merged = uf.union(x, y) or merged
+        if not merged:
+            return
 
-        groups: dict[str, list[str]] = {}
-        for m in graph.morphism_ids():
-            groups.setdefault(uf.find(m), []).append(m)
-        for ms in groups.values():
-            if len(ms) < 2:
-                continue
-            by_degree: dict[tuple, list[str]] = {}
-            for m in ms:
-                by_degree.setdefault(graph.d(m), []).append(m)
-            for d, same_deg in by_degree.items():
-                if len(same_deg) < 2:
-                    continue
-                m0 = same_deg[0]
-                rest = [(m, graph._mor[m]) for m in same_deg[1:]]
-                for p in _splits(d):
-                    try:
-                        h0, t0 = graph.factorise(m0, p)
-                    except InvalidModel:
-                        continue
-                    # factorise has checked p against m0, whose degree m shares
-                    for m, rec in rest:
-                        try:
-                            h, t = graph._split(m, rec, p)
-                        except InvalidModel:
-                            continue
-                        if uf.union(h0, h):
-                            changed = True
-                        if uf.union(t0, t):
-                            changed = True
+
+def _forced(g: FiniteKGraph, rep: dict[str, str], classes):
+    """The pairs the comp and factor conditions force together that rep
+    does not relate, or that name an id rep does not know, as
+    (x, y, witness, part, split) with split None for a pair of composites.
+
+    classes are the classes compared split by split, each of one degree
+    with its least member first.  Composites come first, grouped by the
+    class pair of their factors in table order; then each class split by
+    split, heads before tails.  A table entry or a factorisation that is
+    not there raises what compose or factorise raises, when it is reached.
+    """
+    mor = g._mor
+    # An implicit identity pair shares its class pair only with identity
+    # pairs, whose composites are then related, unless a class holds a
+    # vertex and a non-identity: only then are those pairs walked too.
+    entries = g._compose.items()
+    vertex_classes = {rep[v] for v in g._vertices}
+    if any(rep[m] in vertex_classes for m in g._nonid):
+        entries = (((a, b), ab) for a, b, ab in g._composites())
+    first: dict[tuple[str, str], tuple[str, str, str]] = {}
+    for (a, b), ab in entries:
+        ra, rb = mor.get(a), mor.get(b)
+        if ra is None or rb is None or ra.s != rb.r:
+            g.compose(a, b)  # raises what composing the entry raises
+        key = (rep[a], rep[b])
+        old = first.get(key)
+        if old is None:
+            first[key] = (a, b, ab)
+        elif rep.get(old[2], 0) != rep.get(ab, 1):
+            yield old[2], ab, (old[0], a, old[1], b), "composites", None
+
+    for cls in classes:
+        m0 = cls[0]
+        rec0 = mor[m0]
+        if len(rec0.d) != g.rank and min(rec0.d, default=0) >= 0:
+            g.factorise(m0, (0,) * len(rec0.d))  # raises BadSplit, as at the first split
+        # members share d, so each split lies between 0 and their degree
+        rest = [(m, mor[m]) for m in cls[1:]]
+        for p in _splits(rec0.d):
+            h0, t0 = g._split(m0, rec0, p)
+            for m, rec in rest:
+                h, t = g._split(m, rec, p)
+                if rep.get(h0, 0) != rep.get(h, 1):
+                    yield h0, h, (m0, m), "heads", p
+                if rep.get(t0, 0) != rep.get(t, 1):
+                    yield t0, t, (m0, m), "tails", p
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +247,6 @@ def check_congruence(rel: MorphismRelation) -> CongruenceVerdict:
     failure.  The verdict's witness names morphisms that replay it."""
     g = rel.graph
     mor, rep = g._mor, rel._rep
-    # rep.get(x, 0) != rep.get(y, 1) holds when x and y are unrelated or
-    # either is unknown; rel.same then answers, or raises ForeignId.
     classes = sorted(ms for ms in rel._members.values() if len(ms) > 1)  # by representative
 
     for cls in classes:
@@ -236,72 +260,35 @@ def check_congruence(rel: MorphismRelation) -> CongruenceVerdict:
                     f"related morphisms have degrees {d0} and {mor[m].d}",
                 )
 
-    # Only the stored table can fail "comp": once "d" holds, vertex classes
-    # hold only vertices, so an implicit identity pair shares its class
-    # pair only with identity pairs, whose composites are then related.
-    first: dict[tuple[str, str], tuple[str, str, str]] = {}
-    for (a, b), ab in g._compose.items():
-        ra, rb = mor.get(a), mor.get(b)
-        if ra is None or rb is None or ra.s != rb.r:
-            g.compose(a, b)  # raises what composing the entry raises
-        key = (rep[a], rep[b])
-        old = first.get(key)
-        if old is None:
-            first[key] = (a, b, ab)
-        elif rep.get(old[2], 0) != rep.get(ab, 1) and not rel.same(old[2], ab):
-            return CongruenceVerdict(
-                False,
-                "comp",
-                (old[0], a, old[1], b),
-                f"composites {old[2]!r} and {ab!r} are unrelated",
-            )
-
-    for cls in classes:
-        m0 = cls[0]
-        rec0 = mor[m0]
-        if len(rec0.d) != g.rank and min(rec0.d, default=0) >= 0:
-            g.factorise(m0, (0,) * len(rec0.d))  # raises BadSplit, as at the first split
-        # members share d ("d"), so each split lies between 0 and their degree
-        rest = [(m, mor[m]) for m in cls[1:]]
-        for p in _splits(rec0.d):
-            h0, t0 = g._split(m0, rec0, p)
-            for m, rec in rest:
-                h, t = g._split(m, rec, p)
-                if rep.get(h0, 0) != rep.get(h, 1) and not rel.same(h0, h):
-                    return CongruenceVerdict(
-                        False,
-                        "factor",
-                        (m0, m),
-                        f"heads {h0!r} and {h!r} at split {p} are unrelated",
-                    )
-                if rep.get(t0, 0) != rep.get(t, 1) and not rel.same(t0, t):
-                    return CongruenceVerdict(
-                        False,
-                        "factor",
-                        (m0, m),
-                        f"tails {t0!r} and {t!r} at split {p} are unrelated",
-                    )
+    for x, y, witness, part, p in _forced(g, rep, classes):
+        rel.same(x, y)  # raises ForeignId for an unknown id; False otherwise
+        condition, at = ("comp", "") if p is None else ("factor", f" at split {p}")
+        detail = f"{part} {x!r} and {y!r}{at} are unrelated"
+        return CongruenceVerdict(False, condition, witness, detail)
 
     # lift: group morphism classes by the vertex classes of their sources
     # and ranges; each (A, B) meeting through a vertex class must contain
     # an actually composable pair.  A holding a source in every vertex of
-    # the class meets every such B.
-    sources: dict[str, set[str]] = {}
-    ranges: dict[str, set[str]] = {}
+    # the class meets every such B, so one-vertex classes need no bucket.
+    members = rel._members
+    merged = {rep[cls[0]] for cls in classes}
     left: dict[str, dict[str, str]] = {}   # vertex class -> {morphism class: exemplar}
     right: dict[str, dict[str, str]] = {}
     for m in g._ids:
         rec = mor[m]
-        cm = rep[m]
-        sources.setdefault(cm, set()).add(rec.s)
-        ranges.setdefault(cm, set()).add(rec.r)
-        left.setdefault(rep.get(rec.s) or rel.rep(rec.s), {}).setdefault(cm, m)
-        right.setdefault(rep.get(rec.r) or rel.rep(rec.r), {}).setdefault(cm, m)
+        ws = rep.get(rec.s) or rel.rep(rec.s)
+        wr = rep.get(rec.r) or rel.rep(rec.r)
+        if ws in merged:
+            left.setdefault(ws, {}).setdefault(rep[m], m)
+        if wr in merged:
+            right.setdefault(wr, {}).setdefault(rep[m], m)
+    sources = {c: {mor[x].s for x in members[c]} for b in left.values() for c in b}
+    ranges = {c: {mor[x].r for x in members[c]} for b in right.values() for c in b}
     for w, lbucket in left.items():
         rbucket = right.get(w)
         if not rbucket:
             continue
-        vclass = rel._members[w]
+        vclass = members[w]
         for ca, alpha in lbucket.items():
             src = sources[ca]
             if len(src) >= len(vclass) and src.issuperset(vclass):

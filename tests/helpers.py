@@ -396,6 +396,69 @@ def reference_check_congruence(rel):
     return CongruenceVerdict(True)
 
 
+def reference_saturate(graph: FiniteKGraph, uf) -> None:
+    """Reference copy of `quotient._saturate` as it was when it walked every
+    composable pair, identities included, and factorised each merged class
+    itself, skipping the splits it could not factorise: verbatim.  Oracle
+    for the classes of generated relations on valid models."""
+    from kgraphs.core import _splits
+    from kgraphs.errors import InvalidModel
+
+    changed = True
+    while changed:
+        changed = False
+        products: dict[tuple[str, str], str] = {}
+        for a, b, ab in graph._composites():
+            key = (uf.find(a), uf.find(b))
+            old = products.get(key)
+            if old is None:
+                products[key] = ab
+            elif uf.union(old, ab):
+                changed = True
+
+        groups: dict[str, list[str]] = {}
+        for m in graph.morphism_ids():
+            groups.setdefault(uf.find(m), []).append(m)
+        for ms in groups.values():
+            if len(ms) < 2:
+                continue
+            by_degree: dict[tuple, list[str]] = {}
+            for m in ms:
+                by_degree.setdefault(graph.d(m), []).append(m)
+            for d, same_deg in by_degree.items():
+                if len(same_deg) < 2:
+                    continue
+                m0 = same_deg[0]
+                rest = [(m, graph._mor[m]) for m in same_deg[1:]]
+                for p in _splits(d):
+                    try:
+                        h0, t0 = graph.factorise(m0, p)
+                    except InvalidModel:
+                        continue
+                    # factorise has checked p against m0, whose degree m shares
+                    for m, rec in rest:
+                        try:
+                            h, t = graph._split(m, rec, p)
+                        except InvalidModel:
+                            continue
+                        if uf.union(h0, h):
+                            changed = True
+                        if uf.union(t0, t):
+                            changed = True
+
+
+def reference_generated_classes(graph: FiniteKGraph, pairs):
+    """The classes of relation_from_pairs(graph, pairs), closed by
+    reference_saturate."""
+    from kgraphs.quotient import _freeze, _UnionFind
+
+    uf = _UnionFind(graph.morphism_ids())
+    for a, b in pairs:
+        uf.union(a, b)
+    reference_saturate(graph, uf)
+    return _freeze(graph, uf, "generated", pairs).classes()
+
+
 def mutated_category(g: FiniteKGraph, pick, faults: int) -> FiniteKGraph:
     """A copy of g built through the public constructor with `faults` faults,
     each chosen by pick (which returns one item of a non-empty sequence): drop a

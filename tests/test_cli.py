@@ -351,6 +351,10 @@ def documents(tmp_path, capsys):
             {"kind": "relation", "mode": "explicit",
              "classes": [["0", "(0,{0,1})"], ["0", "{0,1}"]]}
         ),
+        "overlapping-relation-with-pairs": json.dumps(
+            {"kind": "relation", "mode": "explicit",
+             "classes": [["{0,1}", "{1,0}"], ["{1,0}", "0"]], "pairs": [["0", "{0,1}"]]}
+        ),
         "huge-rank": json.dumps(
             {"kind": "category", "rank": 2**64, "vertices": ["v"], "morphisms": [], "compose": []}
         ),
@@ -420,6 +424,7 @@ HUGE = "99999999999999999999"
         (("connected-sum", "torus", "garbage"), 1),
         (("connected-sum", "torus", "simplex"), 1),
         (("quotient", "simplex", "--relation", "overlapping-relation"), 1),
+        (("quotient", "simplex", "--relation", "overlapping-relation-with-pairs"), 1),
         # far past anything listable, so refused before any allocation
         (("placings", "--k", HUGE), 1),
         (("placings", "--count", "--k", HUGE), 1),

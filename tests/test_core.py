@@ -322,6 +322,12 @@ def _glue_across_a_square():
         # refused before any degree is built: only ranks past sys.maxsize
         (lambda: FiniteKGraph(2**63, ["v"], {}, {}), "rank = 9223372036854775808 is too large"),
         (lambda: FiniteKGraph(2**64, ["v"], {}, {}), "rank = 18446744073709551616 is too large"),
+        (lambda: SparseIntMatrix((2,)), "shape (2,) is not a pair of integers"),
+        (lambda: SparseIntMatrix((2, 2), {(0,): 1}), "entry (0,) is not a pair of integers"),
+        (lambda: SparseIntMatrix((2, 2), {(0, 0, 0): 1}),
+         "entry (0, 0, 0) is not a pair of integers"),
+        (lambda: smith_normal_form(5), "a dense matrix must be a sequence of rows"),
+        (lambda: smith_normal_form([1, 2]), "a dense matrix must be a sequence of rows"),
     ],
 )
 def test_bad_arguments_raise_a_kgraph_error_that_is_a_value_error(call, message):

@@ -69,6 +69,13 @@ def test_snf_zero_and_empty():
     assert zero.diagonal == () and zero.rank == 0
 
 
+@pytest.mark.parametrize("m, n", [(0, 3), (3, 0), (0, 0)])
+def test_snf_transforms_of_an_empty_matrix_are_identities(m, n):
+    res = smith_normal_form(SparseIntMatrix((m, n)), compute_transforms=True)
+    identity = lambda size: tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+    assert res.diagonal == () and res.U == identity(m) and res.V == identity(n)
+
+
 def test_snf_classic_torsion():
     # boundary of the projective-plane style relation: diag ends in a 2
     check_matrix([[1, 1], [1, -1]])

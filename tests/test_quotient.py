@@ -44,6 +44,7 @@ from helpers import (
     random_grid_category,
     random_path_category,
     reference_check_congruence,
+    reference_generated_classes,
 )
 
 
@@ -428,3 +429,73 @@ def test_product_of_two_broken_tables_reports_the_first_pair_met():
     assert outcome(cartesian_product, unknown, broken_later) == NOT_COMPOSABLE
     empty = FiniteKGraph(rank=0, vertices=(), morphisms={}, compose={})
     assert len(cartesian_product(broken_first, empty)) == 0
+
+
+# -- saturation against the reference ----------------------------------------
+
+
+SATURATED = {
+    "sphere1": build_sphere(1),
+    "sphere2": build_sphere(2),
+    **{f"prod{k}": cartesian_product(two_points(), build_simplex(k)) for k in range(4)},
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    which=st.sampled_from(sorted(SATURATED) + ["path", "grid"]),
+    seed=st.integers(0, 10_000),
+    picks=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.integers(0, 10**6),
+            st.sampled_from(["any", "same degree", "vertex and edge"]),
+        ),
+        max_size=4,
+    ),
+)
+def test_generated_classes_match_the_reference_saturation(which, seed, picks):
+    if which in ("path", "grid"):
+        make = random_path_category if which == "path" else random_grid_category
+        g = make(random.Random(seed), max_morphisms=30)
+    else:
+        g = SATURATED[which]
+    ids = g.morphism_ids()
+    edges = [m for m in ids if sum(g.d(m)) == 1]
+    pairs = []
+    for a, b, kind in picks:
+        if kind == "vertex and edge" and edges:
+            m, pool = g.vertices[a % len(g.vertices)], edges
+        else:
+            m = ids[a % len(ids)]
+            pool = g.by_degree(g.d(m)) if kind == "same degree" else ids
+        pairs.append((m, pool[b % len(pool)]))
+    assert relation_from_pairs(g, pairs).classes() == reference_generated_classes(g, pairs)
+
+
+@pytest.mark.parametrize(
+    "cell, k",
+    # the boundary of the 1-simplex has no edge
+    [("boundary edge", 2), ("boundary edge", 3), ("top cell", 1), ("top cell", 2), ("top cell", 3)],
+)
+def test_cascades_match_the_reference_saturation(cell, k):
+    # one pair of copies of a cell drags its faces, and what they bound, along
+    prod = SATURATED[f"prod{k}"]
+    simplex = build_simplex(k)
+    if cell == "top cell":
+        m = max(simplex.nonidentity_ids(), key=lambda m: (sum(simplex.d(m)), m))
+        pairs = [(f"(0,{m})", f"(1,{m})")]
+    else:
+        pairs = [next(p for p in _sphere_pairs(k) if sum(prod.d(p[0])) == 1)]
+    rel = relation_from_pairs(prod, pairs)
+    assert rel.classes() == reference_generated_classes(prod, pairs)
+    assert len(rel.nontrivial_classes()) > 1
+
+
+def test_generated_mode_raises_where_a_merged_class_cannot_be_factorised():
+    # a0 and a1 have degree 2 and no recorded factorisation at split 1:
+    # saturation raises what check_congruence raises there instead of skipping it
+    g = parallel_pairs(((2,), "v1", "v0"))
+    expected = outcome(check_congruence, relation_from_classes(g, [["a0", "a1"]]))
+    assert expected == (InvalidModel, "no factorisation of 'a0' at split (1,) is recorded")
+    assert outcome(relation_from_pairs, g, [("a0", "a1")]) == expected

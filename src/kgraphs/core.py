@@ -8,6 +8,16 @@ range / source record per id, and a composition table over the
 non-identity composable pairs.  Identities are synthesised, one per
 vertex, and share the vertex's id.
 
+Inside a graph the morphisms are numbered 0..N-1 in sorted-id order, and
+all is kept by number: degree, range and source as parallel lists, a
+vertex mask, the table {(a, b): ab}, the factorisation index and the
+morphisms by range and by source.  Names a broken model uses that are not
+ids are numbered from N on.  String ids appear only at the boundary:
+accessors, compose, factorise, compose_table, cube keys, errors and
+witnesses.  Builders format each id once and sort the ids once; a
+quotient names each class by its least member, so its ids are the
+parent's representatives in the parent's order.
+
 Composition is written functionally: ``compose(a, b)`` is "a after b" and
 is defined exactly when ``source(a) == range(b)``.
 
@@ -21,11 +31,11 @@ factorisation index, from which cube faces are read.  A validation that
 finds nothing leaves the index it built for the faces to read.
 
 `FiniteKGraph` has two constructors.  The public one checks shape
-(BadArgument) and normalises ids, degrees and identity records.  The
-private `_from_parts` trusts parts a caller has already checked: distinct
-vertex ids, one record per id (each vertex's identity among them, no other
-of degree zero) and no identity pair in the table.  Each caller says why
-its parts hold.
+(BadArgument), normalises ids, degrees and identity records and numbers
+them.  The private `_from_parts` trusts numbered parts a caller has
+already checked: distinct ids, one record per id (each vertex's identity
+among them, no other of degree zero) and no identity pair in the table.
+Each caller says why its parts hold.
 
 Both models are cube complexes with one view: `rank`, `_cubes()` (the
 unit cubes in basis order) and `_unit_faces(key)` (a cube's faces per
@@ -127,6 +137,47 @@ class Morphism:
     s: str
 
 
+class _Numbering(dict):
+    """The index of each name, numbered in first-seen order."""
+
+    def __missing__(self, name):
+        self[name] = i = len(self)
+        return i
+
+
+def _numbering(ids: list[str]):
+    """A builder's ids, sorted, as (ids, order, new, at): order[i] is the
+    builder's number of the i-th sorted id, new[j] the sorted number of its
+    j-th, and at numbers names, the ids first, then the unknown names a
+    broken part looks up, in first-seen order."""
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    new = [0] * len(ids)
+    for i, old in enumerate(order):
+        new[old] = i
+    ids = [ids[old] for old in order]
+    return ids, order, new, _Numbering(zip(ids, range(len(ids))))
+
+
+def _sorted_parts(rank, order, at, deg, r, s, isv, table) -> tuple:
+    """The parts of the graph on a builder's records, given in the builder's
+    order and numbered by at, and its table."""
+    isv = bytearray(isv[old] for old in order) + bytearray(len(at) - len(order))
+    d, r, s = ([x[old] for old in order] for x in (deg, r, s))
+    return rank, tuple(at), len(order), d, r, s, isv, table
+
+
+def _numbered(rank: int, vertices, mor: dict, table: dict) -> tuple:
+    """The parts of a graph on string parts a caller has checked: distinct
+    vertex ids, mor mapping each other id to (degree, range, source) with a
+    degree that is not zero, and no identity pair in the table."""
+    ids, order, new, at = _numbering([*vertices, *mor])
+    records = [((0,) * rank, v, v) for v in vertices] + list(mor.values())
+    table = {(at[a], at[b]): at[c] for (a, b), c in table.items()}
+    r, s = [at[x] for _, x, _ in records], [at[x] for _, _, x in records]
+    isv = [1] * len(vertices) + [0] * len(mor)
+    return _sorted_parts(rank, order, at, [d for d, _, _ in records], r, s, isv, table)
+
+
 class FiniteKGraph:
     """A finite k-graph candidate: explicit morphisms plus a composition table.
 
@@ -148,7 +199,10 @@ class FiniteKGraph:
     """
 
     def __init__(self, rank, vertices, morphisms, compose):
-        rank = int(rank)
+        try:
+            rank = int(rank)
+        except (TypeError, ValueError):
+            raise BadArgument(f"rank {rank!r} is not an integer") from None
         if rank < 0:
             raise BadArgument("rank must be >= 0")
         if rank > sys.maxsize:  # no degree tuple is that long
@@ -157,60 +211,68 @@ class FiniteKGraph:
         vset = set(vs)
         if len(vs) != len(vset):
             raise BadArgument("duplicate vertex id")
-        mor = {v: Morphism(zero_degree(rank), v, v) for v in vs}
-        for mid, rec in dict(morphisms).items():
+        try:
+            morphisms, compose = dict(morphisms), dict(compose)
+        except (TypeError, ValueError):
+            raise BadArgument("morphisms and compose must be mappings") from None
+        mor = {}
+        for mid, rec in morphisms.items():
             mid = str(mid)
-            if mid in mor:
+            if mid in mor or mid in vset:
                 raise BadArgument(f"duplicate morphism id {mid!r}")
-            if isinstance(rec, Morphism):
-                d, r, s = rec.d, rec.r, rec.s
-            else:
-                d, r, s = rec
-            d = tuple(int(x) for x in d)
+            try:
+                d, r, s = (rec.d, rec.r, rec.s) if isinstance(rec, Morphism) else rec
+                d = tuple(int(x) for x in d)
+            except (TypeError, ValueError):
+                raise BadArgument(f"record of {mid!r} is not (degree, range, source)") from None
             if len(d) == rank and not any(d):
-                raise BadArgument(
-                    f"{mid!r} has degree zero; degree-zero morphisms are identities"
-                )
-            mor[mid] = Morphism(d, str(r), str(s))
-
-        table: dict[tuple[str, str], str] = {}
-        for (a, b), c in dict(compose).items():
-            a, b, c = str(a), str(b), str(c)
+                raise BadArgument(f"{mid!r} has degree zero; degree-zero morphisms are identities")
+            mor[mid] = (d, str(r), str(s))
+        table = {}
+        for key, c in compose.items():
+            try:
+                a, b = map(str, key)
+            except (TypeError, ValueError):
+                raise BadArgument(f"compose key {key!r} is not a pair of ids") from None
             if a in vset or b in vset:
-                raise BadArgument(
-                    f"composition with an identity must stay implicit: ({a}, {b})"
-                )
-            table[(a, b)] = c
-        self._index(rank, vs, mor, table)
+                raise BadArgument(f"composition with an identity must stay implicit: ({a}, {b})")
+            table[(a, b)] = str(c)
+        self._index(*_numbered(rank, vs, mor, table))
 
     @classmethod
-    def _from_parts(cls, rank: int, vertices, mor: dict, table: dict) -> FiniteKGraph:
-        """A graph on parts its caller has already checked, taken as they are:
-        the shape that __init__ checks and normalises must already hold (see
-        the module notes).  The graph owns mor and table from now on."""
+    def _from_parts(cls, rank: int, names, n: int, deg, r, s, isv, table) -> FiniteKGraph:
+        """A graph on integer parts its caller has already checked, taken as
+        they are (see the module notes).  The graph owns them from now on."""
         g = cls.__new__(cls)
-        g._index(rank, vertices, mor, table)
+        g._index(rank, names, n, deg, r, s, isv, table)
         return g
 
-    def _index(self, rank, vertices, mor, table) -> None:
+    def _index(self, rank, names, n, deg, r, s, isv, table) -> None:
         self.rank = rank
-        self._vertices = tuple(sorted(vertices))
-        self._vset = vset = set(self._vertices)
-        self._mor: dict[str, Morphism] = mor
-        self._compose: dict[tuple[str, str], str] = table
-        self._ids = tuple(sorted(mor))
-        self._nonid = tuple(m for m in self._ids if m not in vset)
+        self._names = names  # the n ids, sorted, then unknown names a broken model uses
+        self._ids = names[:n]
+        self._at = {m: i for i, m in enumerate(names)}
+        self._r, self._s, self._isv = r, s, isv
+        self._table: dict[tuple[int, int], int] = table
+        self._vidx = [i for i in range(n) if isv[i]]
+        self._vertices = tuple(names[i] for i in self._vidx)
+        self._nonid = [i for i in range(n) if not isv[i]]
+        # each distinct degree's number, in id order: a factorisation of c at
+        # split p is keyed c * len(codes) + codes[p]
+        self._codes: dict[Degree, int] = {}
+        self._dc = [self._codes.setdefault(x, len(self._codes)) for x in deg]
+        self._d = list(map(list(self._codes).__getitem__, self._dc))  # one tuple per degree
 
-        self._with_range: dict[str, list[str]] = {v: [] for v in self._vertices}
-        self._with_source: dict[str, list[str]] = {v: [] for v in self._vertices}
-        for mid in self._ids:
-            rec = mor[mid]
-            if rec.r in vset:
-                self._with_range[rec.r].append(mid)
-            if rec.s in vset:
-                self._with_source[rec.s].append(mid)
+        self._with_range: dict[int, list[int]] = {v: [] for v in self._vidx}
+        self._with_source: dict[int, list[int]] = {v: [] for v in self._vidx}
+        for m in range(n):
+            if isv[r[m]]:
+                self._with_range[r[m]].append(m)
+            if isv[s[m]]:
+                self._with_source[s[m]].append(m)
 
         self._factor_index: dict | None = None
+        self._unit_steps: dict[int, list] = {}  # per degree code, for _unit_faces
         self._deg_range_index: dict | None = None
         self._violations: tuple[Violation, ...] | None = None
 
@@ -228,67 +290,67 @@ class FiniteKGraph:
         return self._ids
 
     def nonidentity_ids(self) -> tuple[str, ...]:
-        return self._nonid
+        return tuple(self._names[m] for m in self._nonid)
 
     def has(self, mid: str) -> bool:
-        return mid in self._mor
+        return self._at.get(mid, len(self._ids)) < len(self._ids)
 
-    def _rec(self, mid: str) -> Morphism:
-        try:
-            return self._mor[mid]
-        except KeyError:
-            raise UnknownId(f"no morphism with id {mid!r}") from None
+    def _num(self, mid: str) -> int:
+        i = self._at.get(mid, len(self._ids))
+        if i >= len(self._ids):
+            raise UnknownId(f"no morphism with id {mid!r}")
+        return i
+
+    def _vertex_num(self, v: str) -> int:
+        i = self._at.get(v)
+        if i is None or not self._isv[i]:
+            raise UnknownId(f"no vertex with id {v!r}")
+        return i
 
     def d(self, mid: str) -> Degree:
-        return self._rec(mid).d
+        return self._d[self._num(mid)]
 
     def r(self, mid: str) -> str:
-        return self._rec(mid).r
+        return self._names[self._r[self._num(mid)]]
 
     def s(self, mid: str) -> str:
-        return self._rec(mid).s
+        return self._names[self._s[self._num(mid)]]
 
     def is_identity(self, mid: str) -> bool:
-        self._rec(mid)
-        return mid in self._vset
+        return bool(self._isv[self._num(mid)])
 
     def is_vertex(self, mid: str) -> bool:
-        return mid in self._vset
+        i = self._at.get(mid)
+        return i is not None and bool(self._isv[i])
 
     def morphisms_with_range(self, v: str) -> tuple[str, ...]:
-        if v not in self._vset:
-            raise UnknownId(f"no vertex with id {v!r}")
-        return tuple(self._with_range[v])
+        return tuple(map(self._names.__getitem__, self._with_range[self._vertex_num(v)]))
 
     def morphisms_with_source(self, v: str) -> tuple[str, ...]:
-        if v not in self._vset:
-            raise UnknownId(f"no vertex with id {v!r}")
-        return tuple(self._with_source[v])
+        return tuple(map(self._names.__getitem__, self._with_source[self._vertex_num(v)]))
 
     def compose_table(self) -> dict[tuple[str, str], str]:
         """A copy of the stored (non-identity) composition table."""
-        return dict(self._compose)
+        names = self._names
+        return {(names[a], names[b]): names[c] for (a, b), c in self._table.items()}
 
     # -- composition and factorisation --------------------------------------
 
     def compose(self, a: str, b: str) -> str:
         """The composite "a after b"; defined when source(a) == range(b)."""
-        ra = self._rec(a)
-        rb = self._rec(b)
-        if ra.s != rb.r:
+        i, j = self._num(a), self._num(b)
+        if self._s[i] != self._r[j]:
             raise NotComposable(
-                f"source({a!r}) = {ra.s!r} differs from range({b!r}) = {rb.r!r}"
+                f"source({a!r}) = {self.s(a)!r} differs from range({b!r}) = {self.r(b)!r}"
             )
-        if a in self._vset:
+        if self._isv[i]:
             return b
-        if b in self._vset:
+        if self._isv[j]:
             return a
-        try:
-            return self._compose[(a, b)]
-        except KeyError:
-            raise InvalidModel(
-                f"no composite recorded for the composable pair ({a!r}, {b!r})"
-            ) from None
+        c = self._table.get((i, j))
+        if c is None:
+            raise InvalidModel(f"no composite recorded for the composable pair ({a!r}, {b!r})")
+        return self._names[c]
 
     def composable_pairs(self, include_identities: bool = False):
         """Iterate over composable pairs (a, b).
@@ -297,119 +359,140 @@ class FiniteKGraph:
         table's domain).  With identities included, the implicit pairs
         (id, b), (a, id) and (id, id) are generated as well.
         """
-        yield from self._compose
+        names = self._names
+        for a, b in self._table:
+            yield names[a], names[b]
         if include_identities:
-            for v in self._vertices:
-                yield (v, v)
-            for m in self._nonid:
-                rec = self._mor[m]
-                if rec.r in self._vset:
-                    yield (rec.r, m)
-                if rec.s in self._vset:
-                    yield (m, rec.s)
+            for a, b, _ in self._implicit_composites():
+                yield names[a], names[b]
+
+    def _implicit_composites(self):
+        """(a, b, ab) by number for the implicit pairs, in composable_pairs
+        order: (id, id), then (range(m), m) and (m, source(m))."""
+        r, s, isv = self._r, self._s, self._isv
+        for v in self._vidx:
+            yield v, v, v
+        for m in self._nonid:
+            if isv[r[m]]:
+                yield r[m], m, m
+            if isv[s[m]]:
+                yield m, s[m], m
 
     def _composites(self):
-        """(a, b, compose(a, b)) for each composable pair, identities
-        included, in composable_pairs order, read from the table and the
-        records.  A table entry that compose would reject raises compose's
-        error when it is reached."""
-        table, mor, vset = self._compose, self._mor, self._vset
-        for a, b in self.composable_pairs(include_identities=True):
-            if a in vset:
-                yield a, b, b
-            elif b in vset:
-                yield a, b, a
-            else:
-                ra, rb = mor.get(a), mor.get(b)
-                if ra is None or rb is None or ra.s != rb.r:
-                    self.compose(a, b)
-                yield a, b, table[(a, b)]
+        """(a, b, ab) by number for each composable pair, identities included,
+        in composable_pairs order.  A table entry that compose would reject
+        raises compose's error when it is reached."""
+        r, s, n = self._r, self._s, len(self._ids)
+        for (a, b), ab in self._table.items():
+            if a >= n or b >= n or s[a] != r[b]:
+                self.compose(self._names[a], self._names[b])
+            yield a, b, ab
+        yield from self._implicit_composites()
 
     def _factors(self) -> dict:
+        """The factorisation index: (a, b) by key c * len(codes) + codes[d(a)],
+        or _AMBIGUOUS where two entries share a key."""
         if self._factor_index is None:
-            index: dict[tuple[str, Degree], object] = {}
-            for (a, b), c in self._compose.items():
-                if a not in self._mor:
-                    continue
-                key = (c, self._mor[a].d)
-                old = index.get(key)
-                if old is None:
-                    index[key] = (a, b)
-                elif old != (a, b):
-                    index[key] = _AMBIGUOUS
+            index: dict[int, object] = {}
+            dc, nd, n = self._dc, len(self._codes), len(self._ids)
+            for ab, c in self._table.items():
+                if ab[0] < n:
+                    key = c * nd + dc[ab[0]]
+                    if index.setdefault(key, ab) is not ab:
+                        index[key] = _AMBIGUOUS
             self._factor_index = index
         return self._factor_index
 
     def factorise(self, mid: str, p) -> tuple[str, str]:
         """Split mid as head * tail with d(head) == p.  Unique on valid models."""
-        rec = self._rec(mid)
-        p = tuple(int(x) for x in p)
-        if len(p) != self.rank or any(x < 0 for x in p) or not deg_leq(p, rec.d):
-            raise BadSplit(f"split {p} is not between 0 and d({mid!r}) = {rec.d}")
-        return self._split(mid, rec, p)
+        m = self._num(mid)
+        try:
+            p = tuple(int(x) for x in p)
+        except (TypeError, ValueError):
+            raise BadArgument(f"split {p!r} is not a sequence of integers") from None
+        d = self._d[m]
+        if len(p) != self.rank or len(d) != len(p) or any(x < 0 for x in p) or not deg_leq(p, d):
+            raise BadSplit(f"split {p} is not between 0 and d({mid!r}) = {d}")
+        head, tail = self._split(m, p)
+        return self._names[head], self._names[tail]
 
-    def _split(self, mid: str, rec: Morphism, p: Degree) -> tuple[str, str]:
-        """factorise for a split p already known to lie between 0 and rec.d."""
+    def _split(self, m: int, p: Degree) -> tuple[int, int]:
+        """factorise by number, for a split p known to lie between 0 and d(m)."""
         if not any(p):
-            return (rec.r, mid)
-        if p == rec.d:
-            return (mid, rec.s)
-        hit = self._factors().get((mid, p))
+            return (self._r[m], m)
+        if p == self._d[m]:
+            return (m, self._s[m])
+        code = self._codes.get(p)
+        hit = None if code is None else self._factors().get(m * len(self._codes) + code)
         if hit is None:
-            raise InvalidModel(f"no factorisation of {mid!r} at split {p} is recorded")
+            raise InvalidModel(f"no factorisation of {self._names[m]!r} at split {p} is recorded")
         if hit is _AMBIGUOUS:
-            raise InvalidModel(f"factorisation of {mid!r} at split {p} is ambiguous")
+            raise InvalidModel(f"factorisation of {self._names[m]!r} at split {p} is ambiguous")
         return hit
 
     # -- the cube view (see Cube) --------------------------------------------
 
     def _cubes(self) -> list[Cube]:
         """The morphisms of degree <= (1,...,1), by dimension, degree, id."""
-        out = []
-        for m in self._ids:
-            d = self._mor[m].d
-            if len(d) == self.rank and not (d and max(d) > 1):
-                out.append(Cube(m, d))
-        out.sort(key=lambda c: (deg_total(c.degree), c.degree, c.key))
-        return out
+        rank, names, degrees = self.rank, self._names, list(self._codes)
+        cube_codes = sorted(
+            (sum(d), d, c) for d, c in self._codes.items()
+            if len(d) == rank and not (d and max(d) > 1)
+        )
+        by_code: dict[int, list[int]] = {c: [] for _, _, c in cube_codes}
+        for m, c in enumerate(self._dc):
+            if c in by_code:
+                by_code[c].append(m)
+        return [Cube(names[m], degrees[c]) for c, ms in by_code.items() for m in ms]
 
     def _unit_faces(self, key: str) -> dict:
         """Faces read from the factorisation index: in direction i, the
         tail after the unit step and the head before it.  Raises
         InvalidModel when a factorisation is missing or ambiguous."""
-        rec = self._rec(key)
-        d = rec.d
+        m, names = self._num(key), self._names
+        steps = self._unit_steps.get(self._dc[m])
+        if steps is None:
+            # (i, unit, rest, and the codes of the splits the index holds)
+            d, codes = self._d[m], self._codes
+            steps = self._unit_steps[self._dc[m]] = [
+                (i + 1, unit, rest, None if unit == d else codes.get(unit),
+                 codes.get(rest) if any(rest) else None)
+                for i, x in enumerate(d) if x == 1
+                for unit in [(0,) * i + (1,) + (0,) * (len(d) - i - 1)]
+                for rest in [d[:i] + (0,) + d[i + 1:]]
+            ]
+        index, at = self._factors(), m * len(self._codes)
         out = {}
-        for i, x in enumerate(d):
-            if x == 1:
-                unit = (0,) * i + (1,) + (0,) * (len(d) - i - 1)
-                rest = d[:i] + (0,) + d[i + 1:]
-                tail = self._split(key, rec, unit)[1]
-                out[i + 1] = (tail, self._split(key, rec, rest)[0], rest)
+        for i, unit, rest, cu, cr in steps:
+            tail = None if cu is None else index.get(at + cu)
+            head = None if cr is None else index.get(at + cr)
+            if type(tail) is not tuple or type(head) is not tuple:
+                tail, head = self._split(m, unit), self._split(m, rest)
+            out[i] = (names[tail[1]], names[head[0]], rest)
         return out
 
     # -- simple indexes ------------------------------------------------------
 
     def by_degree(self, n) -> tuple[str, ...]:
         n = tuple(int(x) for x in n)
-        return tuple(m for m in self._ids if self._mor[m].d == n)
+        return tuple(self._names[m] for m, d in enumerate(self._d) if d == n)
 
     def _by_degree_and_range(self) -> dict:
         if self._deg_range_index is None:
             index: dict[tuple[Degree, str], list[str]] = {}
-            for m in self._ids:
-                rec = self._mor[m]
-                index.setdefault((rec.d, rec.r), []).append(m)
+            names = self._names
+            for m, d in enumerate(self._d):
+                index.setdefault((d, names[self._r[m]]), []).append(names[m])
             self._deg_range_index = index
         return self._deg_range_index
 
     def __len__(self) -> int:
-        return len(self._mor)
+        return len(self._ids)
 
     def __repr__(self) -> str:
         return (
             f"FiniteKGraph(rank={self.rank}, |vertices|={len(self._vertices)}, "
-            f"|morphisms|={len(self._mor)})"
+            f"|morphisms|={len(self._ids)})"
         )
 
 
@@ -436,60 +519,63 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
     (factor-unique by its second pair), as a walk in sorted order would
     find them.  A clean graph keeps the factorisation index built here."""
     out: list[Violation] = []
-    mor, vset, rank = g._mor, g._vset, g.rank
-    bad_shape: set[str] = set()
-    bad_ends: set[str] = set()
-    for m in g._nonid:
-        rec = mor[m]
-        if len(rec.d) != rank or min(rec.d, default=0) < 0:
-            out.append(Violation("degree-shape", (m,), f"degree {rec.d} is not in N^{rank}"))
+    names, n, rank = g._names, len(g._ids), g.rank
+    deg, r, s, isv = g._d, g._r, g._s, g._isv
+    bad_shape: set[int] = set()
+    bad_ends: set[int] = set()
+    dc = g._dc
+    shapeless = {c for d, c in g._codes.items() if len(d) != rank or min(d, default=0) < 0}
+    for m in [m for m in g._nonid if dc[m] in shapeless or not (isv[r[m]] and isv[s[m]])]:
+        d = deg[m]
+        if dc[m] in shapeless:
+            out.append(Violation("degree-shape", (names[m],), f"degree {d} is not in N^{rank}"))
             bad_shape.add(m)
-        if rec.r not in vset or rec.s not in vset:
-            bad = [v for v in (rec.r, rec.s) if v not in vset]
-            out.append(Violation("endpoints", (m,), f"range/source {bad} are not vertices"))
+        if not (isv[r[m]] and isv[s[m]]):
+            bad = [names[v] for v in (r[m], s[m]) if not isv[v]]
+            out.append(Violation("endpoints", (names[m],), f"range/source {bad} are not vertices"))
             bad_ends.add(m)
 
     # after[a][b] = ab over the usable entries: known ids, a and b with
-    # vertex endpoints, composable.  index[(c, d(a))] = (a, b) over those
-    # with a and b of good shape; clashes holds every pair of a repeated key.
-    table = g._compose
+    # vertex endpoints, composable.  index[c * nd + code of d(a)] = (a, b)
+    # over those with a and b of good shape; clashes holds every pair of a
+    # repeated key.  plus[code of d(a) * nd + code of d(b)] is the code of
+    # d(a) + d(b), or -1 when no morphism has that degree.
+    table, codes, nd = g._table, g._codes, len(g._codes)
     domain: list[Violation] = []
     composite: list[Violation] = []
-    after: dict[str, dict[str, str]] = {}
-    index: dict[tuple[str, Degree], tuple[str, str]] = {}
-    clashes: dict[tuple[str, Degree], list[tuple[str, str]]] = {}
+    after: dict[int, dict[int, int]] = {}
+    index: dict[int, tuple[int, int]] = {}
+    clashes: dict[int, list[tuple[int, int]]] = {}
+    plus: dict[int, int] = {}
     for ab, c in table.items():
         a, b = ab
-        ra, rb, rc = mor.get(a), mor.get(b), mor.get(c)
-        if ra is None or rb is None or rc is None:
-            missing = [x for x in (a, b, c) if x not in mor]
-            domain.append(Violation("compose-domain", (a, b, c), f"unknown ids {missing} in table"))
+        if a >= n or b >= n or c >= n:
+            missing = [names[x] for x in (a, b, c) if x >= n]
+            witness = (names[a], names[b], names[c])
+            domain.append(Violation("compose-domain", witness, f"unknown ids {missing} in table"))
             continue
-        if a in bad_ends or b in bad_ends:
+        if bad_ends and (a in bad_ends or b in bad_ends):
             continue
-        if ra.s != rb.r:
-            domain.append(Violation(
-                "compose-domain",
-                ab,
-                f"table entry for a non-composable pair: source({a!r}) != range({b!r})",
-            ))
+        if s[a] != r[b]:
+            detail = (f"table entry for a non-composable pair: "
+                      f"source({names[a]!r}) != range({names[b]!r})")
+            domain.append(Violation("compose-domain", (names[a], names[b]), detail))
             continue
         after.setdefault(a, {})[b] = c
-        if (rc.r != ra.r or rc.s != rb.s) and c not in bad_ends:
-            composite.append(Violation(
-                "compose-endpoints",
-                (a, b, c),
-                "composite endpoints disagree with range(a) / source(b)",
-            ))
-        if a in bad_shape or b in bad_shape:
+        if (r[c] != r[a] or s[c] != s[b]) and c not in bad_ends:
+            detail = "composite endpoints disagree with range(a) / source(b)"
+            composite.append(Violation("compose-endpoints", (names[a], names[b], names[c]), detail))
+        if bad_shape and (a in bad_shape or b in bad_shape):
             continue
-        if c not in bad_shape and rc.d != tuple(map(add, ra.d, rb.d)):
-            composite.append(Violation(
-                "compose-degree",
-                (a, b, c),
-                f"d({c!r}) = {rc.d} differs from d(a)+d(b) = {deg_add(ra.d, rb.d)}",
-            ))
-        key = (c, ra.d)
+        da = dc[a]
+        total = plus.get(da * nd + dc[b])
+        if total is None:
+            total = plus[da * nd + dc[b]] = codes.get(tuple(map(add, deg[a], deg[b])), -1)
+        if dc[c] != total and c not in bad_shape:
+            want = deg_add(deg[a], deg[b])
+            detail = f"d({names[c]!r}) = {deg[c]} differs from d(a)+d(b) = {want}"
+            composite.append(Violation("compose-degree", (names[a], names[b], names[c]), detail))
+        key = c * nd + da
         old = index.setdefault(key, ab)
         if old != ab:
             clashes.setdefault(key, [old]).append(ab)
@@ -500,13 +586,13 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
         if a in bad_ends:
             continue
         # one of the followers is the identity of source(a)
-        followers = g._with_range[mor[a].s]
+        followers = g._with_range[s[a]]
         if len(after.get(a, ())) == len(followers) - 1:
             continue
         for b in followers:
-            if (a, b) not in table and b not in vset:
+            if (a, b) not in table and not isv[b]:
                 detail = "composable pair has no composite in the table"
-                out.append(Violation("compose-total", (a, b), detail))
+                out.append(Violation("compose-total", (names[a], names[b]), detail))
 
     # a stable sort keeps compose-endpoints before compose-degree per pair
     out += sorted(composite, key=by_witness)
@@ -521,30 +607,33 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
                 left, right = ab_row.get(c), a_row.get(bc)
                 # a missing composite is reported by compose-total
                 if left is not None and right is not None and left != right:
-                    assoc.append(
-                        Violation("assoc", (a, b, c), f"(a b) c = {left!r} but a (b c) = {right!r}")
-                    )
+                    detail = f"(a b) c = {names[left]!r} but a (b c) = {names[right]!r}"
+                    assoc.append(Violation("assoc", (names[a], names[b], names[c]), detail))
     out += sorted(assoc, key=by_witness)
 
     unique = []
-    for (c, p), pairs in clashes.items():
+    degrees = list(g._codes)
+    for key, pairs in clashes.items():
+        c, p = divmod(key, nd)
         pairs.sort()
         a0, b0 = pairs[0]
-        detail = f"two factorisations of {c!r} at split {p}"
-        unique += [Violation("factor-unique", (c, a0, b0, a, b), detail) for a, b in pairs[1:]]
+        detail = f"two factorisations of {names[c]!r} at split {degrees[p]}"
+        first = (names[c], names[a0], names[b0])
+        unique += [Violation("factor-unique", (*first, names[a], names[b]), detail)
+                   for a, b in pairs[1:]]
     out += sorted(unique, key=lambda v: v.witness[3:])
 
     inner: dict[Degree, list[Degree]] = {}  # the splits p of d with 0 < p < d
     for m in g._nonid:
         if m in bad_shape or m in bad_ends:
             continue
-        d = mor[m].d
+        d = deg[m]
         if d not in inner:
-            inner[d] = [p for p in _splits(d) if any(p) and p != d]
-        for p in inner[d]:
-            if (m, p) not in index:
-                detail = f"no factorisation of {m!r} at split {p}"
-                out.append(Violation("factor-exists", (m,), detail))
+            inner[d] = [(p, g._codes.get(p)) for p in _splits(d) if any(p) and p != d]
+        for p, code in inner[d]:
+            if code is None or m * nd + code not in index:
+                detail = f"no factorisation of {names[m]!r} at split {p}"
+                out.append(Violation("factor-exists", (names[m],), detail))
 
     if not out:
         g._factor_index = index
@@ -870,61 +959,67 @@ def vertex_predicate(g: FiniteKGraph, vertex_set, kind: str) -> VertexSetReport:
 # products, sums, subgraphs
 
 
-def _pair_id(a: str, b: str) -> str:
-    return f"({a},{b})"
-
-
 def cartesian_product(a: FiniteKGraph, b: FiniteKGraph) -> FiniteKGraph:
     """The product category with componentwise degree; rank adds."""
-    mor = {
-        _pair_id(m, n): Morphism(ra.d + rb.d, _pair_id(ra.r, rb.r), _pair_id(ra.s, rb.s))
-        for m, ra in a._mor.items()
-        for n, rb in b._mor.items()
-    }
-    av, bv = a._vset, b._vset
+    na, nb = len(a._ids), len(b._ids)
+    ids, order, new, at = _numbering([f"({x},{y})" for x in a._ids for y in b._ids])
+    if len(at) != len(ids):
+        raise BadArgument("duplicate morphism id: pair ids of the product collide")
+
+    def num(x, y):  # the product's number of the pair x * nb + y
+        if x < na and y < nb:
+            return new[x * nb + y]
+        return at[f"({a._names[x]},{b._names[y]})"]  # names an unknown id
+
+    deg = [dx + dy for dx in a._d for dy in b._d]
+    r = [num(x, y) for x in a._r for y in b._r]
+    s = [num(x, y) for x in a._s for y in b._s]
+    isv = [vx and vy for vx in a._isv[:na] for vy in b._isv[:nb]]
+    # degrees outside N^rank (broken factors) can add up to zero
+    zero = (0,) * (a.rank + b.rank)
+    bad = [m for m, old in zip(ids, order) if deg[old] == zero and not isv[old]]
+    if bad:
+        raise BadArgument(f"{bad[0]!r} has degree zero; degree-zero morphisms are identities")
+
     table = {}
-    a_pairs = b_pairs = []
-    if (a._compose or a._vertices) and (b._compose or b._vertices):
+    if (a._table or a._vidx) and (b._table or b._vidx):
         # On a broken table, raise what composing pair by pair in product
         # order raises first: a's first pair, then b's pairs, then a's.
         next(a._composites())
         b_pairs = list(b._composites())
-        a_pairs = list(a._composites())
-    for x, x2, xx in a_pairs:
-        for y, y2, yy in b_pairs:
-            if (x in av and y in bv) or (x2 in av and y2 in bv):
-                continue
-            table[(_pair_id(x, y), _pair_id(x2, y2))] = _pair_id(xx, yy)
-    # the records of a and b pair up to one record per pair id, unless ids
-    # with commas collide; the identities are the pairs of vertices, which
-    # the table skips
-    if len(mor) != len(a._mor) * len(b._mor):
-        raise BadArgument("duplicate morphism id: pair ids of the product collide")
-    vertices = [_pair_id(u, v) for u in a.vertices for v in b.vertices]
-    # degrees outside N^rank (broken factors) can add up to zero
-    ids, zero = set(vertices), (0,) * (a.rank + b.rank)
-    bad = sorted(m for m, rec in mor.items() if rec.d == zero and m not in ids)
-    if bad:
-        raise BadArgument(f"{bad[0]!r} has degree zero; degree-zero morphisms are identities")
-    return FiniteKGraph._from_parts(a.rank + b.rank, vertices, mor, table)
+        av, bv = a._isv, b._isv
+        for x, x2, xx in a._composites():
+            x_id, x2_id, x, x2 = av[x], av[x2], x * nb, x2 * nb
+            at_xx = xx * nb if xx < na else -1  # the composite's pair number, if known
+            for y, y2, yy in b_pairs:
+                if not ((x_id and bv[y]) or (x2_id and bv[y2])):
+                    ab = new[at_xx + yy] if at_xx >= 0 and yy < nb else num(xx, yy)
+                    table[(new[x + y], new[x2 + y2])] = ab
+    rank = a.rank + b.rank
+    return FiniteKGraph._from_parts(*_sorted_parts(rank, order, at, deg, r, s, isv, table))
 
 
 def _tagged_union(graphs, tags) -> FiniteKGraph:
     """The union of graphs whose ids are prefixed "tag:"; tags must be
     distinct and free of ":", so that prefixed ids stay distinct."""
     rank = graphs[0].rank
-    vertices = []
-    mor = {}
-    table = {}
-    for g, t in zip(graphs, tags, strict=True):
+    for g in graphs:
         if g.rank != rank:
             raise RankMismatch(f"cannot union a rank-{g.rank} graph with rank {rank}")
-        vertices.extend(f"{t}:{v}" for v in g.vertices)
-        for m, rec in g._mor.items():
-            mor[f"{t}:{m}"] = Morphism(rec.d, f"{t}:{rec.r}", f"{t}:{rec.s}")
-        for (x, y), z in g._compose.items():
-            table[(f"{t}:{x}", f"{t}:{y}")] = f"{t}:{z}"
-    return FiniteKGraph._from_parts(rank, vertices, mor, table)
+    tagged = [f"{t}:{m}" for g, t in zip(graphs, tags, strict=True) for m in g._ids]
+    ids, order, new, at = _numbering(tagged)
+    deg, r, s, isv, table, start = [], [], [], bytearray(), {}, 0
+    for g, t in zip(graphs, tags):
+        n = len(g._ids)
+        num = new[start:start + n] + [at[f"{t}:{x}"] for x in g._names[n:]]
+        start += n
+        deg += g._d
+        r += [num[x] for x in g._r]
+        s += [num[x] for x in g._s]
+        isv += g._isv[:n]
+        for (x, y), z in g._table.items():
+            table[(num[x], num[y])] = num[z]
+    return FiniteKGraph._from_parts(*_sorted_parts(rank, order, at, deg, r, s, isv, table))
 
 
 def disjoint_union(a: FiniteKGraph, b: FiniteKGraph) -> FiniteKGraph:
@@ -939,15 +1034,15 @@ def induced_subgraph(g: FiniteKGraph, vertex_set) -> FiniteKGraph:
     (factorisations then stay inside); for arbitrary sets it is just a
     candidate and may fail validation.
     """
-    V = {str(v) for v in vertex_set}
-    for v in V:
-        if not g.is_vertex(v):
-            raise UnknownId(f"no vertex with id {v!r}")
+    V = {g._vertex_num(str(v)) for v in vertex_set}
     # g's records and table restricted to V, which keeps its identities
-    mor = {m: rec for m, rec in g._mor.items() if rec.r in V and rec.s in V}
+    keep = [m for m in range(len(g._ids)) if g._r[m] in V and g._s[m] in V]
+    new = {m: i for i, m in enumerate(keep)}
     table = {
-        (x, y): z
-        for (x, y), z in g._compose.items()
-        if x in mor and y in mor and z in mor
+        (new[x], new[y]): new[z]
+        for (x, y), z in g._table.items()
+        if x in new and y in new and z in new
     }
-    return FiniteKGraph._from_parts(g.rank, V, mor, table)
+    names, isv = tuple(g._names[m] for m in keep), bytearray(g._isv[m] for m in keep)
+    d, r, s = [g._d[m] for m in keep], [new[g._r[m]] for m in keep], [new[g._s[m]] for m in keep]
+    return FiniteKGraph._from_parts(g.rank, names, len(keep), d, r, s, isv, table)

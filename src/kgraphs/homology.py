@@ -58,7 +58,11 @@ class SparseIntMatrix:
         if min(self.shape) < 0:
             raise BadArgument(f"shape {self.shape} has a negative side")
         self.entries: dict[tuple[int, int], int] = {}
-        for key, v in dict(entries or {}).items():
+        try:
+            entries = dict(entries or {})
+        except (TypeError, ValueError):
+            raise BadArgument("entries must map (row, col) pairs to integers") from None
+        for key, v in entries.items():
             (i, j), v = _integer_pair(key, "entry"), _integer(v)
             if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
                 raise BadArgument(f"entry ({i}, {j}) lies outside shape {self.shape}")
@@ -352,6 +356,8 @@ def smith_normal_form(matrix, compute_transforms: bool = False) -> SNFResult:
 def homology(cx: ChainComplex) -> list[HomologyGroup]:
     """H_0 .. H_top of the complex, as Betti number plus invariant factors,
     from one sweep per boundary with clearing (see the module notes)."""
+    if not isinstance(cx, ChainComplex):
+        raise BadArgument(f"homology needs a ChainComplex, not {type(cx).__name__}")
     ranks, torsion, cleared = [0] * (cx.top + 2), [()] * (cx.top + 2), ()
     for n in range(cx.top, 0, -1):
         mat = cx.boundaries[n]

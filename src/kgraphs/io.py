@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .core import FiniteKGraph, Morphism, Skeleton2Graph
+from .core import FiniteKGraph, Skeleton2Graph, _numbered
 from .errors import BadArgument, ParseError
 from .quotient import MorphismRelation, relation_from_classes, relation_from_pairs
 from .surfaces import MarkedSkeleton
@@ -87,7 +87,7 @@ def _load_category(doc) -> FiniteKGraph:
 
     # Inlined checks format no message unless it is raised.  They are those
     # of FiniteKGraph(...), made stricter, so the parts go to _from_parts.
-    mor = {v: Morphism((0,) * rank, v, v) for v in vertices}
+    mor = {}
     raw = doc.get("morphisms")
     _expect(type(raw) is list, '"morphisms" must be a list')
     for rec in raw:
@@ -108,7 +108,7 @@ def _load_category(doc) -> FiniteKGraph:
             raise ParseError(f"duplicate morphism id {mid!r}")
         if len(d) == rank and not any(d):
             raise ParseError(f"{mid!r} has degree zero; identities are implicit")
-        mor[mid] = Morphism(tuple(d), r, s)
+        mor[mid] = (tuple(d), r, s)
 
     table = {}
     raw = doc.get("compose")
@@ -124,7 +124,7 @@ def _load_category(doc) -> FiniteKGraph:
             raise ParseError(f"duplicate compose entry for ({a}, {b})")
         table[(a, b)] = c
 
-    graph = FiniteKGraph._from_parts(rank, vertices, mor, table)
+    graph = FiniteKGraph._from_parts(*_numbered(rank, vertices, mor, table))
     if "embedding" in doc:
         raw = doc["embedding"]
         _expect(type(raw) is dict, '"embedding" must be an object')
@@ -333,26 +333,30 @@ def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
 def kgraph_json(g: FiniteKGraph) -> str:
     """dumps(kgraph_doc(g)), written from the graph: each id and degree is
     encoded once, ids by the C string encoder."""
-    q, mor = _Memo(encode_basestring_ascii), g._mor
+    q = [encode_basestring_ascii(m) for m in g._names]
     degree = _Memo(lambda d: _block([str(x) for x in d], 6))
     records = [
-        f'{{\n      "id": {q[m]},\n      "d": {degree[mor[m].d]},\n'
-        f'      "r": {q[mor[m].r]},\n      "s": {q[mor[m].s]}\n    }}'
+        f'{{\n      "id": {q[m]},\n      "d": {degree[g._d[m]]},\n'
+        f'      "r": {q[g._r[m]]},\n      "s": {q[g._s[m]]}\n    }}'
         for m in g._nonid
     ]
-    triples = [
-        f"[\n      {q[a]},\n      {q[b]},\n      {q[c]}\n    ]"
-        for (a, b), c in sorted(g._compose.items())
-    ]
-    out = (
+    table, pairs = g._table, sorted(g._table)  # numbers sort as ids do
+    if len(g._names) > len(g._ids):  # but the unknown names of a broken table
+        pairs.sort(key=lambda ab: (g._names[ab[0]], g._names[ab[1]]))
+    # in pieces joined once, as the triples are most of the text
+    out = [
         f'{{\n  "kind": "category",\n  "rank": {g.rank},\n'
-        f'  "vertices": {_block([q[v] for v in g.vertices], 2)},\n'
-        f'  "morphisms": {_block(records, 2)},\n  "compose": {_block(triples, 2)}'
-    )
+        f'  "vertices": {_block([q[v] for v in g._vidx], 2)},\n'
+        f'  "morphisms": {_block(records, 2)},\n  "compose": ',
+        _block([f"[\n      {q[a]},\n      {q[b]},\n      {q[table[a, b]]}\n    ]"
+                for a, b in pairs], 2),
+    ]
     if g.embedding is not None:
+        q = _Memo(encode_basestring_ascii)
         points = [
             f"{q[v]}: {_block([q[str(Fraction(x))] for x in coords], 4)}"
             for v, coords in sorted(g.embedding.items())
         ]
-        out += f',\n  "embedding": {_block(points, 2, "{}")}'
-    return out + "\n}\n"
+        out.append(f',\n  "embedding": {_block(points, 2, "{}")}')
+    out.append("\n}\n")
+    return "".join(out)

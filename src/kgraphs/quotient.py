@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from .core import (
     FiniteKGraph,
-    Morphism,
     VertexSetReport,
     _splits,
     disjoint_union,
@@ -60,6 +59,14 @@ class CongruenceVerdict:
         return f"condition {self.violated!r} fails: {self.detail} (witness: {ids})"
 
 
+def _number(graph: FiniteKGraph, m: str, whose: str = "the graph") -> int:
+    """The number of m in graph, or ForeignId if it is not a morphism of it."""
+    i = graph._at.get(m, len(graph._ids))
+    if i >= len(graph._ids):
+        raise ForeignId(f"{m!r} is not a morphism of {whose}")
+    return i
+
+
 class MorphismRelation:
     """An equivalence on the morphisms of a fixed graph.
 
@@ -69,47 +76,59 @@ class MorphismRelation:
     taken literally).
     """
 
-    def __init__(self, graph: FiniteKGraph, rep: dict[str, str], mode: str, pairs):
+    def __init__(self, graph: FiniteKGraph, rep: list[int], mode: str, pairs):
         self.graph = graph
         self.mode = mode
         self.pairs: tuple[tuple[str, str], ...] = tuple((a, b) for a, b in pairs)
+        # by number: each morphism's representative, the least member of its
+        # class, and the members of each class of two or more, by representative
         self._rep = rep
-        members: dict[str, list[str]] = {}
-        for m, r in rep.items():
-            members.setdefault(r, []).append(m)
-        self._members = {r: tuple(sorted(ms)) for r, ms in members.items()}
+        merged: dict[int, list[int]] = {}
+        for m, r in enumerate(rep):
+            if r != m:
+                merged.setdefault(r, [r]).append(m)
+        self._merged = dict(sorted(merged.items()))
+
+    def _num(self, m: str) -> int:
+        return _number(self.graph, m, "the relation's graph")
+
+    def _reps(self) -> list[int]:
+        return [m for m, r in enumerate(self._rep) if r == m]
+
+    def _class(self, r: int) -> tuple[str, ...]:
+        return tuple(self.graph._names[m] for m in self._merged.get(r, (r,)))
 
     def rep(self, m: str) -> str:
-        try:
-            return self._rep[m]
-        except KeyError:
-            raise ForeignId(f"{m!r} is not a morphism of the relation's graph") from None
+        return self.graph._names[self._rep[self._num(m)]]
 
     def same(self, a: str, b: str) -> bool:
         return self.rep(a) == self.rep(b)
 
     def class_of(self, m: str) -> tuple[str, ...]:
-        return self._members[self.rep(m)]
+        return self._class(self._rep[self._num(m)])
 
     def classes(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(self._members[r] for r in sorted(self._members))
+        return tuple(map(self._class, self._reps()))
 
     def nontrivial_classes(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(c for c in self.classes() if len(c) > 1)
+        return tuple(map(self._class, self._merged))
 
     def __repr__(self) -> str:
-        big = sum(1 for c in self._members.values() if len(c) > 1)
-        return f"MorphismRelation(mode={self.mode!r}, classes={len(self._members)}, merged={big})"
+        n, big = len(self._reps()), len(self._merged)
+        return f"MorphismRelation(mode={self.mode!r}, classes={n}, merged={big})"
 
 
 class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
+    """Classes of a graph's morphisms by number, each rooted at its least."""
 
-    def find(self, x):
+    def __init__(self, graph: FiniteKGraph):
+        self.parent = list(range(len(graph._ids)))
+        self.names = graph._names
+
+    def find(self, x: int) -> int:
         p = self.parent
-        if x not in p:  # a broken table's composite or factor
-            raise ForeignId(f"{x!r} is not a morphism of the graph")
+        if x >= len(p):  # a broken table's composite or factor
+            raise ForeignId(f"{self.names[x]!r} is not a morphism of the graph")
         root = x
         while p[root] != root:
             root = p[root]
@@ -117,11 +136,10 @@ class _UnionFind:
             p[x], x = root, p[x]
         return root
 
-    def union(self, a, b) -> bool:
+    def union(self, a: int, b: int) -> bool:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return False
-        # keep the lexicographically least id as the representative
         if rb < ra:
             ra, rb = rb, ra
         self.parent[rb] = ra
@@ -129,8 +147,7 @@ class _UnionFind:
 
 
 def _freeze(graph, uf, mode, pairs) -> MorphismRelation:
-    # union keeps each class's least id as its root
-    return MorphismRelation(graph, {m: uf.find(m) for m in graph.morphism_ids()}, mode, pairs)
+    return MorphismRelation(graph, [uf.find(m) for m in range(len(graph._ids))], mode, pairs)
 
 
 def relation_from_pairs(graph: FiniteKGraph, pairs, mode: str = "generated") -> MorphismRelation:
@@ -142,13 +159,13 @@ def relation_from_pairs(graph: FiniteKGraph, pairs, mode: str = "generated") -> 
     """
     if mode not in ("generated", "explicit"):
         raise BadArgument(f"unknown relation mode {mode!r}")
-    pairs = [(str(a), str(b)) for a, b in pairs]
-    for a, b in pairs:
-        for m in (a, b):
-            if not graph.has(m):
-                raise ForeignId(f"{m!r} is not a morphism of the graph")
-    uf = _UnionFind(graph.morphism_ids())
-    for a, b in pairs:
+    try:
+        pairs = [(str(a), str(b)) for a, b in pairs]
+    except (TypeError, ValueError):
+        raise BadArgument("pairs must be (a, b) pairs of morphism ids") from None
+    nums = [_number(graph, m) for pair in pairs for m in pair]
+    uf = _UnionFind(graph)
+    for a, b in zip(nums[::2], nums[1::2]):
         uf.union(a, b)
     if mode == "generated":
         _saturate(graph, uf)
@@ -157,18 +174,18 @@ def relation_from_pairs(graph: FiniteKGraph, pairs, mode: str = "generated") -> 
 
 def relation_from_classes(graph: FiniteKGraph, classes) -> MorphismRelation:
     """An explicit relation given by its non-trivial classes (taken literally)."""
-    uf = _UnionFind(graph.morphism_ids())
-    seen: set[str] = set()
+    uf = _UnionFind(graph)
+    seen: set[int] = set()
     for cls in classes:
-        cls = [str(m) for m in cls]
-        for m in cls:
-            if not graph.has(m):
-                raise ForeignId(f"{m!r} is not a morphism of the graph")
-            if m in seen:
+        nums = []
+        for m in map(str, cls):
+            i = _number(graph, m)
+            if i in seen:
                 raise OverlappingClasses(f"classes overlap at {m!r}")
-            seen.add(m)
-        for m in cls[1:]:
-            uf.union(cls[0], m)
+            seen.add(i)
+            nums.append(i)
+        for i in nums[1:]:
+            uf.union(nums[0], i)
     return _freeze(graph, uf, "explicit", ())
 
 
@@ -176,12 +193,12 @@ def _saturate(graph: FiniteKGraph, uf: _UnionFind) -> None:
     """Close under the equalities forced by the comp and factor conditions:
     merge what one scan finds unrelated, and scan again until it finds
     nothing.  Only members of one degree are compared split by split."""
-    ids, mor = graph._ids, graph._mor
+    n, dc, nd = len(graph._ids), graph._dc, len(graph._codes)
     while True:
-        rep = {m: uf.find(m) for m in ids}
-        groups: dict[tuple, list[str]] = {}
-        for m in ids:
-            groups.setdefault((rep[m], mor[m].d), []).append(m)
+        rep = [uf.find(m) for m in range(n)]
+        groups: dict[int, list[int]] = {}
+        for m in range(n):
+            groups.setdefault(rep[m] * nd + dc[m], []).append(m)
         classes = [ms for ms in groups.values() if len(ms) > 1]
         merged = False
         for x, y, *_ in _forced(graph, rep, classes):
@@ -190,51 +207,64 @@ def _saturate(graph: FiniteKGraph, uf: _UnionFind) -> None:
             return
 
 
-def _forced(g: FiniteKGraph, rep: dict[str, str], classes):
+def _forced(g: FiniteKGraph, rep: list[int], classes):
     """The pairs the comp and factor conditions force together that rep
-    does not relate, or that name an id rep does not know, as
-    (x, y, witness, part, split) with split None for a pair of composites.
+    does not relate, or that name an unknown id, as (x, y, witness, part,
+    split) by number, with split None for a pair of composites.
 
-    classes are the classes compared split by split, each of one degree
-    with its least member first.  Composites come first, grouped by the
-    class pair of their factors in table order; then each class split by
-    split, heads before tails.  A table entry or a factorisation that is
-    not there raises what compose or factorise raises, when it is reached.
+    rep gives each morphism's representative.  classes are the classes
+    compared split by split, each of one degree with its least member
+    first.  Composites come first, grouped by the class pair of their
+    factors in table order; then each class split by split, heads before
+    tails.  A table entry or a factorisation that is not there raises what
+    compose or factorise raises, when it is reached.
     """
-    mor = g._mor
+    names, n, r, s = g._names, len(g._ids), g._r, g._s
+    # an unknown name is NaN, which is related to nothing, itself included
+    rep = rep + [float("nan")] * (len(names) - n)
     # An implicit identity pair shares its class pair only with identity
     # pairs, whose composites are then related, unless a class holds a
     # vertex and a non-identity: only then are those pairs walked too.
-    entries = g._compose.items()
-    vertex_classes = {rep[v] for v in g._vertices}
+    vertex_classes = {rep[v] for v in g._vidx}
+    implicit = ()
     if any(rep[m] in vertex_classes for m in g._nonid):
-        entries = (((a, b), ab) for a, b, ab in g._composites())
-    first: dict[tuple[str, str], tuple[str, str, str]] = {}
-    for (a, b), ab in entries:
-        ra, rb = mor.get(a), mor.get(b)
-        if ra is None or rb is None or ra.s != rb.r:
-            g.compose(a, b)  # raises what composing the entry raises
-        key = (rep[a], rep[b])
-        old = first.get(key)
-        if old is None:
-            first[key] = (a, b, ab)
-        elif rep.get(old[2], 0) != rep.get(ab, 1):
-            yield old[2], ab, (old[0], a, old[1], b), "composites", None
+        implicit = (((a, b), ab) for a, b, ab in g._implicit_composites())
+    first: dict[int, tuple] = {}  # class pair -> its first entry
+    for entries in (g._table.items(), implicit):
+        for entry in entries:
+            (a, b), ab = entry
+            if a >= n or b >= n or s[a] != r[b]:
+                g.compose(names[a], names[b])  # raises what composing the entry raises
+            old = first.setdefault(rep[a] * n + rep[b], entry)
+            if old is not entry and rep[old[1]] != rep[ab]:
+                (a0, b0), ab0 = old
+                yield ab0, ab, (a0, a, b0, b), "composites", None
 
+    # members share d0, so each split lies between 0 and their degree.  A
+    # split with a code is read from the index; _split reads 0 and d0 from
+    # the records and raises what factorise raises.
+    codes, nd, index = g._codes, len(g._codes), g._factors()
+    plans: dict[tuple, list] = {}
     for cls in classes:
         m0 = cls[0]
-        rec0 = mor[m0]
-        if len(rec0.d) != g.rank and min(rec0.d, default=0) >= 0:
-            g.factorise(m0, (0,) * len(rec0.d))  # raises BadSplit, as at the first split
-        # members share d, so each split lies between 0 and their degree
-        rest = [(m, mor[m]) for m in cls[1:]]
-        for p in _splits(rec0.d):
-            h0, t0 = g._split(m0, rec0, p)
-            for m, rec in rest:
-                h, t = g._split(m, rec, p)
-                if rep.get(h0, 0) != rep.get(h, 1):
+        d0 = g._d[m0]
+        if len(d0) != g.rank and min(d0, default=0) >= 0:
+            g.factorise(g._names[m0], (0,) * len(d0))  # raises BadSplit, as at the first split
+        plan = plans.get(d0)
+        if plan is None:
+            plan = [(p, codes.get(p) if any(p) and p != d0 else None) for p in _splits(d0)]
+            plans[d0] = plan
+        for p, code in plan:
+            h0 = None
+            for m in cls:
+                hit = None if code is None else index.get(m * nd + code)
+                h, t = hit if type(hit) is tuple else g._split(m, p)
+                if h0 is None:
+                    h0, t0 = h, t
+                    continue
+                if rep[h0] != rep[h]:
                     yield h0, h, (m0, m), "heads", p
-                if rep.get(t0, 0) != rep.get(t, 1):
+                if rep[t0] != rep[t]:
                     yield t0, t, (m0, m), "tails", p
 
 
@@ -246,59 +276,61 @@ def check_congruence(rel: MorphismRelation) -> CongruenceVerdict:
     """Test the four congruence conditions, in order, stopping at the first
     failure.  The verdict's witness names morphisms that replay it."""
     g = rel.graph
-    mor, rep = g._mor, rel._rep
-    classes = sorted(ms for ms in rel._members.values() if len(ms) > 1)  # by representative
+    names, deg, rep, n = g._names, g._d, rel._rep, len(g._ids)
+    classes = list(rel._merged.values())  # by representative
 
     for cls in classes:
-        d0 = mor[cls[0]].d
+        d0 = deg[cls[0]]
         for m in cls[1:]:
-            if mor[m].d != d0:
+            if deg[m] != d0:
                 return CongruenceVerdict(
                     False,
                     "d",
-                    (cls[0], m),
-                    f"related morphisms have degrees {d0} and {mor[m].d}",
+                    (names[cls[0]], names[m]),
+                    f"related morphisms have degrees {d0} and {deg[m]}",
                 )
 
     for x, y, witness, part, p in _forced(g, rep, classes):
+        x, y = names[x], names[y]
         rel.same(x, y)  # raises ForeignId for an unknown id; False otherwise
         condition, at = ("comp", "") if p is None else ("factor", f" at split {p}")
         detail = f"{part} {x!r} and {y!r}{at} are unrelated"
-        return CongruenceVerdict(False, condition, witness, detail)
+        return CongruenceVerdict(False, condition, tuple(names[w] for w in witness), detail)
 
     # lift: group morphism classes by the vertex classes of their sources
     # and ranges; each (A, B) meeting through a vertex class must contain
     # an actually composable pair.  A holding a source in every vertex of
-    # the class meets every such B, so one-vertex classes need no bucket.
-    members = rel._members
-    merged = {rep[cls[0]] for cls in classes}
-    left: dict[str, dict[str, str]] = {}   # vertex class -> {morphism class: exemplar}
-    right: dict[str, dict[str, str]] = {}
-    for m in g._ids:
-        rec = mor[m]
-        ws = rep.get(rec.s) or rel.rep(rec.s)
-        wr = rep.get(rec.r) or rel.rep(rec.r)
-        if ws in merged:
+    # the class, or one that every B holds a range in, meets every such B,
+    # so one-vertex classes need no bucket.
+    members, r, s = rel._merged, g._r, g._s
+    left: dict[int, dict[int, int]] = {}   # vertex class -> {morphism class: exemplar}
+    right: dict[int, dict[int, int]] = {}
+    for m in range(n):
+        if s[m] >= n or r[m] >= n:  # raises ForeignId
+            rel.rep(names[s[m]])
+            rel.rep(names[r[m]])
+        ws, wr = rep[s[m]], rep[r[m]]
+        if ws in members:
             left.setdefault(ws, {}).setdefault(rep[m], m)
-        if wr in merged:
+        if wr in members:
             right.setdefault(wr, {}).setdefault(rep[m], m)
-    sources = {c: {mor[x].s for x in members[c]} for b in left.values() for c in b}
-    ranges = {c: {mor[x].r for x in members[c]} for b in right.values() for c in b}
     for w, lbucket in left.items():
         rbucket = right.get(w)
         if not rbucket:
             continue
-        vclass = members[w]
+        vclass = set(members[w])
+        ranges = {cb: {r[x] for x in members.get(cb, (cb,))} for cb in rbucket}
+        everywhere = vclass.intersection(*ranges.values())
         for ca, alpha in lbucket.items():
-            src = sources[ca]
-            if len(src) >= len(vclass) and src.issuperset(vclass):
+            src = {s[x] for x in members.get(ca, (ca,))}
+            if not src.isdisjoint(everywhere) or src >= vclass:
                 continue
             for cb, beta in rbucket.items():
                 if src.isdisjoint(ranges[cb]):
                     return CongruenceVerdict(
                         False,
                         "lift",
-                        (alpha, beta),
+                        (names[alpha], names[beta]),
                         "source class meets range class but no related pair composes",
                     )
 
@@ -322,22 +354,26 @@ def quotient(graph: FiniteKGraph, rel: MorphismRelation) -> FiniteKGraph:
     if not verdict.ok:
         raise NotACongruence(verdict)
 
-    # One record per class, named by its representative.  By "d" a class
-    # holds only vertices or only non-identities, so the records of vertex
-    # classes are identities and no other has degree zero.  check_congruence
-    # has resolved every endpoint and composed every table pair, and
-    # identity pairs land on the quotient's implicit identity pairs, so the
+    # One record per class, named by its least member, so the quotient's ids
+    # are the representatives in graph's order.  By "d" a class holds only
+    # vertices or only non-identities, so no non-identity has degree zero.
+    # check_congruence has resolved every endpoint and composed every table
+    # pair, and identity pairs land on implicit identity pairs, so the
     # stored table is all that carries over.
-    rep = rel._rep
-    mor = {}
-    for r, members in rel._members.items():
-        rec = graph._mor[members[0]]
-        mor[r] = Morphism(rec.d, rep[rec.r], rep[rec.s])
+    reps, n = rel._reps(), len(graph._ids)
+    new = [0] * n
+    for i, r in enumerate(reps):
+        new[r] = i
+    q = [new[r] for r in rel._rep]
     table = {}
-    for (a, b), c in graph._compose.items():
-        table[(rep[a], rep[b])] = rep[c] if c in rep else rel.rep(c)
-    vertices = {rep[v] for v in graph.vertices}
-    return FiniteKGraph._from_parts(graph.rank, vertices, mor, table)
+    for (a, b), c in graph._table.items():
+        if c >= n:
+            rel.rep(graph._names[c])  # raises ForeignId
+        table[(q[a], q[b])] = q[c]
+    names, isv = tuple(graph._names[m] for m in reps), bytearray(graph._isv[m] for m in reps)
+    d, r = [graph._d[m] for m in reps], [q[graph._r[m]] for m in reps]
+    s = [q[graph._s[m]] for m in reps]
+    return FiniteKGraph._from_parts(graph.rank, names, len(reps), d, r, s, isv, table)
 
 
 # ---------------------------------------------------------------------------

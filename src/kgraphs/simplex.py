@@ -39,7 +39,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .core import FiniteKGraph, Morphism, _tagged_union, cartesian_product
+from .core import FiniteKGraph, _numbering, _sorted_parts, _tagged_union, cartesian_product
 from .errors import BadArgument, HeightExceeded, OutOfBox, OutOfRange
 from .quotient import quotient, relation_from_pairs
 
@@ -78,8 +78,8 @@ def is_placing(f) -> bool:
 def enumerate_placings(k: int) -> list[Placing]:
     """All placings of {0, ..., k}, lexicographically.  (Their number is the
     k+1-st ordered Bell number: 1, 3, 13, 75, 541, ...)"""
-    if k < 0:
-        raise OutOfRange("k must be >= 0")
+    if not isinstance(k, int) or k < 0:
+        raise OutOfRange("k must be an integer >= 0")
     n = k + 1
     if n >= sys.maxsize.bit_length():  # more subsets of {0, ..., k} than a list holds
         raise OutOfRange(f"k = {k} is too large to list placings")
@@ -107,8 +107,8 @@ def enumerate_placings(k: int) -> list[Placing]:
 def count_placings(k: int) -> int:
     """The number of placings of {0, ..., k} without listing them: the
     ordered Bell number a(k+1), where a(n) = sum_j C(n, j) a(n - j)."""
-    if k < 0:
-        raise OutOfRange("k must be >= 0")
+    if not isinstance(k, int) or k < 0:
+        raise OutOfRange("k must be an integer >= 0")
     if k >= sys.maxsize:  # the recurrence keeps k + 2 terms
         raise OutOfRange(f"k = {k} is too large to count placings")
     a = [1]
@@ -235,20 +235,27 @@ def embed(f, t) -> tuple[Fraction, ...]:
 
 
 def _vertex_point(t: Placing) -> tuple[Fraction, ...]:
-    """embed(t, height(t)) for a known placing.  The vertex weights the
-    basis points of its L positive levels equally, and the basis point of
-    level n spreads 1 over the n points placed before it, so coordinate j
-    is the sum of 1/(L n) over the levels n above t(j)."""
-    levels = sorted(set(t) - {0}, reverse=True)
+    """embed(t, height(t)) for a known placing."""
+    above = _level_weights(set(t), len(t))
+    return tuple(above[v] for v in t)
+
+
+def _level_weights(values, size: int) -> dict[int, Fraction]:
+    """Coordinate j of the vertex point of a placing with these values, on
+    {0, ..., size - 1}, by its value at j.  The vertex weights the basis
+    points of its L positive levels equally, and the basis point of level n
+    spreads 1 over the n points placed before it, so coordinate j is the
+    sum of 1/(L n) over the levels n above t(j)."""
+    levels = sorted(set(values) - {0}, reverse=True)
     if not levels:
-        return (Fraction(1, len(t)),) * len(t)
+        return {0: Fraction(1, size)}
     above = {}
     acc = Fraction(0)
     for n in levels:
         above[n] = acc / len(levels)
         acc += Fraction(1, n)
     above[0] = acc / len(levels)
-    return tuple(above[v] for v in t)
+    return above
 
 
 # ---------------------------------------------------------------------------
@@ -299,18 +306,23 @@ def build_simplex(k: int) -> FiniteKGraph:
     pids = [_pid(f) for f in placings]
     heights = [_height(f) for f in placings]
 
-    # above[i]: {j: morphism id} for the placings strictly above placing i,
-    # in lexicographic order (g > f pointwise puts g after f)
-    above: list[dict[int, str]] = []
-    mor = {pid: Morphism((0,) * k, pid, pid) for pid in pids}
+    # numbered as built: the placings, then each placing's morphisms up;
+    # above[i] = {j: number of the morphism} for the placings strictly above
+    # placing i, in lexicographic order (g > f pointwise puts g after f)
+    n = len(pids)
+    ids, deg, r, s = list(pids), [(0,) * k] * n, list(range(n)), list(range(n))
+    above: list[dict[int, int]] = []
     for i, up in enumerate(_up_sets(placings)):
         row = {}
         for j in _indices(up & ~(1 << i)):
-            mid = _morphism_id(pids[i], pids[j])
-            row[j] = mid
-            d = tuple(b - a for a, b in zip(heights[i], heights[j]))
-            mor[mid] = Morphism(d, pids[i], pids[j])
+            row[j] = len(ids)
+            ids.append(_morphism_id(pids[i], pids[j]))
+            deg.append(tuple(b - a for a, b in zip(heights[i], heights[j])))
+            r.append(i)
+            s.append(j)
         above.append(row)
+    ids, order, new, at = _numbering(ids)
+    above = [{j: new[x] for j, x in row.items()} for row in above]
 
     table = {}
     for row in above:
@@ -320,8 +332,13 @@ def build_simplex(k: int) -> FiniteKGraph:
 
     # placing ids are distinct and "(f,g)" ids parse back to their pair; a
     # placing strictly above another has a strictly larger height
-    graph = FiniteKGraph._from_parts(int(k), pids, mor, table)
-    graph.embedding = {pid: _vertex_point(f) for pid, f in zip(pids, placings)}
+    isv = [1] * n + [0] * (len(ids) - n)
+    r, s = [new[x] for x in r], [new[x] for x in s]
+    graph = FiniteKGraph._from_parts(*_sorted_parts(int(k), order, at, deg, r, s, isv, table))
+    # a vertex's point depends only on the set of values its placing takes
+    weights = {vals: _level_weights(vals, k + 1) for vals in set(map(frozenset, placings))}
+    points = (tuple(map(weights[frozenset(f)].__getitem__, f)) for f in placings)
+    graph.embedding = dict(zip(pids, points))
     return graph
 
 
@@ -341,12 +358,13 @@ def build_sphere(k: int) -> FiniteKGraph:
     two = FiniteKGraph(0, ["0", "1"], {}, {})
     simplex = build_simplex(k)
     product = cartesian_product(two, simplex)
+    pairs, points = _sphere_pairs(k, simplex), simplex.embedding
+    del simplex  # the product holds all the quotient needs
     # explicit mode: quotient() certifies the relation (see the module notes)
-    rel = relation_from_pairs(product, _sphere_pairs(k, simplex), mode="explicit")
-    sphere = quotient(product, rel)
+    sphere = quotient(product, relation_from_pairs(product, pairs, mode="explicit"))
 
     embedding = {}
-    for v, base in simplex.embedding.items():
+    for v, base in points.items():
         if v == "0":
             delta = min(base)
             embedding["(0,0)"] = base + (delta,)
@@ -362,7 +380,7 @@ def sphere_pole(k: int, copy: int = 0) -> str:
     """The vertex id of the given copy's barycentre in build_sphere(k)."""
     if copy not in (0, 1):
         raise BadArgument("copy must be 0 or 1")
-    if k < 0:
+    if not isinstance(k, int) or k < 0:
         raise OutOfRange("a placing has domain {0, ..., k} with k >= 0")
     return f"({copy},0)"  # the zero placing prints as "0" for every k
 
@@ -373,7 +391,7 @@ def build_wedge(k: int, n: int) -> FiniteKGraph:
     Only identities leave a pole, so the identification is a congruence
     (passed in explicit mode and certified by quotient(), as in build_sphere).
     """
-    if n < 1:
+    if not isinstance(n, int) or n < 1:
         raise BadArgument("a wedge needs n >= 1 spheres")
     sphere = build_sphere(k)
     tags = [str(i) for i in range(1, n + 1)]

@@ -3,10 +3,34 @@
 independent fixtures) and a couple of counting oracles.
 """
 
+from __future__ import annotations
+
 import random
+import sys
 from itertools import product
 
-from kgraphs.core import FiniteKGraph, Skeleton2Graph, Square, Violation
+from kgraphs.core import (
+    _AMBIGUOUS,
+    Cube,
+    FiniteKGraph,
+    Morphism,
+    Skeleton2Graph,
+    Square,
+    Violation,
+    _splits,
+    deg_leq,
+    deg_total,
+    zero_degree,
+)
+from kgraphs.errors import (
+    BadArgument,
+    BadSplit,
+    ForeignId,
+    InvalidModel,
+    NotComposable,
+    RankMismatch,
+    UnknownId,
+)
 
 
 def random_dag(rng: random.Random, n: int, p: float):
@@ -450,13 +474,15 @@ def reference_saturate(graph: FiniteKGraph, uf) -> None:
 def reference_generated_classes(graph: FiniteKGraph, pairs):
     """The classes of relation_from_pairs(graph, pairs), closed by
     reference_saturate."""
-    from kgraphs.quotient import _freeze, _UnionFind
-
-    uf = _UnionFind(graph.morphism_ids())
+    view = reference_view(graph)
+    uf = ReferenceUnionFind(view.morphism_ids())
     for a, b in pairs:
         uf.union(a, b)
-    reference_saturate(graph, uf)
-    return _freeze(graph, uf, "generated", pairs).classes()
+    reference_saturate(view, uf)
+    members: dict[str, list[str]] = {}
+    for m in view.morphism_ids():
+        members.setdefault(uf.find(m), []).append(m)
+    return tuple(tuple(members[r]) for r in sorted(members))
 
 
 def mutated_category(g: FiniteKGraph, pick, faults: int) -> FiniteKGraph:
@@ -517,6 +543,7 @@ def reference_find_violations(g: FiniteKGraph) -> list[Violation]:
     """
     from kgraphs.core import deg_add
 
+    g = reference_view(g)
     out: list[Violation] = []
     mor = g._mor
     vset = set(g.vertices)
@@ -1020,3 +1047,420 @@ def reference_snf_sparse(entries, m, n):
         tail = []
     diag = [1] * ones + [abs(d) for d in tail if d]
     return len(diag), diag
+
+
+# -- the string-keyed graph before the integer-indexed core -----------------
+
+
+class ReferenceKGraph:
+    """Reference copy of `core.FiniteKGraph` as it was when it kept string ids
+    and string-keyed records and table, verbatim apart from its name.  The
+    oracle for the integer-indexed core.
+
+    A finite k-graph candidate: explicit morphisms plus a composition table.
+
+    Parameters
+    ----------
+    rank:
+        k, the length of every degree vector.
+    vertices:
+        iterable of vertex ids (strings).  Each vertex contributes an
+        identity morphism under the same id.
+    morphisms:
+        mapping id -> (degree, range, source) for the non-identity
+        morphisms.  Degree-zero entries are rejected here: degree zero is
+        reserved for identities.
+    compose:
+        mapping (a, b) -> c giving the composite of each composable pair
+        of non-identity morphisms.  Pairs involving identities are
+        implicit and must not appear.
+    """
+
+    def __init__(self, rank, vertices, morphisms, compose):
+        rank = int(rank)
+        if rank < 0:
+            raise BadArgument("rank must be >= 0")
+        if rank > sys.maxsize:  # no degree tuple is that long
+            raise BadArgument(f"rank = {rank} is too large")
+        vs = [str(v) for v in vertices]
+        vset = set(vs)
+        if len(vs) != len(vset):
+            raise BadArgument("duplicate vertex id")
+        mor = {v: Morphism(zero_degree(rank), v, v) for v in vs}
+        for mid, rec in dict(morphisms).items():
+            mid = str(mid)
+            if mid in mor:
+                raise BadArgument(f"duplicate morphism id {mid!r}")
+            if isinstance(rec, Morphism):
+                d, r, s = rec.d, rec.r, rec.s
+            else:
+                d, r, s = rec
+            d = tuple(int(x) for x in d)
+            if len(d) == rank and not any(d):
+                raise BadArgument(
+                    f"{mid!r} has degree zero; degree-zero morphisms are identities"
+                )
+            mor[mid] = Morphism(d, str(r), str(s))
+
+        table: dict[tuple[str, str], str] = {}
+        for (a, b), c in dict(compose).items():
+            a, b, c = str(a), str(b), str(c)
+            if a in vset or b in vset:
+                raise BadArgument(
+                    f"composition with an identity must stay implicit: ({a}, {b})"
+                )
+            table[(a, b)] = c
+        self._index(rank, vs, mor, table)
+
+    @classmethod
+    def _from_parts(cls, rank: int, vertices, mor: dict, table: dict) -> ReferenceKGraph:
+        """A graph on parts its caller has already checked, taken as they are:
+        the shape that __init__ checks and normalises must already hold (see
+        the module notes).  The graph owns mor and table from now on."""
+        g = cls.__new__(cls)
+        g._index(rank, vertices, mor, table)
+        return g
+
+    def _index(self, rank, vertices, mor, table) -> None:
+        self.rank = rank
+        self._vertices = tuple(sorted(vertices))
+        self._vset = vset = set(self._vertices)
+        self._mor: dict[str, Morphism] = mor
+        self._compose: dict[tuple[str, str], str] = table
+        self._ids = tuple(sorted(mor))
+        self._nonid = tuple(m for m in self._ids if m not in vset)
+
+        self._with_range: dict[str, list[str]] = {v: [] for v in self._vertices}
+        self._with_source: dict[str, list[str]] = {v: [] for v in self._vertices}
+        for mid in self._ids:
+            rec = mor[mid]
+            if rec.r in vset:
+                self._with_range[rec.r].append(mid)
+            if rec.s in vset:
+                self._with_source[rec.s].append(mid)
+
+        self._factor_index: dict | None = None
+        self._deg_range_index: dict | None = None
+        self._violations: tuple[Violation, ...] | None = None
+
+        # optional geometric realisation of the vertices, set by builders
+        self.embedding: dict[str, tuple] | None = None
+
+    # -- basic accessors ----------------------------------------------------
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        return self._vertices
+
+    def morphism_ids(self) -> tuple[str, ...]:
+        """All morphism ids, identities included, sorted."""
+        return self._ids
+
+    def nonidentity_ids(self) -> tuple[str, ...]:
+        return self._nonid
+
+    def has(self, mid: str) -> bool:
+        return mid in self._mor
+
+    def _rec(self, mid: str) -> Morphism:
+        try:
+            return self._mor[mid]
+        except KeyError:
+            raise UnknownId(f"no morphism with id {mid!r}") from None
+
+    def d(self, mid: str) -> Degree:
+        return self._rec(mid).d
+
+    def r(self, mid: str) -> str:
+        return self._rec(mid).r
+
+    def s(self, mid: str) -> str:
+        return self._rec(mid).s
+
+    def is_identity(self, mid: str) -> bool:
+        self._rec(mid)
+        return mid in self._vset
+
+    def is_vertex(self, mid: str) -> bool:
+        return mid in self._vset
+
+    def morphisms_with_range(self, v: str) -> tuple[str, ...]:
+        if v not in self._vset:
+            raise UnknownId(f"no vertex with id {v!r}")
+        return tuple(self._with_range[v])
+
+    def morphisms_with_source(self, v: str) -> tuple[str, ...]:
+        if v not in self._vset:
+            raise UnknownId(f"no vertex with id {v!r}")
+        return tuple(self._with_source[v])
+
+    def compose_table(self) -> dict[tuple[str, str], str]:
+        """A copy of the stored (non-identity) composition table."""
+        return dict(self._compose)
+
+    # -- composition and factorisation --------------------------------------
+
+    def compose(self, a: str, b: str) -> str:
+        """The composite "a after b"; defined when source(a) == range(b)."""
+        ra = self._rec(a)
+        rb = self._rec(b)
+        if ra.s != rb.r:
+            raise NotComposable(
+                f"source({a!r}) = {ra.s!r} differs from range({b!r}) = {rb.r!r}"
+            )
+        if a in self._vset:
+            return b
+        if b in self._vset:
+            return a
+        try:
+            return self._compose[(a, b)]
+        except KeyError:
+            raise InvalidModel(
+                f"no composite recorded for the composable pair ({a!r}, {b!r})"
+            ) from None
+
+    def composable_pairs(self, include_identities: bool = False):
+        """Iterate over composable pairs (a, b).
+
+        By default only pairs of non-identity morphisms (the composition
+        table's domain).  With identities included, the implicit pairs
+        (id, b), (a, id) and (id, id) are generated as well.
+        """
+        yield from self._compose
+        if include_identities:
+            for v in self._vertices:
+                yield (v, v)
+            for m in self._nonid:
+                rec = self._mor[m]
+                if rec.r in self._vset:
+                    yield (rec.r, m)
+                if rec.s in self._vset:
+                    yield (m, rec.s)
+
+    def _composites(self):
+        """(a, b, compose(a, b)) for each composable pair, identities
+        included, in composable_pairs order, read from the table and the
+        records.  A table entry that compose would reject raises compose's
+        error when it is reached."""
+        table, mor, vset = self._compose, self._mor, self._vset
+        for a, b in self.composable_pairs(include_identities=True):
+            if a in vset:
+                yield a, b, b
+            elif b in vset:
+                yield a, b, a
+            else:
+                ra, rb = mor.get(a), mor.get(b)
+                if ra is None or rb is None or ra.s != rb.r:
+                    self.compose(a, b)
+                yield a, b, table[(a, b)]
+
+    def _factors(self) -> dict:
+        if self._factor_index is None:
+            index: dict[tuple[str, Degree], object] = {}
+            for (a, b), c in self._compose.items():
+                if a not in self._mor:
+                    continue
+                key = (c, self._mor[a].d)
+                old = index.get(key)
+                if old is None:
+                    index[key] = (a, b)
+                elif old != (a, b):
+                    index[key] = _AMBIGUOUS
+            self._factor_index = index
+        return self._factor_index
+
+    def factorise(self, mid: str, p) -> tuple[str, str]:
+        """Split mid as head * tail with d(head) == p.  Unique on valid models."""
+        rec = self._rec(mid)
+        p = tuple(int(x) for x in p)
+        if len(p) != self.rank or any(x < 0 for x in p) or not deg_leq(p, rec.d):
+            raise BadSplit(f"split {p} is not between 0 and d({mid!r}) = {rec.d}")
+        return self._split(mid, rec, p)
+
+    def _split(self, mid: str, rec: Morphism, p: Degree) -> tuple[str, str]:
+        """factorise for a split p already known to lie between 0 and rec.d."""
+        if not any(p):
+            return (rec.r, mid)
+        if p == rec.d:
+            return (mid, rec.s)
+        hit = self._factors().get((mid, p))
+        if hit is None:
+            raise InvalidModel(f"no factorisation of {mid!r} at split {p} is recorded")
+        if hit is _AMBIGUOUS:
+            raise InvalidModel(f"factorisation of {mid!r} at split {p} is ambiguous")
+        return hit
+
+    # -- the cube view (see Cube) --------------------------------------------
+
+    def _cubes(self) -> list[Cube]:
+        """The morphisms of degree <= (1,...,1), by dimension, degree, id."""
+        out = []
+        for m in self._ids:
+            d = self._mor[m].d
+            if len(d) == self.rank and not (d and max(d) > 1):
+                out.append(Cube(m, d))
+        out.sort(key=lambda c: (deg_total(c.degree), c.degree, c.key))
+        return out
+
+    def _unit_faces(self, key: str) -> dict:
+        """Faces read from the factorisation index: in direction i, the
+        tail after the unit step and the head before it.  Raises
+        InvalidModel when a factorisation is missing or ambiguous."""
+        rec = self._rec(key)
+        d = rec.d
+        out = {}
+        for i, x in enumerate(d):
+            if x == 1:
+                unit = (0,) * i + (1,) + (0,) * (len(d) - i - 1)
+                rest = d[:i] + (0,) + d[i + 1:]
+                tail = self._split(key, rec, unit)[1]
+                out[i + 1] = (tail, self._split(key, rec, rest)[0], rest)
+        return out
+
+    # -- simple indexes ------------------------------------------------------
+
+    def by_degree(self, n) -> tuple[str, ...]:
+        n = tuple(int(x) for x in n)
+        return tuple(m for m in self._ids if self._mor[m].d == n)
+
+    def _by_degree_and_range(self) -> dict:
+        if self._deg_range_index is None:
+            index: dict[tuple[Degree, str], list[str]] = {}
+            for m in self._ids:
+                rec = self._mor[m]
+                index.setdefault((rec.d, rec.r), []).append(m)
+            self._deg_range_index = index
+        return self._deg_range_index
+
+    def __len__(self) -> int:
+        return len(self._mor)
+
+    def __repr__(self) -> str:
+        return (
+            f"FiniteKGraph(rank={self.rank}, |vertices|={len(self._vertices)}, "
+            f"|morphisms|={len(self._mor)})"
+        )
+
+
+class ReferenceUnionFind:
+    """Reference copy of `quotient._UnionFind` as it was over string ids."""
+
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        p = self.parent
+        if x not in p:  # a broken table's composite or factor
+            raise ForeignId(f"{x!r} is not a morphism of the graph")
+        root = x
+        while p[root] != root:
+            root = p[root]
+        while p[x] != root:
+            p[x], x = root, p[x]
+        return root
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        # keep the lexicographically least id as the representative
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+
+# -- the adapter through which tests read a graph's parts ---------------------
+
+
+def parts(g: FiniteKGraph):
+    """(vertices, records, table) of g, read through its public accessors:
+    the arguments that rebuild it with the public constructor."""
+    mor = {m: Morphism(g.d(m), g.r(m), g.s(m)) for m in g.nonidentity_ids()}
+    return g.vertices, mor, g.compose_table()
+
+
+def reference_view(g: FiniteKGraph) -> ReferenceKGraph:
+    """g rebuilt from parts(g) as a ReferenceKGraph, whose string-keyed
+    `_mor`, `_compose` and `_split` the reference copies read."""
+    return ReferenceKGraph(g.rank, *parts(g))
+
+
+def factor_index(g: FiniteKGraph, build: bool = True):
+    """The factorisation index g keeps, built first if asked, else None
+    until a clean validation or a factorisation has built it."""
+    return g._factors() if build else g._factor_index
+
+
+def reference_cartesian_product(a: FiniteKGraph, b: FiniteKGraph) -> ReferenceKGraph:
+    """Reference copy of `core.cartesian_product` as it was on string ids,
+    over the reference views of a and b: verbatim apart from the names."""
+    from kgraphs.errors import BadArgument
+
+    a, b = reference_view(a), reference_view(b)
+
+    def _pair_id(x: str, y: str) -> str:
+        return f"({x},{y})"
+
+    mor = {
+        _pair_id(m, n): Morphism(ra.d + rb.d, _pair_id(ra.r, rb.r), _pair_id(ra.s, rb.s))
+        for m, ra in a._mor.items()
+        for n, rb in b._mor.items()
+    }
+    av, bv = a._vset, b._vset
+    table = {}
+    a_pairs = b_pairs = []
+    if (a._compose or a._vertices) and (b._compose or b._vertices):
+        next(a._composites())
+        b_pairs = list(b._composites())
+        a_pairs = list(a._composites())
+    for x, x2, xx in a_pairs:
+        for y, y2, yy in b_pairs:
+            if (x in av and y in bv) or (x2 in av and y2 in bv):
+                continue
+            table[(_pair_id(x, y), _pair_id(x2, y2))] = _pair_id(xx, yy)
+    if len(mor) != len(a._mor) * len(b._mor):
+        raise BadArgument("duplicate morphism id: pair ids of the product collide")
+    vertices = [_pair_id(u, v) for u in a.vertices for v in b.vertices]
+    ids, zero = set(vertices), (0,) * (a.rank + b.rank)
+    bad = sorted(m for m, rec in mor.items() if rec.d == zero and m not in ids)
+    if bad:
+        raise BadArgument(f"{bad[0]!r} has degree zero; degree-zero morphisms are identities")
+    return ReferenceKGraph._from_parts(a.rank + b.rank, vertices, mor, table)
+
+
+def reference_disjoint_union(a: FiniteKGraph, b: FiniteKGraph) -> ReferenceKGraph:
+    """Reference copy of `core._tagged_union` on ("0", "1"), as it was on
+    string ids, over the reference views of a and b: verbatim apart from
+    the names."""
+    graphs, tags = [reference_view(a), reference_view(b)], ["0", "1"]
+    rank = graphs[0].rank
+    vertices = []
+    mor = {}
+    table = {}
+    for g, t in zip(graphs, tags, strict=True):
+        if g.rank != rank:
+            raise RankMismatch(f"cannot union a rank-{g.rank} graph with rank {rank}")
+        vertices.extend(f"{t}:{v}" for v in g.vertices)
+        for m, rec in g._mor.items():
+            mor[f"{t}:{m}"] = Morphism(rec.d, f"{t}:{rec.r}", f"{t}:{rec.s}")
+        for (x, y), z in g._compose.items():
+            table[(f"{t}:{x}", f"{t}:{y}")] = f"{t}:{z}"
+    return ReferenceKGraph._from_parts(rank, vertices, mor, table)
+
+
+def reference_quotient(graph: FiniteKGraph, rel) -> ReferenceKGraph:
+    """Reference copy of the construction in `quotient.quotient` as it was
+    on string ids, for a relation that passes check_congruence; it reads
+    the relation through its public rep and classes."""
+    view = reference_view(graph)
+    rep = {m: rel.rep(m) for m in graph.morphism_ids()}
+    mor = {}
+    for members in rel.classes():
+        rec = view._mor[members[0]]
+        mor[members[0]] = Morphism(rec.d, rep[rec.r], rep[rec.s])
+    table = {}
+    for (a, b), c in view._compose.items():
+        table[(rep[a], rep[b])] = rep[c] if c in rep else rel.rep(c)
+    vertices = {rep[v] for v in view.vertices}
+    return ReferenceKGraph._from_parts(graph.rank, vertices, mor, table)

@@ -1,5 +1,6 @@
 """Category model, validators, cubes/faces, factorisation, vertex predicates."""
 
+import json
 import random
 import re
 from itertools import product
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from kgraphs.core import (
     FiniteKGraph,
+    _splits,
     Skeleton2Graph,
     cartesian_product,
     cubes,
@@ -35,8 +37,8 @@ from kgraphs.errors import (
 )
 from kgraphs.io import loads
 from kgraphs.export import export_json
-from kgraphs.homology import ChainComplex, SparseIntMatrix, chain_complex, smith_normal_form
-from kgraphs.quotient import glue_on_common, quotient, relation_from_pairs
+from kgraphs.homology import ChainComplex, SparseIntMatrix, chain_complex, homology, smith_normal_form
+from kgraphs.quotient import check_congruence, glue_on_common, quotient, relation_from_pairs
 from kgraphs.simplex import (
     basis_point,
     build_simplex,
@@ -55,14 +57,23 @@ from kgraphs.simplex import (
 from kgraphs.surfaces import basic_surface, compact_surface
 
 from helpers import (
+    ReferenceKGraph,
     cube_view_digests,
+    factor_index,
     grid_category,
     mutated_category,
     path_category,
     random_dag,
     random_grid_category,
+    parts,
     random_path_category,
+    reference_cartesian_product,
+    reference_check_congruence,
+    reference_disjoint_union,
     reference_find_violations,
+    reference_generated_classes,
+    reference_quotient,
+    reference_view,
 )
 
 
@@ -178,14 +189,14 @@ def test_validation_matches_the_reference_on_mutated_categories(seed, faults):
 
 def test_clean_validation_leaves_the_factorisation_index_faces_read():
     for g in (tiny(), build_sphere(2), build_wedge(2, 2), grid_category(tiny(), tiny())):
-        fresh = FiniteKGraph._from_parts(g.rank, g.vertices, dict(g._mor), dict(g._compose))
+        fresh = FiniteKGraph(g.rank, *parts(g))
         assert validate_kgraph(fresh) == []
-        index = fresh._factor_index
-        assert index is not None and index == g._factors()
+        index = factor_index(fresh, build=False)
+        assert index is not None and index == factor_index(g)
         cx, reference = chain_complex(fresh), chain_complex(g)
         assert cx.bases == reference.bases
         assert [m.entries for m in cx.boundaries] == [m.entries for m in reference.boundaries]
-        assert fresh._factor_index is index
+        assert factor_index(fresh, build=False) is index
 
 
 def parallel_path_category(steps: int) -> FiniteKGraph:
@@ -328,6 +339,20 @@ def _glue_across_a_square():
          "entry (0, 0, 0) is not a pair of integers"),
         (lambda: smith_normal_form(5), "a dense matrix must be a sequence of rows"),
         (lambda: smith_normal_form([1, 2]), "a dense matrix must be a sequence of rows"),
+        (lambda: FiniteKGraph(1, ["v"], {"e": ((1,), "v")}, {}),
+         "record of 'e' is not (degree, range, source)"),
+        (lambda: FiniteKGraph(1, ["v"], {"e": (1, "v", "v")}, {}),
+         "record of 'e' is not (degree, range, source)"),
+        (lambda: FiniteKGraph(1, ["v"], {}, {"x": "y"}), "compose key 'x' is not a pair of ids"),
+        (lambda: FiniteKGraph(1, ["v"], 5, {}), "morphisms and compose must be mappings"),
+        (lambda: FiniteKGraph("a", ["v"], {}, {}), "rank 'a' is not an integer"),
+        (lambda: build_simplex(1).factorise("(0,{1,0})", "x"),
+         "split 'x' is not a sequence of integers"),
+        (lambda: relation_from_pairs(build_simplex(1), [("0",)]),
+         "pairs must be (a, b) pairs of morphism ids"),
+        (lambda: SparseIntMatrix((2, 2), [(0, 0, 1)]), "entries must map (row, col) pairs to integers"),
+        (lambda: SparseIntMatrix((2, 2), 5), "entries must map (row, col) pairs to integers"),
+        (lambda: homology(5), "homology needs a ChainComplex, not int"),
     ],
 )
 def test_bad_arguments_raise_a_kgraph_error_that_is_a_value_error(call, message):
@@ -337,8 +362,11 @@ def test_bad_arguments_raise_a_kgraph_error_that_is_a_value_error(call, message)
     assert kgraphs.BadArgument is BadArgument
 
 
-# k only negative or past 2**64: moderate values would allocate 2**(k+1) lists
-BAD_K = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
+# k only negative, past 2**64 or not an integer: moderate values would
+# allocate 2**(k+1) lists
+BAD_K = st.one_of(
+    st.integers(max_value=-1), st.integers(min_value=2**64), st.sampled_from(["a", 2.5, None])
+)
 NUMBERS = st.one_of(st.integers(-2, 3), st.integers(min_value=2**64), st.floats())
 JUNK = st.one_of(NUMBERS, st.none(), st.text(max_size=2))
 # near-placings mostly, so that calls get past their first check
@@ -361,6 +389,9 @@ BAD_CALLS = st.one_of(
 @settings(max_examples=400, deadline=None)
 @given(call=BAD_CALLS)
 @example(call=(enumerate_placings, (2**64,)))
+@example(call=(enumerate_placings, (2.5,)))
+@example(call=(count_placings, ("a",)))
+@example(call=(build_simplex, ("a",)))
 @example(call=(count_placings, (2**64,)))
 @example(call=(sphere_pole, (2**64, 0)))
 @example(call=(build_wedge, (2**64, 2)))
@@ -393,11 +424,97 @@ def builder_outputs():
 
 def test_trusted_constructor_matches_the_public_one():
     for g in builder_outputs():
-        public = FiniteKGraph(
-            g.rank, g.vertices, {m: g._mor[m] for m in g.nonidentity_ids()}, g._compose
-        )
+        public = FiniteKGraph(g.rank, *parts(g))
         public.embedding = g.embedding
         assert vars(public) == vars(g)
+
+
+def _outcome(fn):
+    """What fn() returns, or the type and text of the error it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # the error is the outcome compared
+        return (type(exc), str(exc))
+
+
+def assert_agrees_with_reference(g: FiniteKGraph, ref: ReferenceKGraph) -> None:
+    """g answers every accessor, split, composite and face as the
+    string-keyed reference does."""
+    assert (g.morphism_ids(), g.vertices, len(g)) == (ref.morphism_ids(), ref.vertices, len(ref))
+    for m in g.morphism_ids():
+        assert (g.d(m), g.r(m), g.s(m), g.is_identity(m)) == (
+            ref.d(m), ref.r(m), ref.s(m), ref.is_identity(m))
+        for p in _splits(g.d(m)):
+            assert _outcome(lambda: g.factorise(m, p)) == _outcome(lambda: ref.factorise(m, p))
+    pairs = list(g.composable_pairs(include_identities=True))
+    assert pairs == list(ref.composable_pairs(include_identities=True))
+    for a, b in pairs:
+        assert _outcome(lambda: g.compose(a, b)) == _outcome(lambda: ref.compose(a, b))
+    assert list(g.compose_table().items()) == list(ref.compose_table().items())
+    for v in g.vertices:
+        assert g.morphisms_with_range(v) == ref.morphisms_with_range(v)
+        assert g.morphisms_with_source(v) == ref.morphisms_with_source(v)
+    for d in {g.d(m) for m in g.morphism_ids()}:
+        assert g.by_degree(d) == ref.by_degree(d)
+    assert cubes(g) == cubes(ref)
+    for c in cubes(g):
+        for i in range(1, len(c.degree) + 1):
+            for side in (0, 1):
+                assert _outcome(lambda: face(g, c, i, side)) == _outcome(lambda: face(ref, c, i, side))
+    assert validate_kgraph(g) == reference_find_violations(g)
+
+
+def _agree(build, reference_build) -> None:
+    """Both builders raise the same error, or build graphs that agree."""
+    got, want = _outcome(build), _outcome(reference_build)
+    if isinstance(want, ReferenceKGraph):
+        assert_agrees_with_reference(got, want)
+    else:
+        assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), faults=st.integers(0, 3))
+def test_integer_core_agrees_with_the_string_keyed_reference(seed, faults):
+    rng = random.Random(seed)
+    a = rng.choice([random_path_category, random_grid_category])(rng, max_morphisms=10)
+    b = random_path_category(rng, max_vertices=3, max_morphisms=3)
+    broken = mutated_category(a, rng.choice, faults)
+    for g in (a, b, broken):
+        assert_agrees_with_reference(g, reference_view(g))
+    # a loaded graph holds a's parts, its table in the document's order
+    doc = json.loads(export_json(a))
+    loaded = ReferenceKGraph(
+        doc["rank"],
+        doc["vertices"],
+        {rec["id"]: (tuple(rec["d"]), rec["r"], rec["s"]) for rec in doc["morphisms"]},
+        {(x, y): z for x, y, z in doc["compose"]},
+    )
+    assert loaded.compose_table() == a.compose_table()
+    assert_agrees_with_reference(loads(export_json(a)), loaded)
+    for x, y in ((a, b), (b, a), (broken, b)):
+        _agree(lambda: cartesian_product(x, y), lambda: reference_cartesian_product(x, y))
+    for x, y in ((a, broken), (a, b)):
+        _agree(lambda: disjoint_union(x, y), lambda: reference_disjoint_union(x, y))
+
+    for g, mode in ((a, "generated"), (cartesian_product(a, b), "generated"), (broken, "explicit")):
+        ids = g.morphism_ids()
+        firsts = [rng.choice(ids) for _ in range(rng.randint(1, 3))]
+        # mostly pairs of one degree, so that some relations are congruences
+        pairs = [(m, rng.choice(g.by_degree(g.d(m)) if rng.random() < 0.8 else ids)) for m in firsts]
+        rel = _outcome(lambda: relation_from_pairs(g, pairs, mode))
+        if isinstance(rel, tuple):  # a broken graph's table raised while saturating
+            continue
+        if mode == "generated":
+            assert rel.classes() == reference_generated_classes(g, pairs)
+        verdict = _outcome(lambda: check_congruence(rel))
+        assert verdict == _outcome(lambda: reference_check_congruence(rel))
+        if getattr(verdict, "ok", False):  # a broken table's unknown composite still raises
+            _agree(lambda: quotient(g, rel), lambda: reference_quotient(g, rel))
+            q = _outcome(lambda: quotient(g, rel))
+            # classes are named by their least members, in g's order
+            if isinstance(q, FiniteKGraph):
+                assert q.morphism_ids() == tuple(m for m in ids if rel.rep(m) == m)
 
 
 def test_product_refuses_what_the_public_constructor_would():

@@ -1,6 +1,7 @@
 """Placings, their partial order, tail factors, and the simplex builders."""
 
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -252,3 +253,14 @@ def test_vertex_points_match_embed():
     for k in range(5):
         for f in enumerate_placings(k):
             assert _vertex_point(f) == embed(f, height(f))
+
+
+def test_sigma_5_sizes_and_validation():
+    # the size that the integer-indexed core is for: counts of Sigma_5, its
+    # composable triples counted from the table, and a clean validation
+    g = build_simplex(5)
+    table = g.compose_table()
+    ending_in = Counter(b for _, b in table)  # entries (a, b) by their b
+    assert len(g.vertices) == 4683 and len(g) == 66_605
+    assert sum(ending_in[b] for b, _ in table) == 398_160
+    assert validate_kgraph(g) == []

@@ -25,7 +25,7 @@ from .simplex import (
     build_wedge,
     count_placings,
     enumerate_placings,
-    placing_id,
+    _pid,
 )
 from .surfaces import MarkedSkeleton, compact_surface, connected_sum, validate_marking
 
@@ -93,8 +93,8 @@ def _cmd_placings(args) -> int:
     if args.count:
         print(count_placings(args.k))
     else:
-        for f in enumerate_placings(args.k):
-            print(placing_id(f))
+        # enumerated placings are known to be valid
+        sys.stdout.write("".join(_pid(f) + "\n" for f in enumerate_placings(args.k)))
     return 0
 
 

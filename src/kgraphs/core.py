@@ -474,7 +474,10 @@ class FiniteKGraph:
     # -- simple indexes ------------------------------------------------------
 
     def by_degree(self, n) -> tuple[str, ...]:
-        n = tuple(int(x) for x in n)
+        try:
+            n = tuple(int(x) for x in n)
+        except (TypeError, ValueError):
+            raise BadArgument(f"degree {n!r} is not a sequence of integers") from None
         return tuple(self._names[m] for m, d in enumerate(self._d) if d == n)
 
     def _by_degree_and_range(self) -> dict:
@@ -836,6 +839,8 @@ def cubes(model, n: int | None = None) -> list[Cube]:
     Cubes come back in a fixed canonical order (the chain-complex basis
     order).  Raises DimensionTooLarge when n exceeds the rank.
     """
+    if n is not None and not isinstance(n, int):
+        raise BadArgument(f"dimension {n!r} is not an integer")
     if n is not None and n > model.rank:
         raise DimensionTooLarge(f"a rank-{model.rank} graph has no {n}-cubes")
     out = model._cubes()
@@ -850,6 +855,8 @@ def face(model, cube: Cube, i: int, side: int) -> Cube:
     """
     if side not in (0, 1):
         raise BadArgument("side must be 0 or 1")
+    if not isinstance(i, int):
+        raise BadArgument(f"direction {i!r} is not an integer")
     faces = {}
     if 1 <= i <= len(cube.degree) and cube.degree[i - 1] == 1:
         faces = model._unit_faces(cube.key)

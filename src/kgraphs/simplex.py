@@ -16,16 +16,13 @@ per coordinate, so no pair of placings is compared or re-validated.  The
 public helpers (placing_id, height, tail_factor, leq, is_placing) still
 validate their arguments.
 
-The k-sphere is two copies of the simplex with their boundaries (all
-vertices away from the zero placing) identified, built as an honest
-congruence quotient of {0,1} x simplex.  The relation is passed in
-"explicit" mode -- the two copies of every morphism whose range is not
-the zero placing -- and is certified rather than closed up: quotient()
-checks all four congruence conditions, and a relation that passes them
-is already closed under the saturation "generated" mode would run, so it
-is the generated relation; if it failed, quotient() would raise
-NotACongruence instead of building anything.  Wedges of spheres identify
-the interior vertices of several tagged spheres.
+The k-sphere is two copies of the simplex glued along their boundary:
+the placings other than the zero placing, a hereditary set, so the glued
+graph is a k-graph.  It is built from the simplex's numbered parts, with
+the ids, numbers and table order of the quotient of {0,1} x simplex by
+the two copies of every morphism whose range is not the zero placing,
+and then validated in full.  Wedges of spheres identify the poles of
+several tagged spheres by a certified congruence quotient.
 
 Ids are human-readable: a placing prints as its blocks in order of
 first appearance, elements within a block in decreasing order, so e.g.
@@ -39,8 +36,8 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .core import FiniteKGraph, _numbering, _sorted_parts, _tagged_union, cartesian_product
-from .errors import BadArgument, HeightExceeded, OutOfBox, OutOfRange
+from .core import FiniteKGraph, _numbering, _sorted_parts, _tagged_union, validate_kgraph
+from .errors import BadArgument, HeightExceeded, InvalidModel, OutOfBox, OutOfRange
 from .quotient import quotient, relation_from_pairs
 
 Placing = tuple[int, ...]
@@ -60,18 +57,24 @@ def _as_table(f) -> Placing:
     return t
 
 
-def is_placing(f) -> bool:
-    """Whether every value of f equals the count of strictly smaller values."""
-    try:
-        t = _as_table(f)
-    except OutOfRange:
-        return False
+def _placing(f) -> Placing:
+    """The table of f, checked to be a placing (else OutOfRange)."""
+    t = _as_table(f)
     # sorted, each new value must be its index (the count of values before it)
     prev = 0
     for i, v in enumerate(sorted(t)):
         if v != prev and v != i:
-            return False
+            raise OutOfRange(f"{t} is not a placing")
         prev = v
+    return t
+
+
+def is_placing(f) -> bool:
+    """Whether every value of f equals the count of strictly smaller values."""
+    try:
+        _placing(f)
+    except OutOfRange:
+        return False
     return True
 
 
@@ -120,14 +123,10 @@ def count_placings(k: int) -> int:
 def _pid(t: Placing) -> str:
     if not any(t):
         return "0"
-    blocks: dict[int, list[int]] = {}
+    blocks = [""] * len(t)  # the points of each value, in decreasing order
     for j, v in enumerate(t):
-        blocks.setdefault(v, []).append(j)
-    parts = [
-        "".join(str(j) for j in sorted(blocks[v], reverse=True))
-        for v in sorted(blocks)
-    ]
-    return "{" + ",".join(parts) + "}"
+        blocks[v] = str(j) + blocks[v]
+    return "{" + ",".join(filter(None, blocks)) + "}"
 
 
 def _height(t: Placing) -> tuple[int, ...]:
@@ -137,10 +136,7 @@ def _height(t: Placing) -> tuple[int, ...]:
 
 def placing_id(f) -> str:
     """Canonical human-readable id, e.g. (0,2,0) -> "{20,1}"."""
-    t = _as_table(f)
-    if not is_placing(t):
-        raise OutOfRange(f"{t} is not a placing")
-    return _pid(t)
+    return _pid(_placing(f))
 
 
 def height(f) -> tuple[int, ...]:
@@ -184,9 +180,7 @@ def leq(f, g) -> bool:
 def basis_point(f, n: int) -> tuple[Fraction, ...]:
     """The barycentre of the face spanned by everything f places before
     level n (a convex combination of n basis vectors, so its l1 norm is 1)."""
-    t = _as_table(f)
-    if not is_placing(t):
-        raise OutOfRange(f"{t} is not a placing")
+    t = _placing(f)
     if n < 1 or n not in t:
         raise OutOfRange(f"{n} is not a positive value of the placing")
     members = [j for j, v in enumerate(t) if v < n]
@@ -203,9 +197,7 @@ def embed(f, t) -> tuple[Fraction, ...]:
     the vertex itself sits at embed(f, height(f)).  Exact rational
     arithmetic throughout.
     """
-    table = _as_table(f)
-    if not is_placing(table):
-        raise OutOfRange(f"{table} is not a placing")
+    table = _placing(f)
     k = len(table) - 1
     try:
         point = tuple(Fraction(x) for x in t)
@@ -342,26 +334,45 @@ def build_simplex(k: int) -> FiniteKGraph:
     return graph
 
 
-def _sphere_pairs(k: int, simplex: FiniteKGraph | None = None):
+def _sphere_pairs(k: int):
     """Id pairs identifying the two copies of every morphism of the simplex
     (identities included) whose range is not the zero placing."""
-    if simplex is None:
-        simplex = build_simplex(k)
+    simplex = build_simplex(k)
     return [(f"(0,{m})", f"(1,{m})") for m in simplex.morphism_ids() if simplex.r(m) != "0"]
 
 
 def build_sphere(k: int) -> FiniteKGraph:
-    """The k-sphere: {0,1} x simplex with the two copies identified away
-    from the zero placing.  Also a k-graph, certified by the congruence
-    check inside the quotient.  Carries an embedding with one extra
-    coordinate (the two copies of the barycentre become the poles)."""
-    two = FiniteKGraph(0, ["0", "1"], {}, {})
+    """The k-sphere: two copies of the simplex glued along the boundary
+    (every placing but the zero placing), named "(0,m)" and "(1,m)" as in
+    the quotient of {0,1} x simplex by _sphere_pairs(k).  Validated in
+    full (InvalidModel on any violation).  Carries an embedding with one
+    extra coordinate (the two copies of the barycentre become the poles)."""
     simplex = build_simplex(k)
-    product = cartesian_product(two, simplex)
-    pairs, points = _sphere_pairs(k, simplex), simplex.embedding
-    del simplex  # the product holds all the quotient needs
-    # explicit mode: quotient() certifies the relation (see the module notes)
-    sphere = quotient(product, relation_from_pairs(product, pairs, mode="explicit"))
+    names, n, points = simplex._names, len(simplex._ids), simplex.embedding
+    deg, r, s, isv, table = simplex._d, simplex._r, simplex._s, simplex._isv, simplex._table
+    del simplex
+    # copy 0 is the simplex; copy 1 adds the morphisms into the zero
+    # placing, numbered from n, and shares every other one with copy 0.
+    # No simplex id is a prefix of another, so the ids stay sorted: they
+    # are the quotient's, in its order.
+    zero = names.index("0")
+    new = [m for m in range(n) if r[m] == zero]
+    one = list(range(n))
+    for j, m in enumerate(new):
+        one[m] = n + j
+    ids = tuple([f"(0,{m})" for m in names] + [f"(1,{names[m]})" for m in new])
+    del names
+    deg += [deg[m] for m in new]
+    r += [one[r[m]] for m in new]
+    s += [one[s[m]] for m in new]
+    isv += bytearray(isv[m] for m in new)
+    # copy 1's own entries: those whose first factor (so also the
+    # composite) has range the zero placing
+    table.update({(one[a], one[b]): one[c] for (a, b), c in table.items() if r[a] == zero})
+    sphere = FiniteKGraph._from_parts(k, ids, len(ids), deg, r, s, isv, table)
+    violations = validate_kgraph(sphere)
+    if violations:
+        raise InvalidModel(f"the glued {k}-sphere fails validation: {violations[0]}")
 
     embedding = {}
     for v, base in points.items():
@@ -389,7 +400,7 @@ def build_wedge(k: int, n: int) -> FiniteKGraph:
     """n tagged copies of the k-sphere with their 0-side poles identified.
 
     Only identities leave a pole, so the identification is a congruence
-    (passed in explicit mode and certified by quotient(), as in build_sphere).
+    (passed in explicit mode and certified by quotient()).
     """
     if not isinstance(n, int) or n < 1:
         raise BadArgument("a wedge needs n >= 1 spheres")

@@ -1386,6 +1386,12 @@ def reference_view(g: FiniteKGraph) -> ReferenceKGraph:
     return ReferenceKGraph(g.rank, *parts(g))
 
 
+def table_order(g: FiniteKGraph) -> list:
+    """g's stored composition table as ((a, b), ab) by morphism number, in
+    the order it is stored and written."""
+    return list(g._table.items())
+
+
 def factor_index(g: FiniteKGraph, build: bool = True):
     """The factorisation index g keeps, built first if asked, else None
     until a clean validation or a factorisation has built it."""

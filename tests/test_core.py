@@ -353,6 +353,10 @@ def _glue_across_a_square():
         (lambda: SparseIntMatrix((2, 2), [(0, 0, 1)]), "entries must map (row, col) pairs to integers"),
         (lambda: SparseIntMatrix((2, 2), 5), "entries must map (row, col) pairs to integers"),
         (lambda: homology(5), "homology needs a ChainComplex, not int"),
+        (lambda: build_simplex(1).by_degree("x"), "degree 'x' is not a sequence of integers"),
+        (lambda: cubes(build_simplex(1), "1"), "dimension '1' is not an integer"),
+        (lambda: face(build_simplex(1), cubes(build_simplex(1), 1)[0], "x", 0),
+         "direction 'x' is not an integer"),
     ],
 )
 def test_bad_arguments_raise_a_kgraph_error_that_is_a_value_error(call, message):
@@ -426,6 +430,9 @@ def test_trusted_constructor_matches_the_public_one():
     for g in builder_outputs():
         public = FiniteKGraph(g.rank, *parts(g))
         public.embedding = g.embedding
+        # a sphere is validated as it is built: validate both, so that
+        # the kept violations and factorisation index are compared too
+        assert validate_kgraph(public) == validate_kgraph(g)
         assert vars(public) == vars(g)
 
 

@@ -8,24 +8,28 @@ from itertools import product
 import pytest
 
 from kgraphs import (
+    FiniteKGraph,
     basis_point,
     build_simplex,
     build_sphere,
     build_wedge,
+    cartesian_product,
     embed,
     enumerate_placings,
     height,
     leq,
     placing_id,
+    quotient,
+    relation_from_pairs,
     sphere_pole,
     tail_factor,
     validate_kgraph,
 )
 from kgraphs.errors import HeightExceeded, OutOfBox, OutOfRange
 from kgraphs.export import export_json
-from kgraphs.simplex import _indices, _up_sets, _vertex_point, is_placing
+from kgraphs.simplex import _indices, _sphere_pairs, _up_sets, _vertex_point, is_placing
 
-from helpers import ordered_bell
+from helpers import ordered_bell, table_order
 
 
 def test_placing_counts_match_fubini_recurrence():
@@ -247,6 +251,20 @@ def test_builder_output_bytes_are_pinned(what, k):
     build = {"simplex": build_simplex, "sphere": build_sphere}[what]
     text = export_json(build(k))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BUILD_DIGESTS[what, k]
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_glued_sphere_is_the_quotient_of_the_product(k):
+    # the glued sphere has the ids, numbers and table order of the
+    # quotient of {0,1} x Sigma_k by the sphere relation
+    product = cartesian_product(FiniteKGraph(0, ["0", "1"], {}, {}), build_simplex(k))
+    q = quotient(product, relation_from_pairs(product, _sphere_pairs(k), mode="explicit"))
+    g = build_sphere(k)
+    q.embedding = g.embedding
+    assert export_json(g) == export_json(q)
+    assert g.morphism_ids() == q.morphism_ids()
+    assert table_order(g) == table_order(q)
+    assert validate_kgraph(g) == []
 
 
 def test_vertex_points_match_embed():

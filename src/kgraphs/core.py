@@ -38,9 +38,9 @@ among them, no other of degree zero) and no identity pair in the table.
 Each caller says why its parts hold.
 
 Both models are cube complexes with one view: `rank`, `_cubes()` (the
-unit cubes in basis order) and `_unit_faces(key)` (a cube's faces per
-direction, oriented as documented on `Cube`).  `cubes`, `face`,
-`homology.chain_complex` and the exports read a model only through it.
+unit cubes in basis order), `_unit_faces(key)` and its row form
+`_chain_rows()`, as documented on `Cube`.  A graph reads both forms off
+the factorisation index through one step table per degree (`_steps`).
 """
 
 from __future__ import annotations
@@ -166,13 +166,14 @@ def _sorted_parts(rank, order, at, deg, r, s, isv, table) -> tuple:
     return rank, tuple(at), len(order), d, r, s, isv, table
 
 
-def _numbered(rank: int, vertices, mor: dict, table: dict) -> tuple:
+def _numbered(rank: int, vertices, mor: dict, number_table) -> tuple:
     """The parts of a graph on string parts a caller has checked: distinct
     vertex ids, mor mapping each other id to (degree, range, source) with a
-    degree that is not zero, and no identity pair in the table."""
+    degree that is not zero, and number_table(at), the table by the numbers
+    of at (before ranges and sources take theirs), with no identity pair."""
     ids, order, new, at = _numbering([*vertices, *mor])
     records = [((0,) * rank, v, v) for v in vertices] + list(mor.values())
-    table = {(at[a], at[b]): at[c] for (a, b), c in table.items()}
+    table = number_table(at)
     r, s = [at[x] for _, x, _ in records], [at[x] for _, _, x in records]
     isv = [1] * len(vertices) + [0] * len(mor)
     return _sorted_parts(rank, order, at, [d for d, _, _ in records], r, s, isv, table)
@@ -237,7 +238,8 @@ class FiniteKGraph:
             if a in vset or b in vset:
                 raise BadArgument(f"composition with an identity must stay implicit: ({a}, {b})")
             table[(a, b)] = str(c)
-        self._index(*_numbered(rank, vs, mor, table))
+        self._index(*_numbered(rank, vs, mor, lambda at: {
+            (at[a], at[b]): at[c] for (a, b), c in table.items()}))
 
     @classmethod
     def _from_parts(cls, rank: int, names, n: int, deg, r, s, isv, table) -> FiniteKGraph:
@@ -272,7 +274,7 @@ class FiniteKGraph:
                 self._with_source[s[m]].append(m)
 
         self._factor_index: dict | None = None
-        self._unit_steps: dict[int, list] = {}  # per degree code, for _unit_faces
+        self._unit_steps: dict[int, list] = {}  # per degree code, for _steps
         self._deg_range_index: dict | None = None
         self._violations: tuple[Violation, ...] | None = None
 
@@ -432,44 +434,64 @@ class FiniteKGraph:
 
     # -- the cube view (see Cube) --------------------------------------------
 
-    def _cubes(self) -> list[Cube]:
-        """The morphisms of degree <= (1,...,1), by dimension, degree, id."""
-        rank, names, degrees = self.rank, self._names, list(self._codes)
-        cube_codes = sorted(
-            (sum(d), d, c) for d, c in self._codes.items()
-            if len(d) == rank and not (d and max(d) > 1)
-        )
-        by_code: dict[int, list[int]] = {c: [] for _, _, c in cube_codes}
+    def _cube_blocks(self) -> list[tuple]:
+        """(dimension, degree, code, numbers) per cube degree, in basis order."""
+        blocks = {c: (sum(d), d, c, []) for d, c in self._codes.items()
+                  if len(d) == self.rank and not (d and max(d) > 1)}
         for m, c in enumerate(self._dc):
-            if c in by_code:
-                by_code[c].append(m)
-        return [Cube(names[m], degrees[c]) for c, ms in by_code.items() for m in ms]
+            if c in blocks:
+                blocks[c][3].append(m)
+        return sorted(blocks.values())  # degrees are distinct: no list is compared
+
+    def _cubes(self) -> list[Cube]:
+        return [Cube(self._names[m], d) for _, d, _, ms in self._cube_blocks() for m in ms]
+
+    def _steps(self, c: int, d: Degree) -> list:
+        """(i, unit, rest, codes of unit and rest) per direction i with a 1 in d
+        (code c); None where the index has no such split (d, 0 or no degree)."""
+        if c not in self._unit_steps:
+            self._unit_steps[c] = [
+                (i + 1, unit, rest, None if unit == d else self._codes.get(unit),
+                 self._codes.get(rest) if any(rest) else None)
+                for i, x in enumerate(d) if x == 1
+                for unit in [(0,) * i + (1,) + (0,) * (len(d) - i - 1)]
+                for rest in [d[:i] + (0,) + d[i + 1:]]
+            ]
+        return self._unit_steps[c]
 
     def _unit_faces(self, key: str) -> dict:
         """Faces read from the factorisation index: in direction i, the
         tail after the unit step and the head before it.  Raises
         InvalidModel when a factorisation is missing or ambiguous."""
         m, names = self._num(key), self._names
-        steps = self._unit_steps.get(self._dc[m])
-        if steps is None:
-            # (i, unit, rest, and the codes of the splits the index holds)
-            d, codes = self._d[m], self._codes
-            steps = self._unit_steps[self._dc[m]] = [
-                (i + 1, unit, rest, None if unit == d else codes.get(unit),
-                 codes.get(rest) if any(rest) else None)
-                for i, x in enumerate(d) if x == 1
-                for unit in [(0,) * i + (1,) + (0,) * (len(d) - i - 1)]
-                for rest in [d[:i] + (0,) + d[i + 1:]]
-            ]
         index, at = self._factors(), m * len(self._codes)
         out = {}
-        for i, unit, rest, cu, cr in steps:
+        for i, unit, rest, cu, cr in self._steps(self._dc[m], self._d[m]):
             tail = None if cu is None else index.get(at + cu)
             head = None if cr is None else index.get(at + cr)
             if type(tail) is not tuple or type(head) is not tuple:
                 tail, head = self._split(m, unit), self._split(m, rest)
             out[i] = (names[tail[1]], names[head[0]], rest)
         return out
+
+    def _chain_rows(self) -> tuple[list, list]:
+        """The cube view in row form (see Cube), for a validated graph, whose
+        index holds every inner split once: a None code is a trivial split."""
+        r, s, nd, index = self._r, self._s, len(self._codes), self._factors()
+        nums, rows = [[] for _ in range(self.rank + 1)], [[] for _ in range(self.rank + 1)]
+        pos = [0] * len(self._ids)  # each cube's row in its dimension's basis
+        for t, d, c, ms in self._cube_blocks():  # by dimension: faces are placed first
+            for i, m in enumerate(ms, len(nums[t])):
+                pos[m] = i
+            nums[t] += ms
+            cols = []  # hi_1, lo_1, hi_2, lo_2, ... of the block's cubes
+            for _, _, _, cu, cr in self._steps(c, d):
+                cols.append([pos[s[m]] for m in ms] if cu is None else
+                            [pos[index[m * nd + cu][1]] for m in ms])
+                cols.append([pos[r[m]] for m in ms] if cr is None else
+                            [pos[index[m * nd + cr][0]] for m in ms])
+            rows[t] += itertools.chain.from_iterable(zip(*cols))
+        return [[self._names[m] for m in ms] for ms in nums], rows
 
     # -- simple indexes ------------------------------------------------------
 
@@ -718,6 +740,14 @@ class Skeleton2Graph:
         e = self.edge(key)
         return {self.colour(key): (e.s, e.r, ())}
 
+    def _chain_rows(self) -> tuple[list, list]:
+        """The cube view in row form (see Cube), read off _unit_faces."""
+        bases = [list(self.vertices), [*sorted(self.blue), *sorted(self.red)], list(self.squares)]
+        at = {x: i for ids in bases[:2] for i, x in enumerate(ids)}  # the ids are distinct
+        rows = [[at[x] for key in keys for hi, lo, _ in self._unit_faces(key).values()
+                 for x in (hi, lo)] for keys in bases[1:]]
+        return bases, [[], *rows]
+
     def __repr__(self) -> str:
         return (
             f"Skeleton2Graph(|vertices|={len(self.vertices)}, "
@@ -817,12 +847,14 @@ class Cube:
     For category models the key is the morphism id; for skeletons it is a
     vertex id (degree ()), an edge id or a square quadruple.
 
-    A model's `_unit_faces(key)` maps each direction i the cube extends
-    in, in increasing order, to (side-1 key, side-0 key, face degree):
-    side 0 is the face at the range end (the head before the unit step
-    in direction i), side 1 the face at the source end (the tail after
-    it), and both have the cube's degree with coordinate i set to 0 (or
-    (), for a skeleton's vertices).
+    A model's `_unit_faces(key)`, read by `face` and the exports, maps
+    each direction i the cube extends in, in increasing order, to (side-1
+    key, side-0 key, face degree): side 0 is the face at the range end
+    (the head before the unit step in direction i), side 1 the face at the
+    source end (the tail after it); both have a 0 at i (a skeleton's
+    vertices have degree ()).  Its row form `_chain_rows()`, read by
+    `chain_complex` on a valid model, is (bases, rows): the n-cube keys in
+    basis order and their faces as rows in bases[n - 1], in that order.
     """
 
     key: object

@@ -1,6 +1,7 @@
 """Exports: GraphViz skeletons and OFF quad meshes.
 
-Both read a model only through its cube view (`core.Cube`): the
+Both read a model's cube view (`core.Cube`) one cube at a time, through
+`cubes` and `_unit_faces(key)`, which raises on a broken model: the
 vertices are its 0-cubes, an edge's endpoints are the two faces of a
 1-cube, and a 2-cube's quad corners are read from the faces of its
 faces.  The dot export draws the 1-skeleton with one style per

@@ -21,11 +21,11 @@ ChainComplex refuses boundaries that do not compose to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import cycle
 
 from .core import (
     FiniteKGraph,
     Skeleton2Graph,
-    cubes,
     validate_kgraph,
     validate_skeleton,
 )
@@ -183,7 +183,8 @@ def chain_complex(model) -> ChainComplex:
 
     Raises InvalidModel when the model fails validation -- boundary
     matrices of a broken category would be meaningless.  Cubes and faces
-    come from the model's cube view (see `core.Cube`).
+    come from the row form of the model's cube view (`_chain_rows`, see
+    `core.Cube`), one list of face rows per dimension.
     """
     if isinstance(model, Skeleton2Graph):
         problems = validate_skeleton(model)
@@ -195,26 +196,19 @@ def chain_complex(model) -> ChainComplex:
         shown = "; ".join(str(p) for p in problems[:3])
         raise InvalidModel(f"model fails validation ({len(problems)} violations): {shown}")
 
-    top = model.rank
-    bases = [[] for _ in range(top + 1)]
-    for c in cubes(model):
-        bases[c.dim].append(c.key)
-
+    bases, rows = model._chain_rows()
     boundaries = [SparseIntMatrix((0, len(bases[0])))]
-    for n in range(1, top + 1):
-        row_of = {key: i for i, key in enumerate(bases[n - 1])}
+    for n in range(1, model.rank + 1):
         mat = SparseIntMatrix((len(bases[n - 1]), len(bases[n])))
-        for col, key in enumerate(bases[n]):
-            faces = model._unit_faces(key).values()
-            for j, (hi_key, lo_key, _) in enumerate(faces, start=1):
-                sign = -1 if j % 2 else 1
-                hi, lo = row_of[hi_key], row_of[lo_key]
-                for row, val in ((hi, sign), (lo, -sign)):
-                    new = mat.entries.get((row, col), 0) + val
-                    if new:
-                        mat.entries[(row, col)] = new
-                    else:
-                        mat.entries.pop((row, col), None)
+        entries = mat.entries
+        # per column and direction j = 1..n: hi with sign (-1)^j, then lo
+        signs = cycle([x for j in range(1, n + 1) for x in ((-1, 1) if j % 2 else (1, -1))])
+        cols = [col for col in range(len(bases[n])) for _ in range(2 * n)]
+        for key, val in zip(zip(rows[n], cols), signs):
+            if new := entries.get(key, 0) + val:
+                entries[key] = new
+            else:  # a loop's face met twice
+                del entries[key]
         boundaries.append(mat)
     # a validated model's boundaries compose to zero (acceptance criterion 11)
     return ChainComplex._from_parts(tuple(map(tuple, bases)), tuple(boundaries))

@@ -110,21 +110,24 @@ def _load_category(doc) -> FiniteKGraph:
             raise ParseError(f"{mid!r} has degree zero; identities are implicit")
         mor[mid] = (tuple(d), r, s)
 
-    table = {}
     raw = doc.get("compose")
     _expect(type(raw) is list, '"compose" must be a list')
-    for triple in raw:
-        if not (type(triple) is list and len(triple) == 3 and type(triple[0]) is str
-                and type(triple[1]) is str and type(triple[2]) is str):
-            raise ParseError("compose entries must be [a, b, ab] string triples")
-        a, b, c = triple
-        if a in vset or b in vset:
-            raise ParseError(f"identity composition [{a}, {b}] must be omitted")
-        if (a, b) in table:
-            raise ParseError(f"duplicate compose entry for ({a}, {b})")
-        table[(a, b)] = c
 
-    graph = FiniteKGraph._from_parts(*_numbered(rank, vertices, mor, table))
+    def number_table(at) -> dict:  # each triple numbered as it is checked
+        table = {}
+        for triple in raw:
+            if not (type(triple) is list and len(triple) == 3 and type(triple[0]) is str
+                    and type(triple[1]) is str and type(triple[2]) is str):
+                raise ParseError("compose entries must be [a, b, ab] string triples")
+            a, b, c = triple
+            if a in vset or b in vset:
+                raise ParseError(f"identity composition [{a}, {b}] must be omitted")
+            if (key := (at[a], at[b])) in table:
+                raise ParseError(f"duplicate compose entry for ({a}, {b})")
+            table[key] = at[c]
+        return table
+
+    graph = FiniteKGraph._from_parts(*_numbered(rank, vertices, mor, number_table))
     if "embedding" in doc:
         raw = doc["embedding"]
         _expect(type(raw) is dict, '"embedding" must be an object')

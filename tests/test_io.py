@@ -365,6 +365,16 @@ def test_loader_faults_match_the_reference_loader(data):
         assert outcome(loads, text) == outcome(lambda t: reference_load_category(json.loads(t)), text)
 
 
+def test_unknown_names_are_numbered_as_the_reference_loader_numbers_them():
+    # first seen first: each compose triple's a, b, ab, then ranges, then sources
+    doc = {"kind": "category", "rank": 1, "vertices": ["u", "v"], "compose": [
+        ["e", "ghostB", "ghostC"], ["ghostA", "f", "e"]], "morphisms": [
+        {"id": "e", "d": [1], "r": "u", "s": "ghostS"}, {"id": "f", "d": [1], "r": "ghostR", "s": "v"}]}
+    text = json.dumps(doc)
+    assert outcome(loads, text) == outcome(lambda t: reference_load_category(json.loads(t)), text)
+    assert loads(text)._names[4:] == ("ghostB", "ghostC", "ghostA", "ghostR", "ghostS")
+
+
 SKELETON_DOCS = [
     model_doc(basic_surface("K")),
     model_doc(basic_surface("T").skeleton),

@@ -14,9 +14,11 @@ from kgraphs import (
     build_sphere,
     build_wedge,
     cartesian_product,
+    chain_complex,
     embed,
     enumerate_placings,
     height,
+    homology,
     leq,
     placing_id,
     quotient,
@@ -282,3 +284,11 @@ def test_sigma_5_sizes_and_validation():
     assert len(g.vertices) == 4683 and len(g) == 66_605
     assert sum(ending_in[b] for b, _ in table) == 398_160
     assert validate_kgraph(g) == []
+    # a finite k-graph has no loops, so no face repeats in a column
+    cx = chain_complex(g)
+    assert [len(b) for b in cx.bases] == [4683, 16622, 23220, 15960, 5400, 720]
+    for n in range(1, 6):
+        per_column = Counter(j for _, j in cx.boundary(n).entries)
+        assert per_column == Counter({j: 2 * n for j in range(cx.dim(n))})
+    assert [cx.boundary(n).nnz for n in range(1, 6)] == [33_244, 92_880, 95_760, 43_200, 7200]
+    assert [str(h) for h in homology(cx)] == ["Z", "0", "0", "0", "0", "0"]

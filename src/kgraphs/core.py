@@ -16,7 +16,8 @@ ids are numbered from N on.  String ids appear only at the boundary:
 accessors, compose, factorise, compose_table, cube keys, errors and
 witnesses.  Builders format each id once and sort the ids once; a
 quotient names each class by its least member, so its ids are the
-parent's representatives in the parent's order.
+parent's representatives in the parent's order, and `_glue` (unions,
+spheres, wedges, glue_on_common) names each merged morphism the same way.
 
 Composition is written functionally: ``compose(a, b)`` is "a after b" and
 is defined exactly when ``source(a) == range(b)``.
@@ -70,9 +71,6 @@ _AMBIGUOUS = object()  # sentinel in the factorisation index
 # degrees
 
 
-def zero_degree(rank: int) -> Degree:
-    return (0,) * rank
-
 def unit_degree(rank: int, i: int) -> Degree:
     """The i-th coordinate vector, directions numbered 1..rank."""
     if not 1 <= i <= rank:
@@ -82,17 +80,11 @@ def unit_degree(rank: int, i: int) -> Degree:
 def deg_add(m: Degree, n: Degree) -> Degree:
     return tuple(a + b for a, b in zip(m, n, strict=True))
 
-def deg_sub(m: Degree, n: Degree) -> Degree:
-    return tuple(a - b for a, b in zip(m, n, strict=True))
-
 def deg_join(m: Degree, n: Degree) -> Degree:
     return tuple(max(a, b) for a, b in zip(m, n, strict=True))
 
 def deg_leq(m: Degree, n: Degree) -> bool:
     return all(a <= b for a, b in zip(m, n, strict=True))
-
-def deg_total(m: Degree) -> int:
-    return sum(m)
 
 
 def _splits(d: Degree):
@@ -161,9 +153,11 @@ def _numbering(ids: list[str]):
 def _sorted_parts(rank, order, at, deg, r, s, isv, table) -> tuple:
     """The parts of the graph on a builder's records, given in the builder's
     order and numbered by at, and its table."""
-    isv = bytearray(isv[old] for old in order) + bytearray(len(at) - len(order))
-    d, r, s = ([x[old] for old in order] for x in (deg, r, s))
-    return rank, tuple(at), len(order), d, r, s, isv, table
+    if order != list(range(len(order))):
+        deg, r, s = ([x[old] for old in order] for x in (deg, r, s))
+        isv = bytearray(isv[old] for old in order)
+    isv = bytearray(isv[:len(order)]) + bytearray(len(at) - len(order))
+    return rank, tuple(at), len(order), deg, r, s, isv, table
 
 
 def _numbered(rank: int, vertices, mor: dict, number_table) -> tuple:
@@ -237,6 +231,8 @@ class FiniteKGraph:
                 raise BadArgument(f"compose key {key!r} is not a pair of ids") from None
             if a in vset or b in vset:
                 raise BadArgument(f"composition with an identity must stay implicit: ({a}, {b})")
+            if (a, b) in table:
+                raise BadArgument(f"duplicate compose entry for ({a}, {b})")
             table[(a, b)] = str(c)
         self._index(*_numbered(rank, vs, mor, lambda at: {
             (at[a], at[b]): at[c] for (a, b), c in table.items()}))
@@ -536,6 +532,14 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
     if g._violations is None:
         g._violations = tuple(_find_violations(g))
     return list(g._violations)
+
+
+def _validated(g: FiniteKGraph, what: str) -> FiniteKGraph:
+    """g, validated in full: InvalidModel names what and the first violation."""
+    problems = validate_kgraph(g)
+    if problems:
+        raise InvalidModel(f"{what} fails validation: {problems[0]}")
+    return g
 
 
 def _find_violations(g: FiniteKGraph) -> list[Violation]:
@@ -966,16 +970,14 @@ def vertex_predicate(g: FiniteKGraph, vertex_set, kind: str) -> VertexSetReport:
         if not g.is_vertex(v):
             raise UnknownId(f"no vertex with id {v!r}")
 
-    if kind == "hereditary":
-        for m in g.morphism_ids():
-            if g.r(m) in V and g.s(m) not in V:
-                return VertexSetReport(kind, False, (m,))
-        return VertexSetReport(kind, True)
-
-    if kind == "cohereditary":
-        for m in g.morphism_ids():
-            if g.s(m) in V and g.r(m) not in V:
-                return VertexSetReport(kind, False, (m,))
+    if kind in ("hereditary", "cohereditary"):
+        # the first morphism, in id order, from outside V into V (hereditary)
+        # or from V out of it (co-hereditary)
+        inner, outer = (g._r, g._s) if kind == "hereditary" else (g._s, g._r)
+        nums = {g._at[v] for v in V}
+        for m in range(len(g._ids)):
+            if inner[m] in nums and outer[m] not in nums:
+                return VertexSetReport(kind, False, (g._names[m],))
         return VertexSetReport(kind, True)
 
     if kind == "saturated":
@@ -1038,32 +1040,59 @@ def cartesian_product(a: FiniteKGraph, b: FiniteKGraph) -> FiniteKGraph:
     return FiniteKGraph._from_parts(*_sorted_parts(rank, order, at, deg, r, s, isv, table))
 
 
-def _tagged_union(graphs, tags) -> FiniteKGraph:
-    """The union of graphs whose ids are prefixed "tag:"; tags must be
-    distinct and free of ":", so that prefixed ids stay distinct."""
+def _glue(graphs, tags, shared=None) -> FiniteKGraph:
+    """The union of graphs, graphs[i]'s morphism m named tags[i].format(m), with
+    each later graph's morphism m in shared (a dict by number) merged into
+    graphs[0]'s shared[m] under the least of their ids.  No tag's text before
+    "{}" is a prefix of another's, so that is the id in the least tag's graph.
+    One pass takes graphs[0] whole, then each later graph's morphisms outside
+    shared and its entries with a factor outside shared; _numbering sorts the
+    ids once.  When shared is the congruence its pairs generate (see
+    glue_on_common), this is the quotient of the union by it, with its ids,
+    numbers and table order.  Names a broken graph uses are tagged too.  Not
+    validated: callers validate once they let go of the summands, which would
+    otherwise stay alive through validation's peak."""
     rank = graphs[0].rank
     for g in graphs:
         if g.rank != rank:
             raise RankMismatch(f"cannot union a rank-{g.rank} graph with rank {rank}")
-    tagged = [f"{t}:{m}" for g, t in zip(graphs, tags, strict=True) for m in g._ids]
-    ids, order, new, at = _numbering(tagged)
-    deg, r, s, isv, table, start = [], [], [], bytearray(), {}, 0
-    for g, t in zip(graphs, tags):
-        n = len(g._ids)
-        num = new[start:start + n] + [at[f"{t}:{x}"] for x in g._names[n:]]
-        start += n
-        deg += g._d
-        r += [num[x] for x in g._r]
-        s += [num[x] for x in g._s]
-        isv += g._isv[:n]
-        for (x, y), z in g._table.items():
-            table[(num[x], num[y])] = num[z]
+    shared = shared or {}
+    tags = [tag.split("{}") for tag in tags]  # (text before, text after)
+    ids, parts = [], []  # the union's ids; per graph, its numbers and own morphisms
+    for g, (pre, post) in zip(graphs, tags, strict=True):
+        num = [shared.get(m, -1) if ids else -1 for m in range(len(g._ids))]
+        own = [m for m, x in enumerate(num) if x < 0]
+        for j, m in enumerate(own, len(ids)):
+            num[m] = j
+        ids += [f"{pre}{g._names[m]}{post}" for m in own]
+        parts.append((num, own))
+    least = min(range(len(tags)), key=tags.__getitem__)
+    pre, post = tags[least]
+    for m, m0 in shared.items() if least else ():
+        ids[m0] = f"{pre}{graphs[least]._names[m]}{post}"
+    ids, order, new, at = _numbering(ids)
+
+    deg, r, s, isv, table = [], [], [], bytearray(), {}
+    for i, (g, (pre, post), (num, own)) in enumerate(zip(graphs, tags, parts)):
+        glob = [new[x] for x in num] + [at[f"{pre}{x}{post}"] for x in g._names[len(num):]]
+        if not i and glob == list(range(len(glob))):  # graphs[0] keeps its numbers
+            deg, r, s, isv, table = list(g._d), list(g._r), list(g._s), g._isv[:len(num)], dict(g._table)
+            continue
+        deg += [g._d[m] for m in own]
+        r += [glob[g._r[m]] for m in own]
+        s += [glob[g._s[m]] for m in own]
+        isv += bytearray(g._isv[m] for m in own)
+        merged = bytearray(len(glob))
+        for m in shared if i else ():
+            merged[m] = 1
+        table.update({(glob[a], glob[b]): glob[c]
+                      for (a, b), c in g._table.items() if not (merged[a] and merged[b])})
     return FiniteKGraph._from_parts(*_sorted_parts(rank, order, at, deg, r, s, isv, table))
 
 
 def disjoint_union(a: FiniteKGraph, b: FiniteKGraph) -> FiniteKGraph:
     """Tagged coproduct of two graphs of the same rank ("0:" and "1:" ids)."""
-    return _tagged_union([a, b], ["0", "1"])
+    return _glue([a, b], ["0:{}", "1:{}"])
 
 
 def induced_subgraph(g: FiniteKGraph, vertex_set) -> FiniteKGraph:

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 from .core import (
     FiniteKGraph,
     VertexSetReport,
+    _glue,
     _splits,
+    _validated,
     disjoint_union,
     unit_degree,
     validate_kgraph,
@@ -37,7 +39,6 @@ from .core import (
 from .errors import (
     BadArgument,
     ForeignId,
-    InvalidModel,
     NotACongruence,
     NotHereditary,
     NotInjective,
@@ -381,6 +382,9 @@ def quotient(graph: FiniteKGraph, rel: MorphismRelation) -> FiniteKGraph:
 
 
 def _check_embedding(side: str, phi: dict[str, str], common: FiniteKGraph, target: FiniteKGraph):
+    """phi by number, once checked to be an injective functor keeping degrees.
+    An item numbers cannot pass reaches the check on ids, so errors come as
+    a walk over the ids and composable_pairs raises them."""
     for m in common.morphism_ids():
         if m not in phi:
             raise BadArgument(f"gluing map on side {side!r} misses morphism {m!r}")
@@ -391,14 +395,30 @@ def _check_embedding(side: str, phi: dict[str, str], common: FiniteKGraph, targe
             raise ForeignId(f"gluing map on side {side!r} hits unknown id {im!r}")
     if len(set(phi.values())) != len(phi):
         raise NotInjective(side)
-    for m in common.morphism_ids():
+    names, n, r, s, isv = common._names, len(common._ids), common._r, common._s, common._isv
+    tr, ts, tisv, ttable = target._r, target._s, target._isv, target._table
+    f = [target._at[phi[m]] for m in common._ids]
+    fx = f + [-1] * (len(names) - n)  # a name that is not an id has no image
+    for m, x in enumerate(f):
+        if common._d[m] == target._d[x] and fx[r[m]] == tr[x] and fx[s[m]] == ts[x]:
+            continue
+        m = names[m]
         if common.d(m) != target.d(phi[m]):
             raise BadArgument(f"map on side {side!r} changes the degree of {m!r}")
         if phi[common.r(m)] != target.r(phi[m]) or phi[common.s(m)] != target.s(phi[m]):
             raise BadArgument(f"map on side {side!r} does not respect endpoints at {m!r}")
-    for a, b in common.composable_pairs(include_identities=True):
+    # With degrees and endpoints kept and identities sent to identities, the
+    # implicit pairs hold and a stored pair of common (no identity in it)
+    # goes to a composable pair of non-identities: only its composite is read.
+    fast = [tisv[x] for x in f] == list(isv[:n])
+    implicit = () if fast else (((a, b), ab) for a, b, ab in common._implicit_composites())
+    for (a, b), c in [*common._table.items(), *implicit]:
+        if fast and max(a, b, c) < n and s[a] == r[b] and ttable.get((f[a], f[b])) == f[c]:
+            continue
+        a, b = names[a], names[b]
         if target.compose(phi[a], phi[b]) != phi[common.compose(a, b)]:
             raise BadArgument(f"map on side {side!r} is not functorial at ({a!r}, {b!r})")
+    return f
 
 
 def glue_on_common(
@@ -412,43 +432,41 @@ def glue_on_common(
 
     The images must both be hereditary vertex sets, or both co-hereditary
     ones; then identifying the two copies of the common graph inside the
-    disjoint union is a congruence and the glued graph is again a
-    k-graph (validated before returning).
-    """
-    _check_embedding("left", phi_left, common, left)
-    _check_embedding("right", phi_right, common, right)
+    disjoint union ("0:" and "1:" ids) is a congruence and the glued graph
+    is again a k-graph (validated before returning).
 
-    images = {}
-    for side, phi, target in (("left", phi_left, left), ("right", phi_right, right)):
-        V = {phi[v] for v in common.vertices}
-        hered = vertex_predicate(target, V, "hereditary")
-        cohered = vertex_predicate(target, V, "cohereditary")
-        images[side] = (hered, cohered)
-    if not (
-        (images["left"][0].holds and images["right"][0].holds)
-        or (images["left"][1].holds and images["right"][1].holds)
-    ):
-        for side in ("left", "right"):
-            hered, cohered = images[side]
+    If common, left and right validate clean, the image pairs already
+    satisfy "comp" (the maps are injective functors, so related composable
+    pairs are the images of one pair of common, and so are their
+    composites) and "factor" (common's factorisations are carried into
+    each target, where they are the only ones).  Saturation adds nothing,
+    and _glue, merging each right image into its left one, is the
+    quotient.  "lift" fails only if a morphism outside one image leaves an
+    image vertex whose twin a morphism outside the other reaches; then the
+    glue has a composable pair with no composite and fails validation.
+    That, or an invalid input, takes the generated path: union, saturated
+    relation, certified quotient and validation, with their errors.
+    """
+    f_left = _check_embedding("left", phi_left, common, left)
+    f_right = _check_embedding("right", phi_right, common, right)
+    images = [[vertex_predicate(target, {phi[v] for v in common.vertices}, kind)
+               for kind in ("hereditary", "cohereditary")]
+              for phi, target in ((phi_left, left), (phi_right, right))]
+    (left_h, left_c), (right_h, right_c) = images
+    if not ((left_h.holds and right_h.holds) or (left_c.holds and right_c.holds)):
+        for side, (hered, cohered) in zip(("left", "right"), images):
             if not hered.holds and not cohered.holds:
                 raise NotHereditary(side, hered.witness[0])
         # one side is hereditary-only, the other co-hereditary-only
-        raise NotHereditary(
-            "right",
-            (images["right"][0].witness or images["right"][1].witness or ("?",))[0],
-            "images must be hereditary on both sides or co-hereditary on both sides",
-        )
-
+        raise NotHereditary("right", (right_h.witness or right_c.witness or ("?",))[0],
+                            "images must be hereditary on both sides or co-hereditary on both sides")
+    if not (validate_kgraph(common) or validate_kgraph(left) or validate_kgraph(right)):
+        glued = _glue([left, right], ["0:{}", "1:{}"], dict(zip(f_right, f_left)))
+        if not validate_kgraph(glued):
+            return glued
     union = disjoint_union(left, right)
-    pairs = [
-        (f"0:{phi_left[m]}", f"1:{phi_right[m]}") for m in common.morphism_ids()
-    ]
-    rel = relation_from_pairs(union, pairs)
-    glued = quotient(union, rel)
-    problems = validate_kgraph(glued)
-    if problems:
-        raise InvalidModel(f"glued graph fails validation: {problems[0]}")
-    return glued
+    pairs = [(f"0:{phi_left[m]}", f"1:{phi_right[m]}") for m in common.morphism_ids()]
+    return _validated(quotient(union, relation_from_pairs(union, pairs)), "glued graph")
 
 
 def pullback_hypotheses(
@@ -465,29 +483,14 @@ def pullback_hypotheses(
     for side, phi, target in (("left", phi_left, left), ("right", phi_right, right)):
         # every finite k-graph is finitely aligned: all MCE sets are finite
         reports.append(VertexSetReport(f"finitely-aligned:{side}", True))
-
-        missing = None
-        for v in target.vertices:
-            for i in range(1, target.rank + 1):
-                e = unit_degree(target.rank, i)
-                if not any(
-                    target.d(m) == e for m in target.morphisms_with_range(v)
-                ):
-                    missing = (v,)
-                    break
-            if missing:
-                break
-        reports.append(
-            VertexSetReport(f"no-sources:{side}", missing is None, missing or ())
-        )
-
+        # the first vertex that some unit degree does not reach
+        units = [unit_degree(target.rank, i) for i in range(1, target.rank + 1)]
+        missing = next(((v,) for v in target.vertices for e in units
+                        if not any(target.d(m) == e for m in target.morphisms_with_range(v))), ())
+        reports.append(VertexSetReport(f"no-sources:{side}", not missing, missing))
         V = {phi[v] for v in common.vertices}
         co = vertex_predicate(target, V, "cohereditary")
         reports.append(VertexSetReport(f"image-cohereditary:{side}", co.holds, co.witness))
-
-        complement = [v for v in target.vertices if v not in V]
-        sat = vertex_predicate(target, complement, "saturated")
-        reports.append(
-            VertexSetReport(f"complement-saturated:{side}", sat.holds, sat.witness)
-        )
+        sat = vertex_predicate(target, [v for v in target.vertices if v not in V], "saturated")
+        reports.append(VertexSetReport(f"complement-saturated:{side}", sat.holds, sat.witness))
     return reports

@@ -18,11 +18,10 @@ validate their arguments.
 
 The k-sphere is two copies of the simplex glued along their boundary:
 the placings other than the zero placing, a hereditary set, so the glued
-graph is a k-graph.  It is built from the simplex's numbered parts, with
-the ids, numbers and table order of the quotient of {0,1} x simplex by
-the two copies of every morphism whose range is not the zero placing,
-and then validated in full.  Wedges of spheres identify the poles of
-several tagged spheres by a certified congruence quotient.
+graph is a k-graph.  A wedge glues n spheres at a pole, a co-hereditary
+set.  Each is one pass of core._glue, which gives the ids, numbers and
+table order of the quotient of the tagged copies by the identification,
+and is validated in full.
 
 Ids are human-readable: a placing prints as its blocks in order of
 first appearance, elements within a block in decreasing order, so e.g.
@@ -36,9 +35,8 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .core import FiniteKGraph, _numbering, _sorted_parts, _tagged_union, validate_kgraph
-from .errors import BadArgument, HeightExceeded, InvalidModel, OutOfBox, OutOfRange
-from .quotient import quotient, relation_from_pairs
+from .core import FiniteKGraph, _glue, _numbering, _sorted_parts, _validated
+from .errors import BadArgument, HeightExceeded, OutOfBox, OutOfRange
 
 Placing = tuple[int, ...]
 
@@ -226,12 +224,6 @@ def embed(f, t) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _vertex_point(t: Placing) -> tuple[Fraction, ...]:
-    """embed(t, height(t)) for a known placing."""
-    above = _level_weights(set(t), len(t))
-    return tuple(above[v] for v in t)
-
-
 def _level_weights(values, size: int) -> dict[int, Fraction]:
     """Coordinate j of the vertex point of a placing with these values, on
     {0, ..., size - 1}, by its value at j.  The vertex weights the basis
@@ -334,45 +326,19 @@ def build_simplex(k: int) -> FiniteKGraph:
     return graph
 
 
-def _sphere_pairs(k: int):
-    """Id pairs identifying the two copies of every morphism of the simplex
-    (identities included) whose range is not the zero placing."""
-    simplex = build_simplex(k)
-    return [(f"(0,{m})", f"(1,{m})") for m in simplex.morphism_ids() if simplex.r(m) != "0"]
-
-
 def build_sphere(k: int) -> FiniteKGraph:
-    """The k-sphere: two copies of the simplex glued along the boundary
-    (every placing but the zero placing), named "(0,m)" and "(1,m)" as in
-    the quotient of {0,1} x simplex by _sphere_pairs(k).  Validated in
-    full (InvalidModel on any violation).  Carries an embedding with one
-    extra coordinate (the two copies of the barycentre become the poles)."""
+    """The k-sphere: two copies of the simplex, "(0,m)" and "(1,m)", glued
+    along the boundary (every placing but the zero placing), a hereditary
+    set: each morphism whose range is not the zero placing is one with its
+    copy.  Validated in full (InvalidModel on any violation).  Carries an
+    embedding with one extra coordinate (the two copies of the barycentre
+    become the poles)."""
     simplex = build_simplex(k)
-    names, n, points = simplex._names, len(simplex._ids), simplex.embedding
-    deg, r, s, isv, table = simplex._d, simplex._r, simplex._s, simplex._isv, simplex._table
-    del simplex
-    # copy 0 is the simplex; copy 1 adds the morphisms into the zero
-    # placing, numbered from n, and shares every other one with copy 0.
-    # No simplex id is a prefix of another, so the ids stay sorted: they
-    # are the quotient's, in its order.
-    zero = names.index("0")
-    new = [m for m in range(n) if r[m] == zero]
-    one = list(range(n))
-    for j, m in enumerate(new):
-        one[m] = n + j
-    ids = tuple([f"(0,{m})" for m in names] + [f"(1,{names[m]})" for m in new])
-    del names
-    deg += [deg[m] for m in new]
-    r += [one[r[m]] for m in new]
-    s += [one[s[m]] for m in new]
-    isv += bytearray(isv[m] for m in new)
-    # copy 1's own entries: those whose first factor (so also the
-    # composite) has range the zero placing
-    table.update({(one[a], one[b]): one[c] for (a, b), c in table.items() if r[a] == zero})
-    sphere = FiniteKGraph._from_parts(k, ids, len(ids), deg, r, s, isv, table)
-    violations = validate_kgraph(sphere)
-    if violations:
-        raise InvalidModel(f"the glued {k}-sphere fails validation: {violations[0]}")
+    points, zero = simplex.embedding, simplex._at["0"]
+    rim = {m: m for m, x in enumerate(simplex._r) if x != zero}
+    sphere = _glue([simplex, simplex], ["(0,{})", "(1,{})"], rim)
+    del simplex, rim  # freed before validation's peak
+    _validated(sphere, f"the glued {k}-sphere")
 
     embedding = {}
     for v, base in points.items():
@@ -397,17 +363,13 @@ def sphere_pole(k: int, copy: int = 0) -> str:
 
 
 def build_wedge(k: int, n: int) -> FiniteKGraph:
-    """n tagged copies of the k-sphere with their 0-side poles identified.
-
-    Only identities leave a pole, so the identification is a congruence
-    (passed in explicit mode and certified by quotient()).
-    """
+    """n copies of the k-sphere, tagged "1:" to "n:", glued at their 0-side
+    poles: only identities leave a pole, so it is a co-hereditary set.  The
+    pole is named by its least id ("10:(0,0)" once n >= 10, as "0" sorts
+    before ":").  Validated in full; carries no embedding."""
     if not isinstance(n, int) or n < 1:
         raise BadArgument("a wedge needs n >= 1 spheres")
     sphere = build_sphere(k)
-    tags = [str(i) for i in range(1, n + 1)]
-    copies = _tagged_union([sphere] * n, tags)
-    pole = sphere_pole(k, 0)
-    pairs = [(f"{tags[0]}:{pole}", f"{t}:{pole}") for t in tags[1:]]
-    rel = relation_from_pairs(copies, pairs, mode="explicit")
-    return quotient(copies, rel)
+    pole = sphere._at[sphere_pole(k, 0)]
+    tags = [f"{t}:{{}}" for t in range(1, n + 1)]
+    return _validated(_glue([sphere] * n, tags, {pole: pole}), f"the wedge of {n} {k}-spheres")

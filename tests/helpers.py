@@ -12,6 +12,7 @@ from itertools import product
 from kgraphs.core import (
     _AMBIGUOUS,
     Cube,
+    Degree,
     FiniteKGraph,
     Morphism,
     Skeleton2Graph,
@@ -19,8 +20,6 @@ from kgraphs.core import (
     Violation,
     _splits,
     deg_leq,
-    deg_total,
-    zero_degree,
 )
 from kgraphs.errors import (
     BadArgument,
@@ -31,6 +30,40 @@ from kgraphs.errors import (
     RankMismatch,
     UnknownId,
 )
+
+
+# -- small pieces only the tests use --------------------------------------------
+
+
+def zero_degree(rank: int) -> Degree:
+    return (0,) * rank
+
+
+def deg_sub(m: Degree, n: Degree) -> Degree:
+    return tuple(a - b for a, b in zip(m, n, strict=True))
+
+
+def deg_total(m: Degree) -> int:
+    return sum(m)
+
+
+def sphere_pairs(k: int):
+    """Id pairs identifying the two copies of every morphism of the simplex
+    (identities included) whose range is not the zero placing: the relation
+    on {0,1} x simplex whose quotient is build_sphere(k)."""
+    from kgraphs.simplex import build_simplex
+
+    simplex = build_simplex(k)
+    return [(f"(0,{m})", f"(1,{m})") for m in simplex.morphism_ids() if simplex.r(m) != "0"]
+
+
+def vertex_point(t) -> tuple:
+    """embed(t, height(t)) for a known placing, from the simplex builder's
+    vertex weights."""
+    from kgraphs.simplex import _level_weights
+
+    above = _level_weights(set(t), len(t))
+    return tuple(above[v] for v in t)
 
 
 def random_dag(rng: random.Random, n: int, p: float):
@@ -291,7 +324,7 @@ def face_based_boundaries(model):
 def factorise_face(g, cube, i, side):
     """Reference copy of `face` on a category model as it was before faces
     were read from the factorisation index: one `factorise` per face."""
-    from kgraphs.core import Cube, deg_sub, unit_degree
+    from kgraphs.core import Cube, unit_degree
 
     d = cube.degree
     if side == 0:
@@ -1470,3 +1503,139 @@ def reference_quotient(graph: FiniteKGraph, rel) -> ReferenceKGraph:
         table[(rep[a], rep[b])] = rep[c] if c in rep else rel.rep(c)
     vertices = {rep[v] for v in view.vertices}
     return ReferenceKGraph._from_parts(graph.rank, vertices, mor, table)
+
+
+# -- gluing as it was: tagged union, pair relation, certified quotient --------
+
+
+def reference_tagged_union(graphs, tags) -> FiniteKGraph:
+    """Reference copy of `core._tagged_union`, verbatim, from before the
+    wedge, the sphere and `glue_on_common` were glued in one pass."""
+    from kgraphs.core import _numbering, _sorted_parts
+
+    rank = graphs[0].rank
+    for g in graphs:
+        if g.rank != rank:
+            raise RankMismatch(f"cannot union a rank-{g.rank} graph with rank {rank}")
+    tagged = [f"{t}:{m}" for g, t in zip(graphs, tags, strict=True) for m in g._ids]
+    ids, order, new, at = _numbering(tagged)
+    deg, r, s, isv, table, start = [], [], [], bytearray(), {}, 0
+    for g, t in zip(graphs, tags):
+        n = len(g._ids)
+        num = new[start:start + n] + [at[f"{t}:{x}"] for x in g._names[n:]]
+        start += n
+        deg += g._d
+        r += [num[x] for x in g._r]
+        s += [num[x] for x in g._s]
+        isv += g._isv[:n]
+        for (x, y), z in g._table.items():
+            table[(num[x], num[y])] = num[z]
+    return FiniteKGraph._from_parts(*_sorted_parts(rank, order, at, deg, r, s, isv, table))
+
+
+def reference_build_wedge(k: int, n: int) -> FiniteKGraph:
+    """Reference copy of `simplex.build_wedge` as it was: n tagged spheres
+    and the certified quotient identifying their 0-side poles."""
+    from kgraphs.quotient import quotient, relation_from_pairs
+    from kgraphs.simplex import build_sphere, sphere_pole
+
+    if not isinstance(n, int) or n < 1:
+        raise BadArgument("a wedge needs n >= 1 spheres")
+    sphere = build_sphere(k)
+    tags = [str(i) for i in range(1, n + 1)]
+    copies = reference_tagged_union([sphere] * n, tags)
+    pole = sphere_pole(k, 0)
+    pairs = [(f"{tags[0]}:{pole}", f"{t}:{pole}") for t in tags[1:]]
+    rel = relation_from_pairs(copies, pairs, mode="explicit")
+    return quotient(copies, rel)
+
+
+def reference_check_embedding(side: str, phi: dict[str, str], common, target):
+    """Reference copy of `quotient._check_embedding` as it was on string ids."""
+    from kgraphs.errors import NotInjective
+
+    for m in common.morphism_ids():
+        if m not in phi:
+            raise BadArgument(f"gluing map on side {side!r} misses morphism {m!r}")
+    for m, im in phi.items():
+        if not common.has(m):
+            raise ForeignId(f"gluing map on side {side!r} has foreign domain id {m!r}")
+        if not target.has(im):
+            raise ForeignId(f"gluing map on side {side!r} hits unknown id {im!r}")
+    if len(set(phi.values())) != len(phi):
+        raise NotInjective(side)
+    for m in common.morphism_ids():
+        if common.d(m) != target.d(phi[m]):
+            raise BadArgument(f"map on side {side!r} changes the degree of {m!r}")
+        if phi[common.r(m)] != target.r(phi[m]) or phi[common.s(m)] != target.s(phi[m]):
+            raise BadArgument(f"map on side {side!r} does not respect endpoints at {m!r}")
+    for a, b in common.composable_pairs(include_identities=True):
+        if target.compose(phi[a], phi[b]) != phi[common.compose(a, b)]:
+            raise BadArgument(f"map on side {side!r} is not functorial at ({a!r}, {b!r})")
+
+
+def reference_glue_on_common(common, left, right, phi_left, phi_right) -> FiniteKGraph:
+    """Reference copy of `quotient.glue_on_common` as it was: the string-level
+    embedding check, then always the disjoint union, the generated relation,
+    the certified quotient and a full validation.  Verbatim apart from the
+    names of the reference copies it calls."""
+    from kgraphs.core import validate_kgraph
+    from kgraphs.errors import NotHereditary
+    from kgraphs.quotient import quotient, relation_from_pairs
+
+    reference_check_embedding("left", phi_left, common, left)
+    reference_check_embedding("right", phi_right, common, right)
+
+    images = {}
+    for side, phi, target in (("left", phi_left, left), ("right", phi_right, right)):
+        V = {phi[v] for v in common.vertices}
+        hered = reference_vertex_predicate(target, V, "hereditary")
+        cohered = reference_vertex_predicate(target, V, "cohereditary")
+        images[side] = (hered, cohered)
+    if not (
+        (images["left"][0].holds and images["right"][0].holds)
+        or (images["left"][1].holds and images["right"][1].holds)
+    ):
+        for side in ("left", "right"):
+            hered, cohered = images[side]
+            if not hered.holds and not cohered.holds:
+                raise NotHereditary(side, hered.witness[0])
+        # one side is hereditary-only, the other co-hereditary-only
+        raise NotHereditary(
+            "right",
+            (images["right"][0].witness or images["right"][1].witness or ("?",))[0],
+            "images must be hereditary on both sides or co-hereditary on both sides",
+        )
+
+    union = reference_tagged_union([left, right], ["0", "1"])
+    pairs = [
+        (f"0:{phi_left[m]}", f"1:{phi_right[m]}") for m in common.morphism_ids()
+    ]
+    rel = relation_from_pairs(union, pairs)
+    glued = quotient(union, rel)
+    problems = validate_kgraph(glued)
+    if problems:
+        raise InvalidModel(f"glued graph fails validation: {problems[0]}")
+    return glued
+
+
+def reference_vertex_predicate(g, vertex_set, kind: str):
+    """Reference copy of the hereditary and co-hereditary branches of
+    `core.vertex_predicate` as they were on string ids."""
+    from kgraphs.core import VertexSetReport
+
+    V = {str(v) for v in vertex_set}
+    for v in V:
+        if not g.is_vertex(v):
+            raise UnknownId(f"no vertex with id {v!r}")
+    if kind == "hereditary":
+        for m in g.morphism_ids():
+            if g.r(m) in V and g.s(m) not in V:
+                return VertexSetReport(kind, False, (m,))
+        return VertexSetReport(kind, True)
+    if kind == "cohereditary":
+        for m in g.morphism_ids():
+            if g.s(m) in V and g.r(m) not in V:
+                return VertexSetReport(kind, False, (m,))
+        return VertexSetReport(kind, True)
+    raise BadArgument(f"unknown predicate kind {kind!r}")

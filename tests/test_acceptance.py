@@ -34,7 +34,6 @@ from kgraphs import (
 from kgraphs.cli import main
 from kgraphs.core import FiniteKGraph
 from kgraphs.simplex import (
-    _sphere_pairs,
     basis_point,
     embed,
     enumerate_placings,
@@ -44,7 +43,7 @@ from kgraphs.simplex import (
     tail_factor,
 )
 
-from helpers import random_grid_category, random_path_category
+from helpers import random_grid_category, random_path_category, sphere_pairs
 
 FULL = lambda k: tuple([1] * k)
 
@@ -180,7 +179,7 @@ def test_criterion_07_connected_sum_classification():
 def sphere_product_and_relation(k):
     two = FiniteKGraph(rank=0, vertices=("0", "1"), morphisms={}, compose={})
     prod = cartesian_product(two, build_simplex(k))
-    return prod, relation_from_pairs(prod, _sphere_pairs(k))
+    return prod, relation_from_pairs(prod, sphere_pairs(k))
 
 
 def test_criterion_08_congruence_and_mutation_testing():

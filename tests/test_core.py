@@ -15,7 +15,6 @@ from kgraphs.core import (
     Skeleton2Graph,
     cartesian_product,
     cubes,
-    deg_total,
     disjoint_union,
     face,
     induced_subgraph,
@@ -59,6 +58,7 @@ from kgraphs.surfaces import basic_surface, compact_surface
 from helpers import (
     ReferenceKGraph,
     cube_view_digests,
+    deg_total,
     factor_index,
     grid_category,
     mutated_category,
@@ -364,6 +364,19 @@ def test_bad_arguments_raise_a_kgraph_error_that_is_a_value_error(call, message)
         call()
     assert issubclass(BadArgument, KGraphError) and issubclass(BadArgument, ValueError)
     assert kgraphs.BadArgument is BadArgument
+
+
+def test_compose_keys_equal_after_str_are_one_duplicate_entry():
+    # (1, 2) and ("1", "2") name one pair, which the loader also refuses twice
+    records = {"1": ((1,), "u", "v"), "2": ((1,), "v", "v")}
+    with pytest.raises(BadArgument, match=r"^duplicate compose entry for \(1, 2\)$"):
+        FiniteKGraph(1, ["u", "v"], records, {(1, 2): "a", ("1", "2"): "b"})
+    doc = {"kind": "category", "rank": 1, "vertices": ["u", "v"],
+           "morphisms": [{"id": m, "d": list(d), "r": r, "s": s}
+                         for m, (d, r, s) in records.items()],
+           "compose": [["1", "2", "a"], ["1", "2", "b"]]}
+    with pytest.raises(KGraphError, match=r"^duplicate compose entry for \(1, 2\)$"):
+        loads(json.dumps(doc))
 
 
 # k only negative, past 2**64 or not an integer: moderate values would

@@ -10,10 +10,13 @@ from kgraphs import (
     FiniteKGraph,
     build_simplex,
     build_sphere,
+    build_wedge,
     cartesian_product,
     check_congruence,
     chain_complex,
     cubes,
+    euler_characteristic,
+    export_json,
     glue_on_common,
     homology,
     induced_subgraph,
@@ -23,6 +26,7 @@ from kgraphs import (
     relation_from_pairs,
     sphere_pole,
     validate_kgraph,
+    vertex_predicate,
 )
 from kgraphs.errors import (
     BadSplit,
@@ -36,7 +40,7 @@ from kgraphs.errors import (
     OverlappingClasses,
     UnknownId,
 )
-from kgraphs.simplex import _sphere_pairs, enumerate_placings, placing_id
+from kgraphs.simplex import enumerate_placings, placing_id
 
 from helpers import (
     mutated_category,
@@ -44,7 +48,12 @@ from helpers import (
     random_grid_category,
     random_path_category,
     reference_check_congruence,
+    reference_build_wedge,
     reference_generated_classes,
+    reference_glue_on_common,
+    reference_vertex_predicate,
+    sphere_pairs,
+    table_order,
 )
 
 
@@ -137,17 +146,17 @@ def test_saturation_can_merge_vertices():
 def test_sphere_relation_is_a_congruence_and_keeps_poles_apart():
     for k in range(3):
         prod = cartesian_product(two_points(), build_simplex(k))
-        rel = relation_from_pairs(prod, _sphere_pairs(k))
+        rel = relation_from_pairs(prod, sphere_pairs(k))
         assert check_congruence(rel).ok
         assert not rel.same("(0,0)", "(1,0)")
 
 
 def test_explicit_sphere_relation_is_the_generated_one():
-    # build_sphere passes _sphere_pairs in explicit mode; the saturation of
+    # build_sphere glues the copies that sphere_pairs names; the saturation of
     # generated mode must find nothing more to merge
     for k in range(4):
         prod = cartesian_product(two_points(), build_simplex(k))
-        pairs = _sphere_pairs(k)
+        pairs = sphere_pairs(k)
         explicit = relation_from_pairs(prod, pairs, mode="explicit")
         generated = relation_from_pairs(prod, pairs, mode="generated")
         assert explicit.classes() == generated.classes()
@@ -265,6 +274,143 @@ def test_pullback_hypotheses_reports():
     }
 
 
+# -- one gluing routine, checked against the tagged union and quotient ----------
+
+
+def same_graph(got, want):
+    assert export_json(got) == export_json(want)
+    assert got.morphism_ids() == want.morphism_ids()
+    assert table_order(got) == table_order(want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 10, 12])
+@pytest.mark.parametrize("k", range(4))
+def test_wedge_is_the_reference_quotient(k, n):
+    # from n = 10 on the pole is "10:(0,0)": "0" sorts before ":"
+    wedge = build_wedge(k, n)
+    same_graph(wedge, reference_build_wedge(k, n))
+    assert wedge.embedding is None and validate_kgraph(wedge) == []
+    assert ("10:(0,0)" if n >= 10 else "1:(0,0)") in wedge.vertices
+
+
+def closure(g, seed, kind):
+    """The least hereditary (sources) or co-hereditary (ranges) vertex set
+    holding seed."""
+    inner, outer = (g.r, g.s) if kind == "hereditary" else (g.s, g.r)
+    V = set(seed)
+    grown = True
+    while grown:
+        grown = False
+        for m in g.morphism_ids():
+            if inner(m) in V and outer(m) not in V:
+                V.add(outer(m))
+                grown = True
+    return V
+
+
+def renamed(g, rng):
+    """g through the public constructor with its ids renamed in a shuffled
+    order, and the renaming; names that are not ids keep theirs."""
+    ids = list(g.morphism_ids())
+    new = dict(zip(ids, (f"x{i}" for i in rng.sample(range(len(ids)), len(ids)))))
+    to = lambda x: new.get(x, x)
+    mor = {to(m): (g.d(m), to(g.r(m)), to(g.s(m))) for m in g.nonidentity_ids()}
+    table = {(to(a), to(b)): to(c) for (a, b), c in g.compose_table().items()}
+    return FiniteKGraph(g.rank, [to(v) for v in g.vertices], mor, table), new
+
+
+def settled(fn, *args):
+    """What a call returns, or the type and message of any error it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:  # the old path let KeyError out of broken maps
+        return (type(e), str(e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["hereditary", "cohereditary", "any"]),
+       common_kind=st.sampled_from(["induced", "vertices"]),
+       broken=st.sampled_from([None, None, "common", "left", "right", "phi"]),
+       data=st.data())
+def test_glue_is_the_reference_quotient_on_random_gluings(seed, kind, common_kind, broken, data):
+    # a random graph glued to a renamed copy of itself along a (co-)hereditary
+    # vertex set, the full subgraph on it or just its vertices; a broken
+    # summand or common piece takes the generated path, and a broken map
+    # fails the embedding check, with the reference's errors
+    rng = random.Random(seed)
+    g = rng.choice([random_path_category, random_grid_category])(rng, max_morphisms=20)
+    seed_set = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+    V = set(seed_set) if kind == "any" else closure(g, seed_set, kind)
+    if common_kind == "induced":
+        common = induced_subgraph(g, V)
+    else:
+        common = FiniteKGraph(g.rank, sorted(V), {}, {})
+    right, new = renamed(g, rng)
+    left = g
+    pick = lambda items: data.draw(st.sampled_from(items))
+    # mutations need a morphism that is not an identity
+    mutated = lambda h: mutated_category(h, pick, data.draw(st.integers(1, 3))) if (
+        h.nonidentity_ids()) else h
+    if broken == "common":
+        common = mutated(common)
+    elif broken == "left":
+        left = mutated(left)
+    elif broken == "right":
+        right = mutated(right)
+    phi_left = {m: m for m in common.morphism_ids()}
+    phi_right = {m: new.get(m, m) for m in common.morphism_ids()}
+    if broken == "phi":  # send one morphism anywhere in left
+        phi_left[pick(common.morphism_ids())] = pick(g.morphism_ids())
+    args = (common, left, right, phi_left, phi_right)
+    got, want = settled(glue_on_common, *args), settled(reference_glue_on_common, *args)
+    if isinstance(want, FiniteKGraph):
+        same_graph(got, want)
+    else:
+        assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10_000), data=st.data())
+def test_vertex_predicates_match_the_reference(seed, data):
+    rng = random.Random(seed)
+    base = rng.choice([random_path_category, random_grid_category])(rng, max_morphisms=20)
+    pick = lambda items: data.draw(st.sampled_from(items))
+    g = mutated_category(base, pick, data.draw(st.integers(0, 3)))
+    V = rng.sample(g.vertices, rng.randint(0, len(g.vertices)))
+    for kind in ("hereditary", "cohereditary"):
+        assert vertex_predicate(g, V, kind) == reference_vertex_predicate(g, V, kind)
+
+
+def cell_counts(model):
+    return [len(cubes(model, n)) for n in range(model.rank + 1)]
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_rim_glue_cells_and_euler_characteristic_add_up(k):
+    # c_n(G) = c_n(L) + c_n(R) - c_n(C), and so chi(G) = chi(L) + chi(R) - chi(C)
+    simplex = build_simplex(k)
+    rim = [placing_id(f) for f in enumerate_placings(k) if any(f)]
+    common = induced_subgraph(simplex, rim)
+    glued = boundary_glue(k)
+    want = [2 * a - c for a, c in zip(cell_counts(simplex), cell_counts(common))]
+    assert cell_counts(glued) == want
+    assert euler_characteristic(glued) == (
+        2 * euler_characteristic(simplex) - euler_characteristic(common))
+    assert cell_counts(glued) == cell_counts(build_sphere(k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+@pytest.mark.parametrize("k", range(4))
+def test_wedge_cells_and_euler_characteristic_add_up(k, n):
+    # n spheres glued at one vertex: n copies of each cell, less n - 1 poles
+    sphere, wedge = build_sphere(k), build_wedge(k, n)
+    want = [n * c for c in cell_counts(sphere)]
+    want[0] -= n - 1
+    assert cell_counts(wedge) == want
+    assert euler_characteristic(wedge) == n * euler_characteristic(sphere) - (n - 1)
+
+
 def outcome(fn, *args):
     """What a call returns, or the type and message of what it raises."""
     try:
@@ -277,7 +423,7 @@ def test_congruence_verdicts_match_the_reference_on_mutations():
     # the mutations of acceptance criterion 08
     two = two_points()
     prod = cartesian_product(two, build_simplex(2))
-    base = [list(c) for c in relation_from_pairs(prod, _sphere_pairs(2)).classes()]
+    base = [list(c) for c in relation_from_pairs(prod, sphere_pairs(2)).classes()]
     rng = random.Random(0xACCE55)
     verdicts = set()
     for _ in range(200):
@@ -486,7 +632,7 @@ def test_cascades_match_the_reference_saturation(cell, k):
         m = max(simplex.nonidentity_ids(), key=lambda m: (sum(simplex.d(m)), m))
         pairs = [(f"(0,{m})", f"(1,{m})")]
     else:
-        pairs = [next(p for p in _sphere_pairs(k) if sum(prod.d(p[0])) == 1)]
+        pairs = [next(p for p in sphere_pairs(k) if sum(prod.d(p[0])) == 1)]
     rel = relation_from_pairs(prod, pairs)
     assert rel.classes() == reference_generated_classes(prod, pairs)
     assert len(rel.nontrivial_classes()) > 1

@@ -29,9 +29,9 @@ from kgraphs import (
 )
 from kgraphs.errors import HeightExceeded, OutOfBox, OutOfRange
 from kgraphs.export import export_json
-from kgraphs.simplex import _indices, _sphere_pairs, _up_sets, _vertex_point, is_placing
+from kgraphs.simplex import _indices, _up_sets, is_placing
 
-from helpers import ordered_bell, table_order
+from helpers import ordered_bell, sphere_pairs, table_order, vertex_point
 
 
 def test_placing_counts_match_fubini_recurrence():
@@ -260,7 +260,7 @@ def test_glued_sphere_is_the_quotient_of_the_product(k):
     # the glued sphere has the ids, numbers and table order of the
     # quotient of {0,1} x Sigma_k by the sphere relation
     product = cartesian_product(FiniteKGraph(0, ["0", "1"], {}, {}), build_simplex(k))
-    q = quotient(product, relation_from_pairs(product, _sphere_pairs(k), mode="explicit"))
+    q = quotient(product, relation_from_pairs(product, sphere_pairs(k), mode="explicit"))
     g = build_sphere(k)
     q.embedding = g.embedding
     assert export_json(g) == export_json(q)
@@ -272,7 +272,7 @@ def test_glued_sphere_is_the_quotient_of_the_product(k):
 def test_vertex_points_match_embed():
     for k in range(5):
         for f in enumerate_placings(k):
-            assert _vertex_point(f) == embed(f, height(f))
+            assert vertex_point(f) == embed(f, height(f))
 
 
 def test_sigma_5_sizes_and_validation():

@@ -152,12 +152,13 @@ def _numbering(ids: list[str]):
 
 def _sorted_parts(rank, order, at, deg, r, s, isv, table) -> tuple:
     """The parts of the graph on a builder's records, given in the builder's
-    order and numbered by at, and its table."""
+    order and numbered by at, and its table; at goes last as a plain dict,
+    for `_index` to keep (the _Numbering would insert on a lookup)."""
     if order != list(range(len(order))):
         deg, r, s = ([x[old] for old in order] for x in (deg, r, s))
         isv = bytearray(isv[old] for old in order)
     isv = bytearray(isv[:len(order)]) + bytearray(len(at) - len(order))
-    return rank, tuple(at), len(order), deg, r, s, isv, table
+    return rank, tuple(at), len(order), deg, r, s, isv, table, dict(at)
 
 
 def _numbered(rank: int, vertices, mor: dict, number_table) -> tuple:
@@ -238,18 +239,20 @@ class FiniteKGraph:
             (at[a], at[b]): at[c] for (a, b), c in table.items()}))
 
     @classmethod
-    def _from_parts(cls, rank: int, names, n: int, deg, r, s, isv, table) -> FiniteKGraph:
+    def _from_parts(cls, rank: int, names, n: int, deg, r, s, isv, table,
+                    at=None) -> FiniteKGraph:
         """A graph on integer parts its caller has already checked, taken as
-        they are (see the module notes).  The graph owns them from now on."""
+        they are (see the module notes).  The graph owns them from now on;
+        at, if given, is the plain dict numbering names."""
         g = cls.__new__(cls)
-        g._index(rank, names, n, deg, r, s, isv, table)
+        g._index(rank, names, n, deg, r, s, isv, table, at)
         return g
 
-    def _index(self, rank, names, n, deg, r, s, isv, table) -> None:
+    def _index(self, rank, names, n, deg, r, s, isv, table, at=None) -> None:
         self.rank = rank
         self._names = names  # the n ids, sorted, then unknown names a broken model uses
         self._ids = names[:n]
-        self._at = {m: i for i, m in enumerate(names)}
+        self._at = {m: i for i, m in enumerate(names)} if at is None else at
         self._r, self._s, self._isv = r, s, isv
         self._table: dict[tuple[int, int], int] = table
         self._vidx = [i for i in range(n) if isv[i]]
@@ -707,7 +710,7 @@ class Skeleton2Graph:
         if len(ids) != len(set(ids)):
             raise BadArgument("vertex and edge ids must be pairwise distinct")
         self.squares: tuple[Square, ...] = tuple(
-            sorted(tuple(str(x) for x in sq) for sq in squares)
+            sorted(tuple(map(str, sq)) for sq in squares)
         )
         for sq in self.squares:
             if len(sq) != 4:
@@ -772,8 +775,8 @@ def validate_skeleton(sk: Skeleton2Graph) -> list[Violation]:
     out: list[Violation] = []
     vset = set(sk.vertices)
     for e, rec in sorted({**sk.blue, **sk.red}.items()):
-        bad = [v for v in (rec.r, rec.s) if v not in vset]
-        if bad:
+        if rec.r not in vset or rec.s not in vset:
+            bad = [v for v in (rec.r, rec.s) if v not in vset]
             out.append(Violation("edge-endpoints", (e,), f"endpoints {bad} are not vertices"))
 
     seen: set[Square] = set()

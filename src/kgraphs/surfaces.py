@@ -218,6 +218,19 @@ def basic_surface(tag) -> MarkedSkeleton:
 # connected sums
 
 
+class _Renaming(dict):
+    """A summand's new names: the ids it holds, and any other name (an
+    endpoint that is not a vertex, an edge a square names but the summand
+    lacks) with the summand's suffix appended."""
+
+    def __init__(self, ids, suffix: str):
+        super().__init__(zip(ids, [x + suffix for x in ids]))
+        self.suffix = suffix
+
+    def __missing__(self, name):
+        return name + self.suffix
+
+
 def _splice(summands: list[MarkedSkeleton]) -> MarkedSkeleton:
     """The connected sum of one or more marked summands, in one pass.
 
@@ -227,6 +240,20 @@ def _splice(summands: list[MarkedSkeleton]) -> MarkedSkeleton:
     and the square closing summand 0 marks the result.  That is what a
     left fold of `connected_sum` builds, validated once instead of per
     step.
+
+    The prime search skips ahead.  For each id x, every name x plus
+    fewer than free[x] primes is taken; that stays true because placed
+    ids are only ever added.  A summand's search starts at the largest
+    free[x] over its ids: no shorter suffix frees all of them.  While
+    some id x is blocked at the current count, the count moves past x's
+    run of taken names, none of which frees x; free[x] becomes the run's
+    end only when the run began at free[x], so that every count below it
+    is taken.  The first count with no blocker is then the least suffix
+    that frees every id, which is what adding one prime at a time finds.
+    Edges are scanned first: every catalog piece has the edge a, which
+    blocks at its own free count, so in `compact_surface` each summand
+    costs about one pass over its ids and the search is linear in the
+    number of summands.
     """
     for i, ms in enumerate(summands):
         problems = validate_marking(ms)
@@ -235,20 +262,30 @@ def _splice(summands: list[MarkedSkeleton]) -> MarkedSkeleton:
 
     top, bottom = summands[0].u, summands[0].v
     vertices, taken, blue, red, squares, marked = set(), set(), {}, {}, [], []
+    free: dict[str, int] = {}
     for ms in summands:
         sk = ms.skeleton
-        ids = {*sk.vertices, *sk.blue, *sk.red}
-        suffix = ""
-        while any((x + suffix) in taken for x in ids):
-            suffix += "'"
-        merge = {ms.u: top, ms.v: bottom}
-        fix = lambda x: merge.get(x, x + suffix)
-        vertices.update(map(fix, sk.vertices))
+        ids = [*sk.blue, *sk.red, *sk.vertices]
+        k = max(map(free.get, ids, itertools.repeat(0)))
+        primes = "'" * k
+        while (blocker := next((x for x in ids if x + primes in taken), None)) is not None:
+            start = k
+            while blocker + primes in taken:
+                k += 1
+                primes += "'"
+            if start == free.get(blocker, 0):
+                free[blocker] = k
+
+        new = _Renaming(ids, primes)
+        squares += [tuple(map(new.__getitem__, sq)) for sq in sk.squares if sq != ms.square]
+        marked.append(tuple(map(new.__getitem__, ms.square)))
+        # u and v merge into the first summand's; a square naming them
+        # (a broken one) has kept their primed names above
+        new[ms.u], new[ms.v] = top, bottom
+        vertices.update(map(new.__getitem__, sk.vertices))
         for table, edges in ((blue, sk.blue), (red, sk.red)):
-            table.update((e + suffix, (fix(rec.r), fix(rec.s))) for e, rec in edges.items())
-        squares += [tuple(x + suffix for x in sq) for sq in sk.squares if sq != ms.square]
-        marked.append(tuple(x + suffix for x in ms.square))
-        taken.update(map(fix, ids))
+            table.update((new[e], (new[rec.r], new[rec.s])) for e, rec in edges.items())
+        taken.update(new.values())
     closing = [
         (f, g, g2, f2) for (f, g, _, _), (_, _, g2, f2) in zip(marked, marked[-1:] + marked)
     ]
@@ -281,4 +318,7 @@ def compact_surface(spec) -> MarkedSkeleton:
         tags = [t.tag if isinstance(t, SurfaceSummand) else str(t) for t in spec]
     if not tags:
         raise BadSurfaceSpec("a surface spec needs at least one summand")
-    return _splice([basic_surface(t) for t in tags])
+    # one catalog piece per distinct tag, in first-seen order so that the
+    # first bad tag fails first; _splice only reads its summands
+    pieces = {t: basic_surface(t) for t in dict.fromkeys(tags)}
+    return _splice([pieces[t] for t in tags])

@@ -6,7 +6,9 @@ independent fixtures) and a couple of counting oracles.
 from __future__ import annotations
 
 import random
+import signal
 import sys
+from contextlib import contextmanager
 from itertools import product
 
 from kgraphs.core import (
@@ -33,6 +35,25 @@ from kgraphs.errors import (
 
 
 # -- small pieces only the tests use --------------------------------------------
+
+
+class Overrun(Exception):
+    pass
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail the block with Overrun if it runs past `seconds` (so a hang fails)."""
+    def overrun(*_):
+        raise Overrun(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, overrun)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def zero_degree(rank: int) -> Degree:

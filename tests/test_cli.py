@@ -370,6 +370,14 @@ def documents(tmp_path, capsys):
     for key in ("u", "v", "square"):
         del unmarked[key]
     docs["unmarked"] = json.dumps(unmarked)
+    # marked tori that fail validation once summed: a blue edge off the
+    # vertices, and a square naming an edge the torus does not have
+    off_vertex = json.loads(docs["torus"])
+    off_vertex["blue"][1]["r"] = "nowhere"
+    docs["edge-off-vertices"] = json.dumps(off_vertex)
+    unknown_edge = json.loads(docs["torus"])
+    unknown_edge["squares"][-1][0] = "zz"
+    docs["square-unknown-edge"] = json.dumps(unknown_edge)
     paths = {}
     for name, text in docs.items():
         paths[name] = tmp_path / f"{name}.json"
@@ -432,6 +440,10 @@ HUGE = "99999999999999999999"
         (("build", "sphere", "--k", HUGE), 1),
         (("build", "wedge", "--k", HUGE, "--n", "2"), 1),
         (("validate", "huge-rank"), 1),
+        (("connected-sum", "edge-off-vertices", "torus"), 2),
+        (("connected-sum", "torus", "edge-off-vertices"), 2),
+        (("connected-sum", "square-unknown-edge", "torus"), 2),
+        (("connected-sum", "torus", "square-unknown-edge"), 2),
     ],
 )
 def test_every_verb_fails_without_a_traceback(capsys, documents, argv, code):
@@ -439,5 +451,5 @@ def test_every_verb_fails_without_a_traceback(capsys, documents, argv, code):
     got, out, err = run(capsys, *argv)
     assert got == code
     assert "Traceback" not in err
-    if code == 1:
+    if code == 1 or argv[0] == "connected-sum":
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -1,8 +1,6 @@
 """Smith normal form against sympy, boundary soundness, homology checks."""
 
 import random
-import signal
-from contextlib import contextmanager
 
 import pytest
 import sympy
@@ -36,6 +34,7 @@ from helpers import (
     random_grid_category,
     random_path_category,
     reference_snf_sparse,
+    time_limit,
 )
 
 
@@ -113,25 +112,6 @@ def test_snf_transforms_are_unimodular(seed):
             expect = res.diagonal[i] if i == j and i < len(res.diagonal) else 0
             assert D[i, j] == expect
     assert abs(U.det()) == 1 and abs(V.det()) == 1
-
-
-class Overrun(Exception):
-    pass
-
-
-@contextmanager
-def time_limit(seconds):
-    """Fail the block with Overrun if it runs past `seconds` (so a hang fails)."""
-    def overrun(*_):
-        raise Overrun(f"still running after {seconds} s")
-
-    old = signal.signal(signal.SIGALRM, overrun)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, old)
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -1,5 +1,6 @@
 """Surface catalog, square regeneration, markings, connected sums."""
 
+import functools
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from helpers import (
     quadratic_validate_skeleton,
     reference_compact_surface,
     reference_connected_sum,
+    time_limit,
 )
 
 TAGS = "STKP"
@@ -263,6 +265,23 @@ def test_two_summand_sums_of_sums_match_the_reference():
             assert not want.startswith(("BadMarking", "InvalidModel"))
 
 
+def rebuilt(ms, blue=(), squares=()):
+    """ms with some blue edges given new (range, source) and some squares
+    replaced, its marking kept."""
+    sk = ms.skeleton
+    return MarkedSkeleton(
+        Skeleton2Graph(
+            sk.vertices,
+            {**{e: (rec.r, rec.s) for e, rec in sk.blue.items()}, **dict(blue)},
+            {e: (rec.r, rec.s) for e, rec in sk.red.items()},
+            [dict(squares).get(sq, sq) for sq in sk.squares],
+        ),
+        ms.u,
+        ms.v,
+        ms.square,
+    )
+
+
 def test_broken_two_summand_sums_fail_as_the_reference_does():
     torus = basic_surface("T")
     swapped = MarkedSkeleton(torus.skeleton, torus.v, torus.u, torus.square)
@@ -278,8 +297,13 @@ def test_broken_two_summand_sums_fail_as_the_reference_does():
         doc.v,
         doc.square,
     )
+    off_vertex = rebuilt(torus, blue={"b": ("nowhere", "v")})
+    unknown_edge = rebuilt(torus, squares={("d", "f", "h", "b"): ("zz", "f", "h", "b")})
+    # the marked vertex u merges into the left summand's, but not in a square
+    names_u = rebuilt(torus, squares={("d", "f", "h", "b"): ("u", "f", "h", "b")})
     cases = [(swapped, torus), (torus, swapped), (swapped, swapped), (missing, torus),
-             (torus, missing)]
+             (torus, missing), (off_vertex, torus), (torus, off_vertex),
+             (unknown_edge, torus), (torus, unknown_edge), (torus, names_u)]
     for a, b in cases:
         want = outcome(reference_connected_sum, a, b)
         assert want.startswith(("BadMarking: left summand", "BadMarking: right summand",
@@ -307,3 +331,83 @@ def test_compact_surface_validates_once(monkeypatch):
     calls.update(skeleton=0, marking=0)
     connected_sum(basic_surface("T"), basic_surface("P"))
     assert calls == {"skeleton": 1, "marking": 2}
+
+
+def renamed_document(ms, new):
+    """The document of ms with every id x renamed new[x], loaded back."""
+    sk = ms.skeleton
+    edges = lambda table: {new[e]: (new[rec.r], new[rec.s]) for e, rec in table.items()}
+    out = MarkedSkeleton(
+        Skeleton2Graph(
+            [new[v] for v in sk.vertices],
+            edges(sk.blue),
+            edges(sk.red),
+            [tuple(map(new.get, sq)) for sq in sk.squares],
+        ),
+        new[ms.u],
+        new[ms.v],
+        tuple(map(new.get, ms.square)),
+    )
+    return loads(export_json(out))
+
+
+def primed_document(tag, rng):
+    """The catalog surface `tag` with each id given 0, 2, 3 or 5 primes."""
+    ms = basic_surface(tag)
+    ids = (*ms.skeleton.vertices, *ms.skeleton.blue, *ms.skeleton.red)
+    return renamed_document(ms, {x: x + "'" * rng.choice((0, 2, 3, 5)) for x in ids})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_splice_of_loaded_documents_with_prime_gaps_is_the_left_fold(seed):
+    # ids such as a and a'' without a' make the search skip over runs of
+    # taken names and stop in the gaps
+    rng = random.Random(seed)
+    docs = [primed_document(rng.choice(TAGS), rng) for _ in range(rng.randint(3, 6))]
+    docs += [loads(export_json(basic_surface("T"))) for _ in range(2)]
+    rng.shuffle(docs)
+    want = outcome(functools.reduce, reference_connected_sum, docs)
+    assert not want.startswith(("BadMarking", "InvalidModel"))
+    assert outcome(surfaces._splice, docs) == want
+
+
+def test_splice_fills_a_gap_in_the_primes():
+    torus = basic_surface("T")
+    sk = torus.skeleton
+    doubled = renamed_document(torus, {x: x + "''" for x in (*sk.vertices, *sk.blue, *sk.red)})
+    plain = export_json(torus)
+    docs = [loads(plain), doubled, loads(plain), loads(plain)]
+    out = surfaces._splice(docs)
+    # a; then a'' as it is; then a' in the gap; then a''' past the run a, a', a''
+    assert {"a", "a'", "a''", "a'''"} <= set(out.skeleton.blue)
+    assert export_json(out) == export_json(functools.reduce(reference_connected_sum, docs))
+
+
+def test_compact_surface_builds_one_catalog_piece_per_tag(monkeypatch):
+    tags = ["T", "P", "T", SurfaceSummand("K"), "P", "T", "K"]
+    want = export_json(reference_compact_surface(tags))
+    built = []
+
+    def counted(tag):
+        built.append(tag)
+        return basic_surface(tag)
+
+    monkeypatch.setattr(surfaces, "basic_surface", counted)
+    assert export_json(compact_surface(tags)) == want
+    assert built == ["T", "P", "K"]
+    built.clear()
+    compact_surface("S,S,S,S")
+    assert built == ["S"]
+    # the first bad tag in the spec still fails first
+    built.clear()
+    with pytest.raises(BadSurfaceSpec, match="'Q'"):
+        compact_surface(["T", "Q", "T", "R"])
+    assert built == ["T", "Q"]
+
+
+def test_thousand_tori_sum_and_homology_in_time():
+    with time_limit(2):
+        ms = compact_surface(["T"] * 1000)
+        groups = homology(chain_complex(ms.skeleton))
+    assert [(h.betti, h.torsion) for h in groups] == [(1, ()), (2000, ()), (1, ())]
+    assert validate_marking(ms) == []

@@ -31,12 +31,16 @@ violations, found by the first `validate_kgraph` call, and the
 factorisation index, from which cube faces are read.  A validation that
 finds nothing leaves the index it built for the faces to read.
 
-`FiniteKGraph` has two constructors.  The public one checks shape
-(BadArgument), normalises ids, degrees and identity records and numbers
-them.  The private `_from_parts` trusts numbered parts a caller has
-already checked: distinct ids, one record per id (each vertex's identity
-among them, no other of degree zero) and no identity pair in the table.
-Each caller says why its parts hold.
+`FiniteKGraph` has two constructors.  The private `_from_parts` trusts
+numbered parts a caller has already checked: distinct ids, one record per
+id (each vertex's identity among them, no other of degree zero) and no
+identity pair in the table.  Builders call it and say why their parts
+hold.  A graph given by strings comes through one of two doors, the
+public constructor or a category document (`io.loads`), and one checker,
+`_checked`, serves both: each door checks the shape of its records and
+compose entries as they are drawn, and `_checked` checks the rules above,
+and that no pair has two composites, and numbers the parts.  It raises
+one BadArgument message per rule (the loader raises it as a ParseError).
 
 Both models are cube complexes with one view: `rank`, `_cubes()` (the
 unit cubes in basis order), `_unit_faces(key)` and its row form
@@ -161,17 +165,72 @@ def _sorted_parts(rank, order, at, deg, r, s, isv, table) -> tuple:
     return rank, tuple(at), len(order), deg, r, s, isv, table, dict(at)
 
 
-def _numbered(rank: int, vertices, mor: dict, number_table) -> tuple:
-    """The parts of a graph on string parts a caller has checked: distinct
-    vertex ids, mor mapping each other id to (degree, range, source) with a
-    degree that is not zero, and number_table(at), the table by the numbers
-    of at (before ranges and sources take theirs), with no identity pair."""
+def _checked(rank: int, vertices: list[str], records, triples) -> tuple:
+    """The parts of a graph on string parts, for `_from_parts`, by the one
+    checker of both doors (see the module notes).  It draws records (id,
+    degree, range, source) and then triples (a, b, ab), which the caller
+    checks for shape as they are drawn.  A broken rule is a BadArgument."""
+    vset = set(vertices)
+    if len(vset) != len(vertices):
+        raise BadArgument("duplicate vertex ids")
+    mor = {}
+    for mid, d, r, s in records:
+        if mid in vset:
+            raise BadArgument(f"morphism id {mid!r} collides with a vertex")
+        if mid in mor:
+            raise BadArgument(f"duplicate morphism id {mid!r}")
+        if len(d) == rank and not any(d):
+            raise BadArgument(f"{mid!r} has degree zero; identities are implicit")
+        mor[mid] = (d, r, s)
     ids, order, new, at = _numbering([*vertices, *mor])
+    table = {}
+    for a, b, c in triples:  # the table's names take numbers before endpoints
+        if a in vset or b in vset:
+            raise BadArgument(f"identity composition [{a}, {b}] must be omitted")
+        if (key := (at[a], at[b])) in table:
+            raise BadArgument(f"duplicate compose entry for ({a}, {b})")
+        table[key] = at[c]
     records = [((0,) * rank, v, v) for v in vertices] + list(mor.values())
-    table = number_table(at)
     r, s = [at[x] for _, x, _ in records], [at[x] for _, _, x in records]
     isv = [1] * len(vertices) + [0] * len(mor)
     return _sorted_parts(rank, order, at, [d for d, _, _ in records], r, s, isv, table)
+
+
+def _integral(x) -> int:
+    """x as an int; TypeError, ValueError or OverflowError unless x equals
+    its int()."""
+    if (n := int(x)) != x:
+        raise ValueError(x)
+    return n
+
+
+def _vertex_ids(vertices) -> list[str]:
+    try:
+        return [str(v) for v in vertices]
+    except TypeError:
+        raise BadArgument("vertices must be an iterable of ids") from None
+
+
+def _morphism_records(morphisms: dict):
+    """FiniteKGraph's morphisms as (id, degree, range, source) records."""
+    for mid, rec in morphisms.items():
+        mid = str(mid)
+        try:
+            d, r, s = (rec.d, rec.r, rec.s) if isinstance(rec, Morphism) else rec
+            d = tuple(map(_integral, d))
+        except (TypeError, ValueError, OverflowError):
+            raise BadArgument(f"record of {mid!r} is not (degree, range, source)") from None
+        yield mid, d, str(r), str(s)
+
+
+def _compose_triples(compose: dict):
+    """FiniteKGraph's compose table as (a, b, ab) triples of ids."""
+    for key, c in compose.items():
+        try:
+            a, b = map(str, key)
+        except (TypeError, ValueError):
+            raise BadArgument(f"compose key {key!r} is not a pair of ids") from None
+        yield a, b, str(c)
 
 
 class FiniteKGraph:
@@ -196,47 +255,19 @@ class FiniteKGraph:
 
     def __init__(self, rank, vertices, morphisms, compose):
         try:
-            rank = int(rank)
-        except (TypeError, ValueError):
+            rank = _integral(rank)
+        except (TypeError, ValueError, OverflowError):
             raise BadArgument(f"rank {rank!r} is not an integer") from None
         if rank < 0:
             raise BadArgument("rank must be >= 0")
         if rank > sys.maxsize:  # no degree tuple is that long
             raise BadArgument(f"rank = {rank} is too large")
-        vs = [str(v) for v in vertices]
-        vset = set(vs)
-        if len(vs) != len(vset):
-            raise BadArgument("duplicate vertex id")
+        vertices = _vertex_ids(vertices)
         try:
             morphisms, compose = dict(morphisms), dict(compose)
         except (TypeError, ValueError):
             raise BadArgument("morphisms and compose must be mappings") from None
-        mor = {}
-        for mid, rec in morphisms.items():
-            mid = str(mid)
-            if mid in mor or mid in vset:
-                raise BadArgument(f"duplicate morphism id {mid!r}")
-            try:
-                d, r, s = (rec.d, rec.r, rec.s) if isinstance(rec, Morphism) else rec
-                d = tuple(int(x) for x in d)
-            except (TypeError, ValueError):
-                raise BadArgument(f"record of {mid!r} is not (degree, range, source)") from None
-            if len(d) == rank and not any(d):
-                raise BadArgument(f"{mid!r} has degree zero; degree-zero morphisms are identities")
-            mor[mid] = (d, str(r), str(s))
-        table = {}
-        for key, c in compose.items():
-            try:
-                a, b = map(str, key)
-            except (TypeError, ValueError):
-                raise BadArgument(f"compose key {key!r} is not a pair of ids") from None
-            if a in vset or b in vset:
-                raise BadArgument(f"composition with an identity must stay implicit: ({a}, {b})")
-            if (a, b) in table:
-                raise BadArgument(f"duplicate compose entry for ({a}, {b})")
-            table[(a, b)] = str(c)
-        self._index(*_numbered(rank, vs, mor, lambda at: {
-            (at[a], at[b]): at[c] for (a, b), c in table.items()}))
+        self._index(*_checked(rank, vertices, _morphism_records(morphisms), _compose_triples(compose)))
 
     @classmethod
     def _from_parts(cls, rank: int, names, n: int, deg, r, s, isv, table,
@@ -688,6 +719,28 @@ Square = tuple[str, str, str, str]
 # two edge paths share endpoints.
 
 
+def _edges(edges) -> dict[str, Edge]:
+    try:
+        edges = dict(edges)
+    except (TypeError, ValueError):
+        raise BadArgument("blue and red must be mappings") from None
+    out = {}
+    for e, rec in edges.items():
+        try:
+            r, s = rec
+        except (TypeError, ValueError):
+            raise BadArgument(f"record of {str(e)!r} is not (range, source)") from None
+        out[str(e)] = Edge(str(r), str(s))
+    return out
+
+
+def _square(sq) -> tuple[str, ...]:
+    try:
+        return tuple(map(str, sq))
+    except TypeError:
+        raise BadArgument(f"square {sq!r} is not a quadruple") from None
+
+
 class Skeleton2Graph:
     """Presentation of a rank-2 graph: a two-coloured digraph plus squares.
 
@@ -698,20 +751,17 @@ class Skeleton2Graph:
     rank = 2
 
     def __init__(self, vertices, blue, red, squares):
-        vs = [str(v) for v in vertices]
+        vs = _vertex_ids(vertices)
         self.vertices: tuple[str, ...] = tuple(sorted(vs))
-        self.blue: dict[str, Edge] = {
-            str(e): Edge(str(r), str(s)) for e, (r, s) in dict(blue).items()
-        }
-        self.red: dict[str, Edge] = {
-            str(e): Edge(str(r), str(s)) for e, (r, s) in dict(red).items()
-        }
+        self.blue: dict[str, Edge] = _edges(blue)
+        self.red: dict[str, Edge] = _edges(red)
         ids = vs + list(self.blue) + list(self.red)
         if len(ids) != len(set(ids)):
             raise BadArgument("vertex and edge ids must be pairwise distinct")
-        self.squares: tuple[Square, ...] = tuple(
-            sorted(tuple(map(str, sq)) for sq in squares)
-        )
+        try:
+            self.squares: tuple[Square, ...] = tuple(sorted(map(_square, squares)))
+        except TypeError:
+            raise BadArgument("squares must be an iterable of quadruples") from None
         for sq in self.squares:
             if len(sq) != 4:
                 raise BadArgument(f"square {sq} is not a quadruple")

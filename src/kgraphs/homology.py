@@ -26,6 +26,7 @@ from itertools import cycle
 from .core import (
     FiniteKGraph,
     Skeleton2Graph,
+    _integral,
     validate_kgraph,
     validate_skeleton,
 )
@@ -35,11 +36,9 @@ from .errors import BadArgument, InvalidModel
 def _integer(x) -> int:
     """x as an int; BadArgument unless x is an integral number."""
     try:
-        if (n := int(x)) == x:
-            return n
+        return _integral(x)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise BadArgument(f"matrix shapes and entries must be integers, not {x!r}")
+        raise BadArgument(f"matrix shapes and entries must be integers, not {x!r}") from None
 
 
 def _integer_pair(x, what: str) -> tuple[int, int]:

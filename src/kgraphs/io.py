@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .core import FiniteKGraph, Skeleton2Graph, _numbered
+from .core import FiniteKGraph, Skeleton2Graph, _checked
 from .errors import BadArgument, ParseError
 from .quotient import MorphismRelation, relation_from_classes, relation_from_pairs
 from .surfaces import MarkedSkeleton
@@ -76,19 +76,8 @@ def loads(text: str):
     raise ParseError(f"unknown document kind {kind!r}")
 
 
-def _load_category(doc) -> FiniteKGraph:
-    rank = doc.get("rank")
-    _expect(type(rank) is int and rank >= 0, '"rank" must be a non-negative integer')
-    if rank > sys.maxsize:  # no degree tuple is that long
-        raise ParseError(f'"rank" {rank} is too large')
-    vertices = _str_list(doc, "vertices")
-    vset = set(vertices)
-    _expect(len(vset) == len(vertices), "duplicate vertex ids")
-
-    # Inlined checks format no message unless it is raised.  They are those
-    # of FiniteKGraph(...), made stricter, so the parts go to _from_parts.
-    mor = {}
-    raw = doc.get("morphisms")
+def _morphism_records(raw):
+    """The morphism records of a category document as (id, d, r, s)."""
     _expect(type(raw) is list, '"morphisms" must be a list')
     for rec in raw:
         if type(rec) is not dict:
@@ -102,39 +91,37 @@ def _load_category(doc) -> FiniteKGraph:
             raise ParseError(f"degree of {mid!r} must be a list of non-negative integers")
         if type(r) is not str or type(s) is not str:
             raise ParseError(f"endpoints of {mid!r} must be strings")
-        if mid in vset:
-            raise ParseError(f"morphism id {mid!r} collides with a vertex")
-        if mid in mor:
-            raise ParseError(f"duplicate morphism id {mid!r}")
-        if len(d) == rank and not any(d):
-            raise ParseError(f"{mid!r} has degree zero; identities are implicit")
-        mor[mid] = (tuple(d), r, s)
+        yield mid, tuple(d), r, s
 
-    raw = doc.get("compose")
+
+def _compose_triples(raw):
+    """The compose entries of a category document, [a, b, ab] each."""
     _expect(type(raw) is list, '"compose" must be a list')
+    for triple in raw:
+        if not (type(triple) is list and len(triple) == 3 and type(triple[0]) is str
+                and type(triple[1]) is str and type(triple[2]) is str):
+            raise ParseError("compose entries must be [a, b, ab] string triples")
+        yield triple
 
-    def number_table(at) -> dict:  # each triple numbered as it is checked
-        table = {}
-        for triple in raw:
-            if not (type(triple) is list and len(triple) == 3 and type(triple[0]) is str
-                    and type(triple[1]) is str and type(triple[2]) is str):
-                raise ParseError("compose entries must be [a, b, ab] string triples")
-            a, b, c = triple
-            if a in vset or b in vset:
-                raise ParseError(f"identity composition [{a}, {b}] must be omitted")
-            if (key := (at[a], at[b])) in table:
-                raise ParseError(f"duplicate compose entry for ({a}, {b})")
-            table[key] = at[c]
-        return table
 
-    graph = FiniteKGraph._from_parts(*_numbered(rank, vertices, mor, number_table))
+def _load_category(doc) -> FiniteKGraph:
+    rank = doc.get("rank")
+    _expect(type(rank) is int and rank >= 0, '"rank" must be a non-negative integer')
+    if rank > sys.maxsize:  # no degree tuple is that long
+        raise ParseError(f'"rank" {rank} is too large')
+    vertices = _str_list(doc, "vertices")
+    try:
+        graph = FiniteKGraph._from_parts(*_checked(
+            rank, vertices, _morphism_records(doc.get("morphisms")), _compose_triples(doc.get("compose"))))
+    except BadArgument as e:
+        raise ParseError(str(e)) from None
     if "embedding" in doc:
         raw = doc["embedding"]
         _expect(type(raw) is dict, '"embedding" must be an object')
         emb = {}
         parsed = _Memo(Fraction)  # coordinates repeat across vertices
         for v, coords in raw.items():
-            _expect(v in vset, f"embedding names unknown vertex {v!r}")
+            _expect(graph.is_vertex(v), f"embedding names unknown vertex {v!r}")
             _expect(type(coords) is list, "embedding coordinates must be lists")
             try:
                 emb[v] = tuple([parsed[str(x)] for x in coords])

@@ -478,7 +478,11 @@ def pullback_hypotheses(
 ) -> list[VertexSetReport]:
     """Report the side conditions a gluing would need for pullback-style
     decompositions downstream: finite alignment, no sources, co-hereditary
-    images and saturated complements.  Purely informative -- nothing raises."""
+    images and saturated complements.  A condition that fails is reported,
+    not raised.  Only a map that is not one from common's vertices to the
+    vertices of its side raises: BadArgument if it misses a vertex of
+    common, as glue_on_common does, and UnknownId if an image is not a
+    vertex."""
     reports: list[VertexSetReport] = []
     for side, phi, target in (("left", phi_left, left), ("right", phi_right, right)):
         # every finite k-graph is finitely aligned: all MCE sets are finite
@@ -488,7 +492,10 @@ def pullback_hypotheses(
         missing = next(((v,) for v in target.vertices for e in units
                         if not any(target.d(m) == e for m in target.morphisms_with_range(v))), ())
         reports.append(VertexSetReport(f"no-sources:{side}", not missing, missing))
-        V = {phi[v] for v in common.vertices}
+        try:
+            V = {phi[v] for v in common.vertices}
+        except KeyError as e:
+            raise BadArgument(f"gluing map on side {side!r} misses morphism {e.args[0]!r}") from None
         co = vertex_predicate(target, V, "cohereditary")
         reports.append(VertexSetReport(f"image-cohereditary:{side}", co.holds, co.witness))
         sat = vertex_predicate(target, [v for v in target.vertices if v not in V], "saturated")

@@ -290,12 +290,13 @@ def _glue_across_a_square():
     "call, message",
     [
         (lambda: FiniteKGraph(-1, [], {}, {}), "rank must be >= 0"),
-        (lambda: FiniteKGraph(1, ["v", "v"], {}, {}), "duplicate vertex id"),
-        (lambda: FiniteKGraph(1, ["v"], {"v": ((1,), "v", "v")}, {}), "duplicate morphism id 'v'"),
+        (lambda: FiniteKGraph(1, ["v", "v"], {}, {}), "duplicate vertex ids"),
+        (lambda: FiniteKGraph(1, ["v"], {"v": ((1,), "v", "v")}, {}),
+         "morphism id 'v' collides with a vertex"),
         (lambda: FiniteKGraph(1, ["v"], {"m": ((0,), "v", "v")}, {}),
-         "'m' has degree zero; degree-zero morphisms are identities"),
+         "'m' has degree zero; identities are implicit"),
         (lambda: FiniteKGraph(1, ["v"], {"m": ((1,), "v", "v")}, {("v", "m"): "m"}),
-         "composition with an identity must stay implicit: (v, m)"),
+         "identity composition [v, m] must be omitted"),
         (lambda: Skeleton2Graph(["v"], {"v": ("v", "v")}, {}, []),
          "vertex and edge ids must be pairwise distinct"),
         (lambda: Skeleton2Graph(["v"], {}, {}, [("a", "b", "c")]),
@@ -357,6 +358,21 @@ def _glue_across_a_square():
         (lambda: cubes(build_simplex(1), "1"), "dimension '1' is not an integer"),
         (lambda: face(build_simplex(1), cubes(build_simplex(1), 1)[0], "x", 0),
          "direction 'x' is not an integer"),
+        # a value that int() would change is refused, not truncated
+        (lambda: FiniteKGraph(1.9, ["v"], {}, {}), "rank 1.9 is not an integer"),
+        (lambda: FiniteKGraph(float("inf"), ["v"], {}, {}), "rank inf is not an integer"),
+        (lambda: FiniteKGraph(1, ["v"], {"m": ((1.5,), "v", "v")}, {}),
+         "record of 'm' is not (degree, range, source)"),
+        (lambda: FiniteKGraph(1, ["v"], {"m": ((float("inf"),), "v", "v")}, {}),
+         "record of 'm' is not (degree, range, source)"),
+        (lambda: FiniteKGraph(1, None, {}, {}), "vertices must be an iterable of ids"),
+        (lambda: Skeleton2Graph(None, {}, {}, []), "vertices must be an iterable of ids"),
+        (lambda: Skeleton2Graph(["v"], 5, {}, []), "blue and red must be mappings"),
+        (lambda: Skeleton2Graph(["v"], {}, 5, []), "blue and red must be mappings"),
+        (lambda: Skeleton2Graph(["v"], {"e": "v"}, {}, []), "record of 'e' is not (range, source)"),
+        (lambda: Skeleton2Graph(["v"], {}, {"e": None}, []), "record of 'e' is not (range, source)"),
+        (lambda: Skeleton2Graph(["v"], {}, {}, [5]), "square 5 is not a quadruple"),
+        (lambda: Skeleton2Graph(["v"], {}, {}, None), "squares must be an iterable of quadruples"),
     ],
 )
 def test_bad_arguments_raise_a_kgraph_error_that_is_a_value_error(call, message):

@@ -21,7 +21,7 @@ from kgraphs import (
     relation_from_pairs,
 )
 from kgraphs.core import Skeleton2Graph
-from kgraphs.errors import ParseError
+from kgraphs.errors import BadArgument, ParseError
 from kgraphs.surfaces import MarkedSkeleton, basic_surface, compact_surface
 
 from helpers import (
@@ -373,6 +373,51 @@ def test_unknown_names_are_numbered_as_the_reference_loader_numbers_them():
     text = json.dumps(doc)
     assert outcome(loads, text) == outcome(lambda t: reference_load_category(json.loads(t)), text)
     assert loads(text)._names[4:] == ("ghostB", "ghostC", "ghostA", "ghostR", "ghostS")
+
+
+# -- the constructor and the loader share one checker ------------------------
+
+
+def category_text(rank, vertices, morphisms, compose):
+    """The document of FiniteKGraph(rank, vertices, morphisms, compose),
+    written field by field, faults and all."""
+    return json.dumps({
+        "kind": "category", "rank": rank, "vertices": vertices,
+        "morphisms": [{"id": str(m), "d": list(d), "r": r, "s": s} for m, (d, r, s) in morphisms.items()],
+        "compose": [[str(a), str(b), str(c)] for (a, b), c in compose.items()]})
+
+
+EDGES = {"1": ((1,), "u", "v"), "2": ((1,), "v", "v")}
+
+
+@pytest.mark.parametrize(
+    "vertices, morphisms, compose, message",
+    [
+        (["v", "v"], {}, {}, "duplicate vertex ids"),
+        (["v"], {"v": ((1,), "v", "v")}, {}, "morphism id 'v' collides with a vertex"),
+        # 1 and "1" are one id, as both documents' records say "1"
+        (["v"], {1: ((1,), "v", "v"), "1": ((1,), "v", "v")}, {}, "duplicate morphism id '1'"),
+        (["v"], {"m": ((0,), "v", "v")}, {}, "'m' has degree zero; identities are implicit"),
+        (["u", "v"], EDGES, {("2", "v"): "2"}, "identity composition [2, v] must be omitted"),
+        (["u", "v"], EDGES, {(1, 2): "a", ("1", "2"): "b"}, "duplicate compose entry for (1, 2)"),
+    ],
+)
+def test_constructor_and_loader_refuse_each_shared_rule_in_the_same_words(
+        vertices, morphisms, compose, message):
+    with pytest.raises(BadArgument) as built:
+        FiniteKGraph(1, vertices, morphisms, compose)
+    with pytest.raises(ParseError) as loaded:
+        loads(category_text(1, vertices, morphisms, compose))
+    assert str(built.value) == str(loaded.value) == message
+
+
+def test_constructor_and_loader_number_a_broken_tables_names_alike():
+    morphisms = {"e": ((1,), "u", "ghostS"), "f": ((1,), "ghostR", "v")}
+    compose = {("e", "ghostB"): "ghostC", ("ghostA", "f"): "e"}
+    built = FiniteKGraph(1, ["u", "v"], morphisms, compose)
+    loaded = loads(category_text(1, ["u", "v"], morphisms, compose))
+    assert built._names[4:] == loaded._names[4:] == ("ghostB", "ghostC", "ghostA", "ghostR", "ghostS")
+    assert vars(built) == vars(loaded)
 
 
 SKELETON_DOCS = [

@@ -29,6 +29,7 @@ from kgraphs import (
     vertex_predicate,
 )
 from kgraphs.errors import (
+    BadArgument,
     BadSplit,
     ForeignId,
     InvalidModel,
@@ -272,6 +273,18 @@ def test_pullback_hypotheses_reports():
         "complement-saturated:left": True,
         "complement-saturated:right": True,
     }
+
+
+def test_pullback_hypotheses_raise_only_on_a_map_off_the_vertices():
+    point, edge = build_simplex(0), build_simplex(1)
+    # a map that misses a vertex of common fails as it fails to glue
+    for call in (pullback_hypotheses, glue_on_common):
+        with pytest.raises(BadArgument, match=r"^gluing map on side 'left' misses morphism '0'$"):
+            call(point, edge, edge, {}, {})
+    with pytest.raises(BadArgument, match=r"^gluing map on side 'right' misses morphism '0'$"):
+        pullback_hypotheses(point, edge, edge, {"0": "0"}, {})
+    with pytest.raises(UnknownId, match=r"^no vertex with id 'ghost'$"):
+        pullback_hypotheses(point, edge, edge, {"0": "ghost"}, {"0": "0"})
 
 
 # -- one gluing routine, checked against the tagged union and quotient ----------

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import io as kio
-from .core import FiniteKGraph, Skeleton2Graph, validate_kgraph, validate_skeleton
+from .core import FiniteKGraph, _violations_of, validate_kgraph
 from .errors import (
     BadSurfaceSpec, KGraphError, NotACongruence, OutOfRange, OverlappingClasses, ParseError,
 )
@@ -120,9 +120,13 @@ def _cmd_build(args) -> int:
     return 0
 
 
-def _print_witnesses(violations) -> None:
-    for v in violations:
-        print(f"{v.rule}: {v.detail}  witness={v.witness!r}")
+def _refuse(violations, more=()) -> int:
+    """Print one line per violation, then any more lines; 2 if there were
+    any, else 0."""
+    lines = [f"{v.rule}: {v.detail}  witness={v.witness!r}" for v in violations] + list(more)
+    for line in lines:
+        print(line)
+    return 2 if lines else 0
 
 
 def _cmd_validate(args) -> int:
@@ -130,21 +134,10 @@ def _cmd_validate(args) -> int:
     if isinstance(model, kio.RelationDoc):
         raise ParseError("a relation document has no axioms of its own; "
                          "feed it to `quotient` together with its base graph")
-    if isinstance(model, FiniteKGraph):
-        violations = validate_kgraph(model)
-        if violations:
-            _print_witnesses(violations)
-            return 2
-    else:
-        skel = _bare(model)
-        violations = validate_skeleton(skel)
-        problems = [f"{v.rule}: {v.detail}  witness={v.witness!r}" for v in violations]
-        if isinstance(model, MarkedSkeleton):
-            problems += [f"marking: {m}" for m in validate_marking(model)]
-        if problems:
-            for line in problems:
-                print(line)
-            return 2
+    bare = _bare(model)
+    marking = () if bare is model else validate_marking(model)
+    if _refuse(_violations_of(bare), [f"marking: {m}" for m in marking]):
+        return 2
     print("OK")
     return 0
 
@@ -158,9 +151,7 @@ def _cmd_quotient(args) -> int:
     rdoc = _load(args.relation)
     if not isinstance(rdoc, kio.RelationDoc):
         raise ParseError(f"{args.relation}: expected a relation document")
-    violations = validate_kgraph(graph)
-    if violations:
-        _print_witnesses(violations)
+    if _refuse(validate_kgraph(graph)):
         return 2
     rel = kio.bind_relation(rdoc, graph)
     q = quotient(graph, rel)          # raises NotACongruence on bad input

@@ -25,11 +25,12 @@ is defined exactly when ``source(a) == range(b)``.
 Nothing in the constructors enforces the category axioms beyond basic
 shape; `validate_kgraph` / `validate_skeleton` report violations instead
 of raising, so that broken models (e.g. quotients by relations that are
-not congruences) can be inspected.  A graph does not change after
-construction, so it keeps what is derived from it: its list of
-violations, found by the first `validate_kgraph` call, and the
-factorisation index, from which cube faces are read.  A validation that
-finds nothing leaves the index it built for the faces to read.
+not congruences) can be inspected, and `_violations_of` picks a model's
+validator.  A graph does not change after construction, so it keeps
+what is derived from it: its list of violations, found by the first
+`validate_kgraph` call, and the factorisation index, from which cube
+faces are read.  A validation that finds nothing leaves the index it
+built for the faces to read.
 
 `FiniteKGraph` has two constructors.  The private `_from_parts` trusts
 numbered parts a caller has already checked: distinct ids, one record per
@@ -220,6 +221,8 @@ def _morphism_records(morphisms: dict):
             d = tuple(map(_integral, d))
         except (TypeError, ValueError, OverflowError):
             raise BadArgument(f"record of {mid!r} is not (degree, range, source)") from None
+        if min(d, default=0) < 0:
+            raise BadArgument(f"degree of {mid!r} must be a list of non-negative integers")
         yield mid, d, str(r), str(s)
 
 
@@ -246,7 +249,7 @@ class FiniteKGraph:
     morphisms:
         mapping id -> (degree, range, source) for the non-identity
         morphisms.  Degree-zero entries are rejected here: degree zero is
-        reserved for identities.
+        reserved for identities.  So are negative degree entries.
     compose:
         mapping (a, b) -> c giving the composite of each composable pair
         of non-identity morphisms.  Pairs involving identities are
@@ -587,7 +590,7 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
     bad_shape: set[int] = set()
     bad_ends: set[int] = set()
     dc = g._dc
-    shapeless = {c for d, c in g._codes.items() if len(d) != rank or min(d, default=0) < 0}
+    shapeless = {c for d, c in g._codes.items() if len(d) != rank}
     for m in [m for m in g._nonid if dc[m] in shapeless or not (isv[r[m]] and isv[s[m]])]:
         d = deg[m]
         if dc[m] in shapeless:
@@ -726,11 +729,14 @@ def _edges(edges) -> dict[str, Edge]:
         raise BadArgument("blue and red must be mappings") from None
     out = {}
     for e, rec in edges.items():
+        e = str(e)
         try:
-            r, s = rec
+            r, s = () if isinstance(rec, str) else rec  # not "vw" as ("v", "w")
         except (TypeError, ValueError):
-            raise BadArgument(f"record of {str(e)!r} is not (range, source)") from None
-        out[str(e)] = Edge(str(r), str(s))
+            raise BadArgument(f"record of {e!r} is not (range, source)") from None
+        if e in out:
+            raise BadArgument(f"duplicate edge id {e!r}")
+        out[e] = Edge(str(r), str(s))
     return out
 
 
@@ -891,6 +897,16 @@ def validate_skeleton(sk: Skeleton2Graph) -> list[Violation]:
                     )
                 )
     return out
+
+
+def _violations_of(model) -> list[Violation] | None:
+    """The violations its own validator finds in a model; None for anything
+    that is not a model."""
+    if isinstance(model, FiniteKGraph):
+        return validate_kgraph(model)
+    if isinstance(model, Skeleton2Graph):
+        return validate_skeleton(model)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -23,13 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import cycle
 
-from .core import (
-    FiniteKGraph,
-    Skeleton2Graph,
-    _integral,
-    validate_kgraph,
-    validate_skeleton,
-)
+from .core import _integral, _violations_of
 from .errors import BadArgument, InvalidModel
 
 
@@ -185,11 +179,8 @@ def chain_complex(model) -> ChainComplex:
     come from the row form of the model's cube view (`_chain_rows`, see
     `core.Cube`), one list of face rows per dimension.
     """
-    if isinstance(model, Skeleton2Graph):
-        problems = validate_skeleton(model)
-    elif isinstance(model, FiniteKGraph):
-        problems = validate_kgraph(model)
-    else:
+    problems = _violations_of(model)
+    if problems is None:
         raise InvalidModel(f"cannot build a chain complex from {type(model).__name__}")
     if problems:
         shown = "; ".join(str(p) for p in problems[:3])
@@ -280,7 +271,7 @@ def _snf_dense(rows, want_transforms, n=0):
     return diag, U, V
 
 
-def _snf_sparse(entries, m, n, cleared=()):
+def _snf_sparse(entries, cleared=()):
     """Rank, invariant factors and pivot rows of a sparse integer matrix.
 
     Sweeps the columns in increasing index, skipping those in ``cleared``:
@@ -342,7 +333,7 @@ def smith_normal_form(matrix, compute_transforms: bool = False) -> SNFResult:
         diag, U, V = _snf_dense(sparse.dense(), True, n)
         U, V = (tuple(map(tuple, X)) for X in (U, V))
         return SNFResult(tuple(diag), len(diag), (m, n), U, V)
-    rank, diag, _ = _snf_sparse(sparse.entries, m, n)
+    rank, diag, _ = _snf_sparse(sparse.entries)
     return SNFResult(tuple(diag), rank, (m, n))
 
 
@@ -354,7 +345,7 @@ def homology(cx: ChainComplex) -> list[HomologyGroup]:
     ranks, torsion, cleared = [0] * (cx.top + 2), [()] * (cx.top + 2), ()
     for n in range(cx.top, 0, -1):
         mat = cx.boundaries[n]
-        ranks[n], diag, cleared = _snf_sparse(mat.entries, *mat.shape, cleared)
+        ranks[n], diag, cleared = _snf_sparse(mat.entries, cleared)
         torsion[n] = tuple(d for d in diag if d > 1)
     return [
         HomologyGroup(cx.dim(n) - ranks[n] - ranks[n + 1], torsion[n + 1])

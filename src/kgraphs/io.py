@@ -12,10 +12,12 @@ Three kinds of document, told apart by "kind":
 
 Writers emit keys and list entries in canonical sorted order with a
 two-space indent and a trailing newline, so the same model always
-serialises to the same bytes.  Loaders are strict: unknown kinds, shape
-errors, booleans where integers belong, degree-zero morphism entries and
-identity composition triples are all ParseError, and so is text that
-is not JSON or nests too deeply to parse; `loads` raises nothing else.
+serialises to the same bytes.  The category layout lives in one writer,
+`kgraph_json`; the category dict `kgraph_doc` is its parsed output.
+Loaders are strict: unknown kinds, shape errors, booleans where integers
+belong, degree-zero morphism entries and identity composition triples
+are all ParseError, and so is text that is not JSON or nests too deeply
+to parse; `loads` raises nothing else.
 """
 
 from __future__ import annotations
@@ -235,24 +237,8 @@ def bind_relation(rdoc: RelationDoc, graph: FiniteKGraph) -> MorphismRelation:
 
 
 def kgraph_doc(g: FiniteKGraph) -> dict:
-    morphisms = [
-        {"id": m, "d": list(g.d(m)), "r": g.r(m), "s": g.s(m)}
-        for m in g.nonidentity_ids()
-    ]
-    compose = [[a, b, c] for (a, b), c in sorted(g.compose_table().items())]
-    doc = {
-        "kind": "category",
-        "rank": g.rank,
-        "vertices": list(g.vertices),
-        "morphisms": morphisms,
-        "compose": compose,
-    }
-    if g.embedding is not None:
-        doc["embedding"] = {
-            v: [str(Fraction(x)) for x in coords]
-            for v, coords in sorted(g.embedding.items())
-        }
-    return doc
+    """The category document of g, as `kgraph_json` writes it."""
+    return json.loads(kgraph_json(g))
 
 
 def skeleton_doc(sk) -> dict:
@@ -321,8 +307,8 @@ def _block(items: list[str], indent: int, brackets: str = "[]") -> str:
 
 
 def kgraph_json(g: FiniteKGraph) -> str:
-    """dumps(kgraph_doc(g)), written from the graph: each id and degree is
-    encoded once, ids by the C string encoder."""
+    """The category document of g as text, written from the graph: each id
+    and degree is encoded once, ids by the C string encoder."""
     q = [encode_basestring_ascii(m) for m in g._names]
     degree = _Memo(lambda d: _block([str(x) for x in d], 6))
     records = [

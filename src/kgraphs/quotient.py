@@ -216,30 +216,20 @@ def _forced(g: FiniteKGraph, rep: list[int], classes):
     rep gives each morphism's representative.  classes are the classes
     compared split by split, each of one degree with its least member
     first.  Composites come first, grouped by the class pair of their
-    factors in table order; then each class split by split, heads before
-    tails.  A table entry or a factorisation that is not there raises what
-    compose or factorise raises, when it is reached.
+    factors in `_composites` order; then each class split by split, heads
+    before tails.  A table entry or a factorisation that is not there
+    raises what compose or factorise raises, when it is reached.
     """
-    names, n, r, s = g._names, len(g._ids), g._r, g._s
+    names, n = g._names, len(g._ids)
     # an unknown name is NaN, which is related to nothing, itself included
     rep = rep + [float("nan")] * (len(names) - n)
-    # An implicit identity pair shares its class pair only with identity
-    # pairs, whose composites are then related, unless a class holds a
-    # vertex and a non-identity: only then are those pairs walked too.
-    vertex_classes = {rep[v] for v in g._vidx}
-    implicit = ()
-    if any(rep[m] in vertex_classes for m in g._nonid):
-        implicit = (((a, b), ab) for a, b, ab in g._implicit_composites())
     first: dict[int, tuple] = {}  # class pair -> its first entry
-    for entries in (g._table.items(), implicit):
-        for entry in entries:
-            (a, b), ab = entry
-            if a >= n or b >= n or s[a] != r[b]:
-                g.compose(names[a], names[b])  # raises what composing the entry raises
-            old = first.setdefault(rep[a] * n + rep[b], entry)
-            if old is not entry and rep[old[1]] != rep[ab]:
-                (a0, b0), ab0 = old
-                yield ab0, ab, (a0, a, b0, b), "composites", None
+    for entry in g._composites():
+        a, b, ab = entry
+        old = first.setdefault(rep[a] * n + rep[b], entry)
+        if old is not entry and rep[old[2]] != rep[ab]:
+            a0, b0, ab0 = old
+            yield ab0, ab, (a0, a, b0, b), "composites", None
 
     # members share d0, so each split lies between 0 and their degree.  A
     # split with a code is read from the index; _split reads 0 and d0 from
@@ -249,7 +239,7 @@ def _forced(g: FiniteKGraph, rep: list[int], classes):
     for cls in classes:
         m0 = cls[0]
         d0 = g._d[m0]
-        if len(d0) != g.rank and min(d0, default=0) >= 0:
+        if len(d0) != g.rank:
             g.factorise(g._names[m0], (0,) * len(d0))  # raises BadSplit, as at the first split
         plan = plans.get(d0)
         if plan is None:
@@ -316,9 +306,7 @@ def check_congruence(rel: MorphismRelation) -> CongruenceVerdict:
         if wr in members:
             right.setdefault(wr, {}).setdefault(rep[m], m)
     for w, lbucket in left.items():
-        rbucket = right.get(w)
-        if not rbucket:
-            continue
+        rbucket = right.get(w, {})  # none when only a non-vertex source is in w
         vclass = set(members[w])
         ranges = {cb: {r[x] for x in members.get(cb, (cb,))} for cb in rbucket}
         everywhere = vclass.intersection(*ranges.values())

@@ -578,7 +578,7 @@ def mutated_category(g: FiniteKGraph, pick, faults: int) -> FiniteKGraph:
                 mor[m] = (d, new, s) if pick([0, 1]) else (d, r, new)
             else:
                 i = pick(range(len(d))) if d else 0
-                changes = [(abs(d[i]) + 1,), (-1,)] if d else []
+                changes = [(abs(d[i]) + 1,), (abs(d[i]) + 2,)] if d else []
                 d = pick([d[:i] + x + d[i + 1:] for x in changes] + [d + (1,), d[:-1]])
                 mor[m] = (d, r, s)
     # in shuffled order, so that the order of violations is the validator's own
@@ -862,6 +862,36 @@ def reference_compact_surface(tags):
     for tag in tags[1:]:
         out = reference_connected_sum(out, basic_surface(tag))
     return out
+
+
+# -- the category dict before it was the parsed output of kgraph_json ----------
+
+
+def reference_kgraph_doc(g: FiniteKGraph) -> dict:
+    """Reference copy of `io.kgraph_doc` as it was when it built the document
+    field by field, verbatim.  Oracle for the layout that `kgraph_json`
+    writes: dumps of this dict must be the writer's text, byte for byte.
+    """
+    from fractions import Fraction
+
+    morphisms = [
+        {"id": m, "d": list(g.d(m)), "r": g.r(m), "s": g.s(m)}
+        for m in g.nonidentity_ids()
+    ]
+    compose = [[a, b, c] for (a, b), c in sorted(g.compose_table().items())]
+    doc = {
+        "kind": "category",
+        "rank": g.rank,
+        "vertices": list(g.vertices),
+        "morphisms": morphisms,
+        "compose": compose,
+    }
+    if g.embedding is not None:
+        doc["embedding"] = {
+            v: [str(Fraction(x)) for x in coords]
+            for v, coords in sorted(g.embedding.items())
+        }
+    return doc
 
 
 # -- the category loader before it built through FiniteKGraph._from_parts -----

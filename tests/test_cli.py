@@ -453,3 +453,15 @@ def test_every_verb_fails_without_a_traceback(capsys, documents, argv, code):
     assert "Traceback" not in err
     if code == 1 or argv[0] == "connected-sum":
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("build", "surface"), "build surface needs --spec"),
+        (("build", "sphere"), "build sphere needs --k"),
+        (("quotient", "-", "--relation", "-"), "at most one of FILE and REL can be stdin"),
+    ],
+)
+def test_missing_inputs_are_one_line_usage_errors(capsys, argv, message):
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")

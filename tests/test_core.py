@@ -373,6 +373,13 @@ def _glue_across_a_square():
         (lambda: Skeleton2Graph(["v"], {}, {"e": None}, []), "record of 'e' is not (range, source)"),
         (lambda: Skeleton2Graph(["v"], {}, {}, [5]), "square 5 is not a quadruple"),
         (lambda: Skeleton2Graph(["v"], {}, {}, None), "squares must be an iterable of quadruples"),
+        # a degree outside N^k is refused in the loader's words
+        (lambda: FiniteKGraph(1, ["v"], {"m": ((-1,), "v", "v")}, {}),
+         "degree of 'm' must be a list of non-negative integers"),
+        # edge ids equal after str() are one id; a string is not a (range, source) pair
+        (lambda: Skeleton2Graph(["v"], {1: ("v", "v"), "1": ("v", "v")}, {}, []),
+         "duplicate edge id '1'"),
+        (lambda: Skeleton2Graph(["v"], {"e": "vw"}, {}, []), "record of 'e' is not (range, source)"),
     ],
 )
 def test_bad_arguments_raise_a_kgraph_error_that_is_a_value_error(call, message):
@@ -793,3 +800,12 @@ def pinned_models():
 def test_cube_view_is_pinned():
     seen = {name: cube_view_digests(model) for name, model in pinned_models()}
     assert seen == CUBE_VIEW_DIGESTS
+
+
+def test_category_dict_is_the_reference_layout_on_every_builder_output():
+    from kgraphs.io import kgraph_doc
+
+    from helpers import reference_kgraph_doc
+
+    for g in builder_outputs():
+        assert kgraph_doc(g) == reference_kgraph_doc(g)

@@ -56,3 +56,13 @@ def test_mesh_requires_embedding():
         export_mesh(basic_surface("T"))
     with pytest.raises(NoEmbedding):
         export_mesh(basic_surface("T").skeleton)
+
+
+def test_mesh_refuses_an_embedding_that_misses_vertices_or_mixes_dimensions():
+    g = build_simplex(1)
+    g.embedding = {v: (0, 0) for v in g.vertices[1:]}
+    with pytest.raises(NoEmbedding, match=r"^embedding misses vertices \['0'\]$"):
+        export_mesh(g)
+    g.embedding = {v: (0,) * (1 + (v == "0")) for v in g.vertices}
+    with pytest.raises(NoEmbedding, match="^embedding coordinates have mixed dimensions$"):
+        export_mesh(g)

@@ -390,3 +390,18 @@ def test_torus_category_and_skeleton_agree():
     s1 = build_sphere(1)
     torus = homology(chain_complex(cartesian_product(s1, s1)))
     assert torus == homology(chain_complex(basic_surface("T").skeleton))
+
+
+def test_chain_complex_refuses_what_is_not_a_model():
+    with pytest.raises(InvalidModel, match=r"^cannot build a chain complex from int$"):
+        chain_complex(5)
+
+
+def test_snf_transforms_of_a_rank_deficient_matrix():
+    # the pivot search finds no entry left after the first pivot
+    rows = [[2, 4], [1, 2]]
+    res = smith_normal_form(rows, compute_transforms=True)
+    assert res.diagonal == (1,) and list(res.diagonal) == sympy_diagonal(rows)
+    U, V = sympy.Matrix(res.U), sympy.Matrix(res.V)
+    assert U * sympy.Matrix(rows) * V == sympy.Matrix([[1, 0], [0, 0]])
+    assert abs(U.det()) == 1 and abs(V.det()) == 1

@@ -28,6 +28,7 @@ from helpers import (
     path_category,
     random_grid_category,
     random_path_category,
+    reference_kgraph_doc,
     reference_load_category,
     reference_load_skeleton,
 )
@@ -265,7 +266,7 @@ def exotic_graphs(draw):
 @given(g=exotic_graphs())
 def test_category_writer_matches_dumps_and_loads_back_field_for_field(g):
     text = export_json(g)
-    assert text == dumps(kgraph_doc(g))
+    assert text == dumps(reference_kgraph_doc(g))
     assert text.isascii() and text.endswith("\n")
     assert vars(loads(text)) == vars(g)
     assert vars(reference_load_category(json.loads(text))) == vars(g)
@@ -445,3 +446,24 @@ def test_skeleton_loader_matches_the_reference_loader(data):
     if doc.get("kind") == "skeleton2":
         reference = lambda t: reference_load_skeleton(json.loads(t))
         assert _skeleton_outcome(loads, text) == _skeleton_outcome(reference, text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=exotic_graphs())
+def test_category_dict_is_the_reference_layout_on_exotic_graphs(g):
+    assert kgraph_doc(g) == reference_kgraph_doc(g)
+
+
+def test_bind_relation_reads_classes_in_generated_mode_and_pairs_in_explicit_mode():
+    from kgraphs import bind_relation
+
+    g = build_simplex(1)
+    heads, tails = ("(0,{0,1})", "(0,{1,0})"), ("{0,1}", "{1,0}")
+    # generated: the classes are pairs to saturate, which forces the sources together
+    rel = bind_relation(loads(json.dumps(
+        {"kind": "relation", "mode": "generated", "classes": [list(heads)]})), g)
+    assert (rel.mode, rel.pairs, rel.nontrivial_classes()) == ("generated", (heads,), (heads, tails))
+    # explicit: the classes taken literally, and the extra pairs merged in
+    rel = bind_relation(loads(json.dumps(
+        {"kind": "relation", "mode": "explicit", "classes": [list(heads)], "pairs": [list(tails)]})), g)
+    assert (rel.mode, rel.pairs, rel.nontrivial_classes()) == ("explicit", (heads, tails), (heads, tails))

@@ -658,3 +658,20 @@ def test_generated_mode_raises_where_a_merged_class_cannot_be_factorised():
     expected = outcome(check_congruence, relation_from_classes(g, [["a0", "a1"]]))
     assert expected == (InvalidModel, "no factorisation of 'a0' at split (1,) is recorded")
     assert outcome(relation_from_pairs, g, [("a0", "a1")]) == expected
+
+
+def test_glue_refuses_images_hereditary_on_one_side_and_co_hereditary_on_the_other():
+    # v0 is only hereditary in the chain v0 <- v1 (e0 enters it), v1 only co-hereditary
+    chain = path_category(2, [(0, 1)])
+    point = FiniteKGraph(1, ["c"], {}, {})
+    with pytest.raises(NotHereditary) as exc:
+        glue_on_common(point, chain, chain, {"c": "v0"}, {"c": "v1"})
+    assert (exc.value.side, exc.value.escapee) == ("right", "e0")
+    assert str(exc.value) == "images must be hereditary on both sides or co-hereditary on both sides"
+
+
+def test_lift_is_vacuous_for_a_class_that_only_sources_reach():
+    # c's source a is no vertex: a's class meets sources only, so no pair need compose
+    g = FiniteKGraph(1, ["v"], {"a": ((1,), "v", "v"), "b": ((1,), "v", "v"),
+                                "c": ((1,), "v", "a")}, {})
+    assert check_congruence(relation_from_classes(g, [("a", "b")])).ok

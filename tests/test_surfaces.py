@@ -411,3 +411,18 @@ def test_thousand_tori_sum_and_homology_in_time():
         groups = homology(chain_complex(ms.skeleton))
     assert [(h.betti, h.torsion) for h in groups] == [(1, ()), (2000, ()), (1, ())]
     assert validate_marking(ms) == []
+
+
+def test_validate_marking_reports_missing_vertices_and_square_and_repeated_corners():
+    ms = basic_surface("T")
+    assert validate_marking(MarkedSkeleton(ms.skeleton, "p", "q", ("a", "b", "c", "d"))) == [
+        "marked vertex u = 'p' is not a vertex",
+        "marked vertex v = 'q' is not a vertex",
+        "marked square ('a', 'b', 'c', 'd') is not a square of the skeleton",
+    ]
+    # f g = g2 f2 with both middle corners at x
+    sk = Skeleton2Graph(["u", "v", "x"], {"f": ("u", "x"), "f2": ("x", "v")},
+                        {"g": ("x", "v"), "g2": ("u", "x")}, [("f", "g", "g2", "f2")])
+    assert validate_marking(MarkedSkeleton(sk, "u", "v", ("f", "g", "g2", "f2"))) == [
+        "the marked square's corners ('u', 'x', 'x', 'v') are not distinct",
+    ]

@@ -10,13 +10,13 @@ vertex, and share the vertex's id.
 
 Inside a graph the morphisms are numbered 0..N-1 in sorted-id order, and
 all is kept by number: degree, range and source as parallel lists, a
-vertex mask, the table {(a, b): ab}, the factorisation index and the
-morphisms by range and by source.  Names a broken model uses that are not
-ids are numbered from N on.  String ids appear only at the boundary:
-accessors, compose, factorise, compose_table, cube keys, errors and
-witnesses.  Builders format each id once and sort the ids once; a
-quotient names each class by its least member, so its ids are the
-parent's representatives in the parent's order, and `_glue` (unions,
+vertex mask, the table {(a, b): ab}, the factorisation index and, built
+on first use, the morphisms by range and by source.  Names a broken model
+uses that are not ids are numbered from N on.  String ids appear only at
+the boundary: accessors, compose, factorise, compose_table, cube keys,
+errors and witnesses.  Builders format each id once and sort the ids
+once; a quotient names each class by its least member, so its ids are
+the parent's representatives in the parent's order, and `_glue` (unions,
 spheres, wedges, glue_on_common) names each merged morphism the same way.
 
 Composition is written functionally: ``compose(a, b)`` is "a after b" and
@@ -52,7 +52,9 @@ the factorisation index through one step table per degree (`_steps`).
 from __future__ import annotations
 
 import itertools
+import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from operator import add, attrgetter
 
@@ -298,14 +300,7 @@ class FiniteKGraph:
         self._dc = [self._codes.setdefault(x, len(self._codes)) for x in deg]
         self._d = list(map(list(self._codes).__getitem__, self._dc))  # one tuple per degree
 
-        self._with_range: dict[int, list[int]] = {v: [] for v in self._vidx}
-        self._with_source: dict[int, list[int]] = {v: [] for v in self._vidx}
-        for m in range(n):
-            if isv[r[m]]:
-                self._with_range[r[m]].append(m)
-            if isv[s[m]]:
-                self._with_source[s[m]].append(m)
-
+        self._by_end: tuple[dict, dict] | None = None  # for _incidence
         self._factor_index: dict | None = None
         self._unit_steps: dict[int, list] = {}  # per degree code, for _steps
         self._deg_range_index: dict | None = None
@@ -359,10 +354,27 @@ class FiniteKGraph:
         return i is not None and bool(self._isv[i])
 
     def morphisms_with_range(self, v: str) -> tuple[str, ...]:
-        return tuple(map(self._names.__getitem__, self._with_range[self._vertex_num(v)]))
+        v = self._vertex_num(v)
+        return tuple(map(self._names.__getitem__, self._incidence()[0][v]))
 
     def morphisms_with_source(self, v: str) -> tuple[str, ...]:
-        return tuple(map(self._names.__getitem__, self._with_source[self._vertex_num(v)]))
+        v = self._vertex_num(v)
+        return tuple(map(self._names.__getitem__, self._incidence()[1][v]))
+
+    def _incidence(self) -> tuple[dict, dict]:
+        """The morphisms by range vertex and by source vertex, by number in id
+        order; built on first use, as most graphs never ask."""
+        if self._by_end is None:
+            r, s, isv = self._r, self._s, self._isv
+            with_range: dict[int, list[int]] = {v: [] for v in self._vidx}
+            with_source: dict[int, list[int]] = {v: [] for v in self._vidx}
+            for m in range(len(self._ids)):
+                if isv[r[m]]:
+                    with_range[r[m]].append(m)
+                if isv[s[m]]:
+                    with_source[s[m]].append(m)
+            self._by_end = with_range, with_source
+        return self._by_end
 
     def compose_table(self) -> dict[tuple[str, str], str]:
         """A copy of the stored (non-identity) composition table."""
@@ -413,13 +425,16 @@ class FiniteKGraph:
             if isv[s[m]]:
                 yield m, s[m], m
 
-    def _composites(self):
+    def _composites(self, replay=None):
         """(a, b, ab) by number for each composable pair, identities included,
         in composable_pairs order.  A table entry that compose would reject
-        raises compose's error when it is reached."""
+        raises, when it is reached, what replay(a, b) on its ids raises, or
+        else compose's error."""
         r, s, n = self._r, self._s, len(self._ids)
         for (a, b), ab in self._table.items():
             if a >= n or b >= n or s[a] != r[b]:
+                if replay is not None:
+                    replay(self._names[a], self._names[b])
                 self.compose(self._names[a], self._names[b])
             yield a, b, ab
         yield from self._implicit_composites()
@@ -562,9 +577,14 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
     """Check the k-graph axioms; returns all violations found (never raises).
 
     Identity neutrality and "degree zero means identity" hold by
-    construction and are not re-checked.  Associativity is checked on
-    every composable triple.  The violations are found once per graph
-    and kept on it; every call returns a fresh list.
+    construction and are not re-checked.  compose-total is certified per
+    morphism by counting its stored followers.  On a graph with no fault
+    in the earlier rule groups, factor-exists is certified by counting
+    the index, and associativity by the triples whose middle has total
+    degree 1.  Any shortfall reruns the full scans, which check every
+    composable pair, triple and split, so the list does not depend on
+    the path taken.  The violations are found once per graph and kept on
+    it; every call returns a fresh list.
     """
     if g._violations is None:
         g._violations = tuple(_find_violations(g))
@@ -583,7 +603,9 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
     """One walk over the records and one over the stored table, unsorted.
     Rule groups come in a fixed order, each sorted by witness on its own
     (factor-unique by its second pair), as a walk in sorted order would
-    find them.  A clean graph keeps the factorisation index built here."""
+    find them.  Counts stand in for scans where they are exact (see the
+    certificates below).  A clean graph keeps the factorisation index
+    built here."""
     out: list[Violation] = []
     names, n, rank = g._names, len(g._ids), g.rank
     deg, r, s, isv = g._d, g._r, g._s, g._isv
@@ -606,7 +628,7 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
     # over those with a and b of good shape; clashes holds every pair of a
     # repeated key.  plus[code of d(a) * nd + code of d(b)] is the code of
     # d(a) + d(b), or -1 when no morphism has that degree.
-    table, codes, nd = g._table, g._codes, len(g._codes)
+    table, codes, nd, degrees = g._table, g._codes, len(g._codes), list(g._codes)
     domain: list[Violation] = []
     composite: list[Violation] = []
     after: dict[int, dict[int, int]] = {}
@@ -648,14 +670,14 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
     by_witness = attrgetter("witness")
     out += sorted(domain, key=by_witness)
 
+    # a's stored followers are non-identities with range source(a), so they
+    # are all there when they are as many as the morphisms with that range,
+    # less its identity
+    ranges = Counter(r)
     for a in g._nonid:
-        if a in bad_ends:
+        if a in bad_ends or len(after.get(a, ())) == ranges[s[a]] - 1:
             continue
-        # one of the followers is the identity of source(a)
-        followers = g._with_range[s[a]]
-        if len(after.get(a, ())) == len(followers) - 1:
-            continue
-        for b in followers:
+        for b in g._incidence()[0][s[a]]:
             if (a, b) not in table and not isv[b]:
                 detail = "composable pair has no composite in the table"
                 out.append(Violation("compose-total", (names[a], names[b]), detail))
@@ -663,22 +685,33 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
     # a stable sort keeps compose-endpoints before compose-degree per pair
     out += sorted(composite, key=by_witness)
 
-    assoc = []
-    for a, a_row in after.items():
-        for b, ab in a_row.items():
-            b_row, ab_row = after.get(b), after.get(ab)
-            if b_row is None or ab_row is None:
-                continue
-            for c, bc in b_row.items():
-                left, right = ab_row.get(c), a_row.get(bc)
-                # a missing composite is reported by compose-total
-                if left is not None and right is not None and left != right:
-                    detail = f"(a b) c = {names[left]!r} but a (b c) = {names[right]!r}"
-                    assoc.append(Violation("assoc", (names[a], names[b], names[c]), detail))
+    # Certificates for a graph clean so far whose non-identities have
+    # nonzero degree (vertices have degree zero, and the table holds no
+    # identity pair).  Each index key is then an inner split (c, d(a)) of a
+    # non-identity c, one per key, so factor-exists holds when the index
+    # has as many keys as there are inner splits: the sum over the
+    # non-identities m of prod(d_i(m) + 1) - 2.  Given
+    # that and compose-total, associativity follows from the triples whose
+    # middle y has |d(y)| = 1, by induction on |d(y)| (Hazlewood, Raeburn,
+    # Sims and Webster 2013 fix factorisations by the 1-skeleton and its
+    # squares): write y = y1 y2 with d(y1) a unit; then
+    #   (x y) z = ((x y1) y2) z = (x y1)(y2 z) = x (y1 (y2 z)) = x (y z)
+    # by (x, y1, y2), (x y1, y2, z), (x, y1, y2 z) and (y1, y2, z), whose
+    # middles have degree 1 or |d(y)| - 1.  On any shortfall, an assoc hit
+    # or a clash included, the full scans run, so the list is the same.
+    per_code = Counter(dc)
+    zero = codes.get((0,) * rank)
+    inner_splits = sum(k * (math.prod(x + 1 for x in degrees[c]) - 2)
+                       for c, k in per_code.items() if c != zero)
+    counted = (not out and not clashes and per_code[zero] == len(g._vidx)
+               and len(index) == inner_splits)
+    middles = {b: row for b, row in after.items() if sum(deg[b]) == 1} if counted else after
+    assoc = _assoc(after, middles, names)
+    if assoc and middles is not after:  # the full scan lists every triple
+        assoc = _assoc(after, after, names)
     out += sorted(assoc, key=by_witness)
 
     unique = []
-    degrees = list(g._codes)
     for key, pairs in clashes.items():
         c, p = divmod(key, nd)
         pairs.sort()
@@ -690,7 +723,7 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
     out += sorted(unique, key=lambda v: v.witness[3:])
 
     inner: dict[Degree, list[Degree]] = {}  # the splits p of d with 0 < p < d
-    for m in g._nonid:
+    for m in () if counted else g._nonid:
         if m in bad_shape or m in bad_ends:
             continue
         d = deg[m]
@@ -703,6 +736,24 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
 
     if not out:
         g._factor_index = index
+    return out
+
+
+def _assoc(after: dict, middles: dict, names) -> list[Violation]:
+    """The assoc violations, unsorted, of the triples (a, b, c) of stored
+    entries whose middle b has a row in middles."""
+    out = []
+    for a, a_row in after.items():
+        for b, ab in a_row.items():
+            b_row, ab_row = middles.get(b), after.get(ab)
+            if b_row is None or ab_row is None:
+                continue
+            for c, bc in b_row.items():
+                left, right = ab_row.get(c), a_row.get(bc)
+                # a missing composite is reported by compose-total
+                if left is not None and right is not None and left != right:
+                    detail = f"(a b) c = {names[left]!r} but a (b c) = {names[right]!r}"
+                    out.append(Violation("assoc", (names[a], names[b], names[c]), detail))
     return out
 
 
@@ -1089,7 +1140,7 @@ def cartesian_product(a: FiniteKGraph, b: FiniteKGraph) -> FiniteKGraph:
     zero = (0,) * (a.rank + b.rank)
     bad = [m for m, old in zip(ids, order) if deg[old] == zero and not isv[old]]
     if bad:
-        raise BadArgument(f"{bad[0]!r} has degree zero; degree-zero morphisms are identities")
+        raise BadArgument(f"{bad[0]!r} has degree zero; identities are implicit")
 
     table = {}
     if (a._table or a._vidx) and (b._table or b._vidx):

@@ -45,13 +45,15 @@ def _fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-def _ends(model, key) -> tuple:
-    """(source, range) of a 1-cube: its side-1 and side-0 faces."""
-    faces = list(model._unit_faces(key).values())
-    if len(faces) != 1:
-        raise InvalidModel(f"{key!r}, a face of a 2-cube, is not a 1-cube")
-    s, r, _ = faces[0]
-    return s, r
+def _ends(model, key, seen: dict) -> tuple:
+    """(source, range) of a 1-cube: its side-1 and side-0 faces, read once
+    per key into seen."""
+    if key not in seen:
+        faces = list(model._unit_faces(key).values())
+        if len(faces) != 1:
+            raise InvalidModel(f"{key!r}, a face of a 2-cube, is not a 1-cube")
+        seen[key] = faces[0][:2]
+    return seen[key]
 
 
 def export_mesh(model) -> str:
@@ -77,13 +79,13 @@ def export_mesh(model) -> str:
         dim = 3
 
     index = {v: i for i, v in enumerate(vertex_ids)}
-    faces = []
+    faces, seen = [], {}
     for cb in (c for c in all_cubes if c.dim == 2):
         # corners r(cube), r(hi_1), s(hi_1), r(hi_2): the unit steps in
         # directions i and j, taken from the range end
         (hi1, lo1, _), (hi2, _, _) = model._unit_faces(cb.key).values()
-        s1, r1 = _ends(model, hi1)
-        quad = [_ends(model, lo1)[1], r1, s1, _ends(model, hi2)[1]]
+        s1, r1 = _ends(model, hi1, seen)
+        quad = [_ends(model, lo1, seen)[1], r1, s1, _ends(model, hi2, seen)[1]]
         if not all(v in index for v in quad):
             raise InvalidModel(f"the corners {quad} of {cb.key!r} are not all vertices")
         faces.append([index[v] for v in quad])

@@ -586,6 +586,46 @@ def mutated_category(g: FiniteKGraph, pick, faults: int) -> FiniteKGraph:
     return FiniteKGraph(g.rank, g.vertices, mor, dict(entries))
 
 
+# The builds have no parallel morphisms, so every fault mutated_category can
+# make there breaks a degree, an endpoint or a pair's composite first.  The
+# two below break only what the validator certifies by counting.
+
+
+def swapped_composites(g: FiniteKGraph, pick) -> FiniteKGraph:
+    """A copy of g with the composites of two stored entries exchanged, both
+    with one head and with parallel composites (same degree, range and
+    source), so that degrees, endpoints and the factorisation keys stay and
+    only associativity can break.  g needs parallel morphisms: a product
+    with `twin_edges()` has them."""
+    table = g.compose_table()
+    groups: dict[tuple, list] = {}
+    for (a, b), c in sorted(table.items()):
+        groups.setdefault((a, g.d(c), g.r(c), g.s(c)), []).append((a, b))
+    first = pick([keys for keys in groups.values() if len(keys) > 1])
+    second = pick([key for key in first if key != first[0]])
+    table[first[0]], table[second] = table[second], table[first[0]]
+    entries = random.Random(pick(range(1000))).sample(sorted(table.items()), len(table))
+    return FiniteKGraph(g.rank, *parts(g)[:2], dict(entries))
+
+
+def with_lone_morphism(g: FiniteKGraph, pick) -> FiniteKGraph:
+    """A copy of g with one more morphism, 'lone', of total degree 2, into
+    a vertex no morphism leaves from one no morphism enters: nothing composes
+    with it, so it has no factorisation and only factor-exists fails."""
+    non = g.nonidentity_ids()
+    r = pick([v for v in g.vertices if all(g.s(m) != v for m in non)])
+    s = pick([v for v in g.vertices if all(g.r(m) != v for m in non)])
+    d = pick([tuple(int(j in (i, k)) + int(j == i == k) for j in range(g.rank))
+              for i in range(g.rank) for k in range(i, g.rank)])
+    vertices, mor, table = parts(g)
+    return FiniteKGraph(g.rank, vertices, {**mor, "lone": (d, r, s)}, table)
+
+
+def twin_edges() -> FiniteKGraph:
+    """Two parallel edges, e0 and e1, from v1 to v0."""
+    return path_category(2, [(0, 1), (0, 1)])
+
+
 # -- validation before the unsorted walk ----------------------------------------
 
 
@@ -1515,7 +1555,7 @@ def reference_cartesian_product(a: FiniteKGraph, b: FiniteKGraph) -> ReferenceKG
     ids, zero = set(vertices), (0,) * (a.rank + b.rank)
     bad = sorted(m for m, rec in mor.items() if rec.d == zero and m not in ids)
     if bad:
-        raise BadArgument(f"{bad[0]!r} has degree zero; degree-zero morphisms are identities")
+        raise BadArgument(f"{bad[0]!r} has degree zero; identities are implicit")
     return ReferenceKGraph._from_parts(a.rank + b.rank, vertices, mor, table)
 
 

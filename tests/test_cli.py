@@ -1,5 +1,6 @@
 """Exit codes, pipe composition, and output formats of the command line."""
 
+import hashlib
 import io
 import json
 import os
@@ -135,7 +136,12 @@ def broken_documents(count: int) -> list[str]:
     return out
 
 
-@pytest.mark.parametrize("text", broken_documents(8))
+BROKEN = broken_documents(8)
+
+
+# short stable ids: the case index and a digest of the document
+@pytest.mark.parametrize("text", BROKEN, ids=[
+    f"{i}-{hashlib.sha256(text.encode()).hexdigest()[:8]}" for i, text in enumerate(BROKEN)])
 def test_validate_prints_the_reference_violations(capsys, monkeypatch, text):
     feed(monkeypatch, text)
     code, out, _ = run(capsys, "validate", "-")

@@ -74,6 +74,9 @@ from helpers import (
     reference_generated_classes,
     reference_quotient,
     reference_view,
+    swapped_composites,
+    twin_edges,
+    with_lone_morphism,
 )
 
 
@@ -185,6 +188,39 @@ def test_validation_matches_the_reference_on_mutated_categories(seed, faults):
     base = rng.choice([random_path_category, random_grid_category])(rng, max_morphisms=30)
     g = mutated_category(base, rng.choice, faults)
     assert validate_kgraph(g) == reference_find_violations(g)
+
+
+def assert_incidence_agrees(g: FiniteKGraph) -> None:
+    ref = reference_view(g)
+    for v in g.vertices:
+        assert g.morphisms_with_range(v) == ref.morphisms_with_range(v)
+        assert g.morphisms_with_source(v) == ref.morphisms_with_source(v)
+
+
+def test_counted_validation_matches_the_reference_on_mutated_builds():
+    # mutated_category's faults reach the full scans through an earlier rule
+    # group; the swapped composites (on each build times two parallel edges)
+    # and the lone morphism break only associativity or factor-exists, which
+    # the counts certify, so the rerun of the full scans decides their lists
+    kept: dict[str, list] = {"assoc": [], "factor-exists": []}
+    for base in (build_simplex(2), build_sphere(2), build_simplex(3), build_wedge(2, 3)):
+        twinned = cartesian_product(base, twin_edges())
+        for seed in range(6):
+            rng = random.Random(seed)
+            swapped = swapped_composites(twinned, rng.choice)
+            for g in (mutated_category(base, rng.choice, rng.randint(1, 3)), swapped,
+                      with_lone_morphism(base, rng.choice),
+                      with_lone_morphism(swapped, rng.choice)):
+                assert_incidence_agrees(g)
+                want = reference_find_violations(g)
+                assert validate_kgraph(g) == want
+                assert_incidence_agrees(g)
+                rules = {v.rule for v in want}
+                if len(rules) == 1 and rules <= set(kept):
+                    kept[rules.pop()].append((g, want))
+    assert all(len(graphs) >= 6 for graphs in kept.values())
+    # a first witness whose middle has degree 2 is found by the full scan only
+    assert any(deg_total(g.d(want[0].witness[1])) >= 2 for g, want in kept["assoc"])
 
 
 def test_clean_validation_leaves_the_factorisation_index_faces_read():
@@ -380,6 +416,10 @@ def _glue_across_a_square():
         (lambda: Skeleton2Graph(["v"], {1: ("v", "v"), "1": ("v", "v")}, {}, []),
          "duplicate edge id '1'"),
         (lambda: Skeleton2Graph(["v"], {"e": "vw"}, {}, []), "record of 'e' is not (range, source)"),
+        # degrees outside N^k can add up to zero in a product, refused in the checker's words
+        (lambda: cartesian_product(FiniteKGraph(1, ["v"], {"m": ((), "v", "v")}, {}),
+                                   FiniteKGraph(1, ["w"], {"n": ((0, 0), "w", "w")}, {})),
+         "'(m,n)' has degree zero; identities are implicit"),
     ],
 )
 def test_bad_arguments_raise_a_kgraph_error_that_is_a_value_error(call, message):

@@ -474,6 +474,37 @@ def test_congruence_verdicts_match_the_reference_on_random_relations(which, pick
     assert check_congruence(rel) == reference_check_congruence(rel)
 
 
+def test_the_unit_split_pass_keeps_the_verdicts_of_the_full_scan():
+    # On a validated graph "factor" is checked at the splits p with
+    # |p| <= 1 first.  Each relation here relates two morphisms of one
+    # degree and range and their heads and tails at every unit split, so a
+    # failure shows first, in the full scan, at a larger split.
+    details = set()
+    for g in (build_simplex(2), build_sphere(2), build_wedge(2, 3)):
+        assert validate_kgraph(g) == []
+        for i, m in enumerate(ids := g.nonidentity_ids()):
+            for m2 in ids[i + 1:]:
+                if (g.d(m), g.r(m)) != (g.d(m2), g.r(m2)) or sum(g.d(m)) < 2:
+                    continue
+                pairs = [(m, m2)]
+                for j, x in enumerate(g.d(m)):
+                    unit = tuple(int(k == j) for k in range(g.rank))
+                    if x:
+                        pairs += zip(g.factorise(m, unit), g.factorise(m2, unit))
+                rel = relation_from_pairs(g, pairs, "explicit")
+                verdict = check_congruence(rel)
+                assert verdict == reference_check_congruence(rel)
+                details.add(verdict.detail.rsplit(" at ", 1)[-1])
+    assert "split (1, 1) are unrelated" in details
+    # split 0 is checked too: here sources are related and ranges are not
+    two_edges = path_category(4, [(0, 1), (2, 3)])
+    assert validate_kgraph(two_edges) == []
+    rel = relation_from_classes(two_edges, [["e0", "e1"], ["v0", "v2"]])
+    verdict = check_congruence(rel)
+    assert verdict == reference_check_congruence(rel)
+    assert verdict.detail == "heads 'v1' and 'v3' at split (0,) are unrelated"
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 10_000), data=st.data())
 def test_congruence_verdicts_and_errors_match_the_reference_on_broken_tables(seed, data):

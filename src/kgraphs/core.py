@@ -30,7 +30,10 @@ validator.  A graph does not change after construction, so it keeps
 what is derived from it: its list of violations, found by the first
 `validate_kgraph` call, and the factorisation index, from which cube
 faces are read.  A validation that finds nothing leaves the index it
-built for the faces to read.
+built for the faces to read.  A glue of k-graphs that `_lift_holds`
+certifies (spheres, wedges and glue_on_common on clean inputs) is given
+the verdict () by its builder instead, by the quotient lemma, and builds
+its index on first use.
 
 `FiniteKGraph` has two constructors.  The private `_from_parts` trusts
 numbered parts a caller has already checked: distinct ids, one record per
@@ -56,7 +59,7 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, attrgetter
+from operator import add, attrgetter, lt
 
 from .errors import (
     BadArgument,
@@ -148,12 +151,16 @@ def _numbering(ids: list[str]):
     """A builder's ids, sorted, as (ids, order, new, at): order[i] is the
     builder's number of the i-th sorted id, new[j] the sorted number of its
     j-th, and at numbers names, the ids first, then the unknown names a
-    broken part looks up, in first-seen order."""
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    new = [0] * len(ids)
-    for i, old in enumerate(order):
-        new[old] = i
-    ids = [ids[old] for old in order]
+    broken part looks up, in first-seen order.  Ids already in strictly
+    increasing order, as a sphere's tags give them, are not sorted."""
+    if all(map(lt, ids, ids[1:])):
+        order = new = list(range(len(ids)))  # neither is written to
+    else:
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        new = [0] * len(ids)
+        for i, old in enumerate(order):
+            new[old] = i
+        ids = [ids[old] for old in order]
     return ids, order, new, _Numbering(zip(ids, range(len(ids))))
 
 
@@ -584,7 +591,9 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
     degree 1.  Any shortfall reruns the full scans, which check every
     composable pair, triple and split, so the list does not depend on
     the path taken.  The violations are found once per graph and kept on
-    it; every call returns a fresh list.
+    it; every call returns a fresh list.  Spheres, wedges and clean
+    glue_on_common results keep the verdict () they are certified with by
+    the quotient lemma (see `_lift_holds`), and are not scanned.
     """
     if g._violations is None:
         g._violations = tuple(_find_violations(g))
@@ -1170,8 +1179,9 @@ def _glue(graphs, tags, shared=None) -> FiniteKGraph:
     ids once.  When shared is the congruence its pairs generate (see
     glue_on_common), this is the quotient of the union by it, with its ids,
     numbers and table order.  Names a broken graph uses are tagged too.  Not
-    validated: callers validate once they let go of the summands, which would
-    otherwise stay alive through validation's peak."""
+    validated: on valid graphs, callers certify the glue with `_lift_holds`,
+    and validate only a glue it fails once they let go of the summands,
+    which would otherwise stay alive through validation's peak."""
     rank = graphs[0].rank
     for g in graphs:
         if g.rank != rank:
@@ -1208,6 +1218,35 @@ def _glue(graphs, tags, shared=None) -> FiniteKGraph:
         table.update({(glob[a], glob[b]): glob[c]
                       for (a, b), c in g._table.items() if not (merged[a] and merged[b])})
     return FiniteKGraph._from_parts(*_sorted_parts(rank, order, at, deg, r, s, isv, table))
+
+
+def _lift_holds(graphs, shared) -> bool:
+    """Whether "lift" holds for the `_glue` of valid graphs along shared, each
+    later graph's part that an injective functor from a common graph
+    carries onto graphs[0]'s.  Then "d", "comp" and "factor" hold (see
+    glue_on_common), so by the quotient theorem the glue is a k-graph
+    exactly when this does.  "Lift" fails exactly when a morphism outside
+    one graph's shared part leaves a shared vertex (has it as source) and
+    a morphism outside another's reaches its twin (has it as range): the
+    pair composes in the glue and has no composite.  Counts at the shared
+    vertices decide it: a shared vertex is an end of some morphism outside
+    the shared part when it is an end of more morphisms than shared ones."""
+    first, later = list(shared.values()), list(shared)
+    if later == first:  # each side's twins share numbers: one part serves all
+        later = first
+    ends: dict[tuple[int, int], list[set]] = {}  # (leaves, reaches) by graphs[0]'s numbers
+    sides = []
+    for g, part in zip(graphs, [first] + [later] * (len(graphs) - 1)):
+        if (key := (id(g), id(part))) not in ends:
+            ends[key] = []
+            for end in (g._s, g._r):
+                every, mine = Counter(end), Counter(map(end.__getitem__, part))
+                here = [v for v, c in mine.items() if c < every[v]]
+                ends[key].append(set(here if part is first else map(shared.__getitem__, here)))
+        sides.append(ends[key])
+    return not any(not leaves.isdisjoint(reaches)
+                   for i, (leaves, _) in enumerate(sides) if leaves
+                   for j, (_, reaches) in enumerate(sides) if i != j)
 
 
 def disjoint_union(a: FiniteKGraph, b: FiniteKGraph) -> FiniteKGraph:

@@ -29,6 +29,7 @@ from .core import (
     FiniteKGraph,
     VertexSetReport,
     _glue,
+    _lift_holds,
     _splits,
     _validated,
     disjoint_union,
@@ -439,7 +440,7 @@ def glue_on_common(
     The images must both be hereditary vertex sets, or both co-hereditary
     ones; then identifying the two copies of the common graph inside the
     disjoint union ("0:" and "1:" ids) is a congruence and the glued graph
-    is again a k-graph (validated before returning).
+    is again a k-graph.
 
     If common, left and right validate clean, the image pairs already
     satisfy "comp" (the maps are injective functors, so related composable
@@ -447,11 +448,13 @@ def glue_on_common(
     composites) and "factor" (common's factorisations are carried into
     each target, where they are the only ones).  Saturation adds nothing,
     and _glue, merging each right image into its left one, is the
-    quotient.  "lift" fails only if a morphism outside one image leaves an
-    image vertex whose twin a morphism outside the other reaches; then the
-    glue has a composable pair with no composite and fails validation.
-    That, or an invalid input, takes the generated path: union, saturated
-    relation, certified quotient and validation, with their errors.
+    quotient.  By the quotient theorem it is a k-graph exactly when "lift"
+    holds, and `_lift_holds` checks that on the ends of the images: "lift"
+    fails only if a morphism outside one image leaves an image vertex whose
+    twin a morphism outside the other reaches.  When it holds the glue is
+    returned unscanned, with the verdict () kept.  A failed "lift", or an
+    invalid input, takes the generated path: union, saturated relation,
+    certified quotient and validation, with their errors.
     """
     f_left = _check_embedding("left", phi_left, common, left)
     f_right = _check_embedding("right", phi_right, common, right)
@@ -467,8 +470,10 @@ def glue_on_common(
         raise NotHereditary("right", (right_h.witness or right_c.witness or ("?",))[0],
                             "images must be hereditary on both sides or co-hereditary on both sides")
     if not (validate_kgraph(common) or validate_kgraph(left) or validate_kgraph(right)):
-        glued = _glue([left, right], ["0:{}", "1:{}"], dict(zip(f_right, f_left)))
-        if not validate_kgraph(glued):
+        shared = dict(zip(f_right, f_left))
+        if _lift_holds([left, right], shared):
+            glued = _glue([left, right], ["0:{}", "1:{}"], shared)
+            glued._violations = ()  # a k-graph: see the docstring
             return glued
     union = disjoint_union(left, right)
     pairs = [(f"0:{phi_left[m]}", f"1:{phi_right[m]}") for m in common.morphism_ids()]

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from kgraphs.core import (
     FiniteKGraph,
+    _find_violations,
+    _numbering,
     _splits,
     Skeleton2Graph,
     cartesian_product,
@@ -233,6 +235,21 @@ def test_clean_validation_leaves_the_factorisation_index_faces_read():
         assert cx.bases == reference.bases
         assert [m.entries for m in cx.boundaries] == [m.entries for m in reference.boundaries]
         assert factor_index(fresh, build=False) is index
+
+
+def test_a_certified_graph_builds_its_index_on_first_use_for_the_same_complex():
+    simplex = build_simplex(2)
+    rim = induced_subgraph(simplex, [v for v in simplex.vertices if v != "0"])
+    phi = {m: m for m in rim.morphism_ids()}
+    glued = glue_on_common(rim, simplex, simplex, phi, dict(phi))
+    for g in (build_sphere(2), build_sphere(3), build_wedge(2, 3), glued):
+        assert g._violations == () and factor_index(g, build=False) is None
+        fresh = FiniteKGraph(g.rank, *parts(g))
+        assert validate_kgraph(fresh) == []
+        cx, reference = chain_complex(g), chain_complex(fresh)
+        assert cx.bases == reference.bases
+        assert [m.entries for m in cx.boundaries] == [m.entries for m in reference.boundaries]
+        assert factor_index(g, build=False) == factor_index(fresh, build=False)
 
 
 def parallel_path_category(steps: int) -> FiniteKGraph:
@@ -506,9 +523,12 @@ def test_trusted_constructor_matches_the_public_one():
     for g in builder_outputs():
         public = FiniteKGraph(g.rank, *parts(g))
         public.embedding = g.embedding
-        # a sphere is validated as it is built: validate both, so that
-        # the kept violations and factorisation index are compared too
+        # a sphere or wedge keeps the verdict it is certified with, and
+        # builds its factorisation index on first use: validate both and
+        # build g's index, so that the kept violations and indexes are
+        # compared too
         assert validate_kgraph(public) == validate_kgraph(g)
+        factor_index(g)
         assert vars(public) == vars(g)
 
 
@@ -654,9 +674,18 @@ def test_cartesian_product_matches_handmade_grid():
         assert len(cubes(lib, n)) == len(cubes(hand, n))
 
 
+def test_numbering_sorts_only_ids_out_of_strict_order():
+    for ids in (["a", "b", "c"], ["b", "a", "c"], ["a", "a", "b"], ["a"], []):
+        got, order, new, at = _numbering(list(ids))
+        want = sorted(range(len(ids)), key=ids.__getitem__)
+        assert (got, order) == (sorted(ids), want)
+        assert [new[old] for old in order] == list(range(len(ids)))
+        assert dict(at) == {x: i for i, x in enumerate(got)}
+
+
 def test_disjoint_union_validates():
     g = disjoint_union(tiny(), tiny())
-    assert validate_kgraph(g) == []
+    assert _find_violations(g) == []
     assert len(g.vertices) == 6
 
 

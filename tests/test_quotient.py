@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kgraphs import (
@@ -28,6 +28,7 @@ from kgraphs import (
     validate_kgraph,
     vertex_predicate,
 )
+from kgraphs.core import _find_violations, _glue, _lift_holds
 from kgraphs.errors import (
     BadArgument,
     BadSplit,
@@ -202,7 +203,7 @@ def boundary_glue(k):
 def test_gluing_two_simplexes_along_the_rim_gives_the_sphere():
     for k in range(3):
         glued = boundary_glue(k)
-        assert validate_kgraph(glued) == []
+        assert _find_violations(glued) == []  # the full scan, not the kept verdict
         sphere = build_sphere(k)
         for n in range(k + 1):
             assert len(cubes(glued, n)) == len(cubes(sphere, n))
@@ -302,7 +303,7 @@ def test_wedge_is_the_reference_quotient(k, n):
     # from n = 10 on the pole is "10:(0,0)": "0" sorts before ":"
     wedge = build_wedge(k, n)
     same_graph(wedge, reference_build_wedge(k, n))
-    assert wedge.embedding is None and validate_kgraph(wedge) == []
+    assert wedge.embedding is None and _find_violations(wedge) == []
     assert ("10:(0,0)" if n >= 10 else "1:(0,0)") in wedge.vertices
 
 
@@ -381,6 +382,42 @@ def test_glue_is_the_reference_quotient_on_random_gluings(seed, kind, common_kin
         same_graph(got, want)
     else:
         assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["hereditary", "cohereditary", "any"]),
+       common_kind=st.sampled_from(["induced", "vertices"]),
+       copies=st.integers(1, 3))
+def test_lift_check_agrees_with_validating_the_direct_glue(seed, kind, common_kind, copies):
+    # clean random gluings, built as in the test above, with one to three
+    # renamed copies glued to the graph: the glue is a k-graph exactly when
+    # "lift" holds.  The full subgraph on an arbitrary set need not be clean.
+    rng = random.Random(seed)
+    g = rng.choice([random_path_category, random_grid_category])(rng, max_morphisms=20)
+    seed_set = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
+    V = set(seed_set) if kind == "any" else closure(g, seed_set, kind)
+    common = (induced_subgraph(g, V) if common_kind == "induced"
+              else FiniteKGraph(g.rank, sorted(V), {}, {}))
+    assume(not validate_kgraph(common))
+    right, new = renamed(g, rng)
+    shared = {right._at[new.get(m, m)]: g._at[m] for m in common.morphism_ids()}
+    graphs = [g] + [right] * copies
+    glued = _glue(graphs, [f"{i}:{{}}" for i in range(len(graphs))], shared)
+    assert _lift_holds(graphs, shared) == (not _find_violations(glued))
+
+
+def test_a_glue_that_fails_lift_takes_the_generated_path():
+    # both images hold every vertex, so both are hereditary, but the left
+    # edge leaves the vertex whose twin the right edge reaches
+    edge = FiniteKGraph(1, ["v0", "v1"], {"e": ((1,), "v1", "v0")}, {})
+    common = FiniteKGraph(1, ["a", "b"], {}, {})
+    args = (common, edge, edge, {"a": "v0", "b": "v1"}, {"a": "v1", "b": "v0"})
+    assert not _lift_holds([edge, edge], {edge._at["v1"]: edge._at["v0"],
+                                          edge._at["v0"]: edge._at["v1"]})
+    got = settled(glue_on_common, *args)
+    assert got == settled(reference_glue_on_common, *args)
+    assert got[0] is NotACongruence and "condition 'lift' fails" in got[1]
 
 
 @settings(max_examples=200, deadline=None)

@@ -27,6 +27,7 @@ from kgraphs import (
     tail_factor,
     validate_kgraph,
 )
+from kgraphs.core import _find_violations
 from kgraphs.errors import HeightExceeded, OutOfBox, OutOfRange
 from kgraphs.export import export_json
 from kgraphs.simplex import _indices, _up_sets, is_placing
@@ -205,11 +206,22 @@ def test_sphere_embedding_lifts_poles_apart():
 
 def test_wedge_validates_and_counts():
     g = build_wedge(2, 3)
-    assert validate_kgraph(g) == []
+    assert _find_violations(g) == []  # the full scan, not the kept verdict
     # three spheres sharing one pole: 3*(14-1) + 1 vertices
     assert len(g.vertices) == 3 * 13 + 1
     with pytest.raises(ValueError):
         build_wedge(2, 0)
+
+
+@pytest.mark.parametrize("build, args", [
+    *((build_sphere, (k,)) for k in range(5)),
+    *((build_wedge, (k, n)) for k in range(4) for n in (1, 2, 10)),
+])
+def test_a_certified_verdict_is_what_the_full_scan_finds(build, args):
+    # spheres and wedges keep the verdict () by the quotient lemma, unscanned
+    g = build(*args)
+    assert g._violations == ()
+    assert _find_violations(g) == []
 
 
 def test_enumerate_matches_filtered_tables():
@@ -266,7 +278,7 @@ def test_glued_sphere_is_the_quotient_of_the_product(k):
     assert export_json(g) == export_json(q)
     assert g.morphism_ids() == q.morphism_ids()
     assert table_order(g) == table_order(q)
-    assert validate_kgraph(g) == []
+    assert _find_violations(g) == []
 
 
 def test_vertex_points_match_embed():

@@ -30,10 +30,11 @@ validator.  A graph does not change after construction, so it keeps
 what is derived from it: its list of violations, found by the first
 `validate_kgraph` call, and the factorisation index, from which cube
 faces are read.  A validation that finds nothing leaves the index it
-built for the faces to read.  A glue of k-graphs that `_lift_holds`
-certifies (spheres, wedges and glue_on_common on clean inputs) is given
-the verdict () by its builder instead, by the quotient lemma, and builds
-its index on first use.
+built for the faces to read.  Some builders give their graph the
+verdict () instead, and it builds its index on first use: build_simplex,
+as the simplex is a k-graph by construction, and the builders of a glue
+of k-graphs that `_lift_holds` certifies by the quotient lemma (spheres,
+wedges and glue_on_common on clean inputs).
 
 `FiniteKGraph` has two constructors.  The private `_from_parts` trusts
 numbered parts a caller has already checked: distinct ids, one record per
@@ -591,9 +592,10 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
     degree 1.  Any shortfall reruns the full scans, which check every
     composable pair, triple and split, so the list does not depend on
     the path taken.  The violations are found once per graph and kept on
-    it; every call returns a fresh list.  Spheres, wedges and clean
-    glue_on_common results keep the verdict () they are certified with by
-    the quotient lemma (see `_lift_holds`), and are not scanned.
+    it; every call returns a fresh list.  Simplices keep the verdict ()
+    by construction, and spheres, wedges and clean glue_on_common results
+    the one the quotient lemma certifies (see `_lift_holds`): they are
+    not scanned.
     """
     if g._violations is None:
         g._violations = tuple(_find_violations(g))

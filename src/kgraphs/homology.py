@@ -16,12 +16,17 @@ so the cell's column lies in the integer span of the kept ones (from the
 last pivot back, as c is zero in earlier pivot rows) and skipping it
 changes neither the rank nor the invariant factors -- which is why
 ChainComplex refuses boundaries that do not compose to zero.
+
+Boundaries stay columns from assembly to sweep: chain_complex writes
+each as one {row: value} dict per column, the sweep copies each column
+it reduces, and the {(row, col): value} entries are built only if read.
+A matrix has one live form at a time (see SparseIntMatrix).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import cycle
+from itertools import repeat
 
 from .core import _integral, _violations_of
 from .errors import BadArgument, InvalidModel
@@ -44,13 +49,22 @@ def _integer_pair(x, what: str) -> tuple[int, int]:
 
 
 class SparseIntMatrix:
-    """A sparse integer matrix: shape plus a {(row, col): value} map."""
+    """A sparse integer matrix: shape plus a {(row, col): value} map.
+
+    The matrix has one live form at a time.  One that chain_complex
+    assembles starts as its columns, a {row: value} dict per column, and
+    builds `entries` on first read, by column and in each column's order;
+    from then on `entries` is the matrix.  `_columns()` gives the column
+    view of either form, derived afresh from `entries` on every call, so a
+    caller that changes `entries` sees the change in the next sweep.
+    """
 
     def __init__(self, shape, entries=None):
         self.shape = _integer_pair(shape, "shape")
         if min(self.shape) < 0:
             raise BadArgument(f"shape {self.shape} has a negative side")
-        self.entries: dict[tuple[int, int], int] = {}
+        self._cols: list[dict[int, int]] | None = None
+        self._entries: dict[tuple[int, int], int] = {}
         try:
             entries = dict(entries or {})
         except (TypeError, ValueError):
@@ -60,7 +74,37 @@ class SparseIntMatrix:
             if not (0 <= i < self.shape[0] and 0 <= j < self.shape[1]):
                 raise BadArgument(f"entry ({i}, {j}) lies outside shape {self.shape}")
             if v:
-                self.entries[(i, j)] = v
+                self._entries[(i, j)] = v
+
+    @classmethod
+    def _from_columns(cls, shape, cols) -> SparseIntMatrix:
+        """A matrix in column form on columns already known to fit: one
+        {row: nonzero value} dict per column of shape, taken as they are."""
+        mat = cls.__new__(cls)
+        mat.shape, mat._cols, mat._entries = shape, cols, None
+        return mat
+
+    @property
+    def entries(self) -> dict[tuple[int, int], int]:
+        if self._entries is None:
+            self._entries = {(i, j): v for j, col in enumerate(self._cols) for i, v in col.items()}
+            self._cols = None
+        return self._entries
+
+    @entries.setter
+    def entries(self, entries) -> None:
+        self._cols, self._entries = None, entries
+
+    def _columns(self):
+        """(col, {row: value}) by increasing col for each column with an
+        entry (live columns list the empty ones too).  Live columns are the
+        matrix's own: callers copy what they change."""
+        if self._entries is None:
+            return enumerate(self._cols)
+        cols: dict[int, dict[int, int]] = {}
+        for (i, j), v in self._entries.items():
+            cols.setdefault(j, {})[i] = v
+        return sorted(cols.items())
 
     @classmethod
     def from_dense(cls, rows):
@@ -77,13 +121,14 @@ class SparseIntMatrix:
     def dense(self) -> list[list[int]]:
         m, n = self.shape
         rows = [[0] * n for _ in range(m)]
-        for (i, j), v in self.entries.items():
-            rows[i][j] = v
+        for j, col in self._columns():
+            for i, v in col.items():
+                rows[i][j] = v
         return rows
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return sum(map(len, self._cols)) if self._entries is None else len(self._entries)
 
     def __repr__(self):
         return f"SparseIntMatrix(shape={self.shape}, nnz={self.nnz})"
@@ -135,13 +180,12 @@ class ChainComplex:
             if self.boundaries[n].shape != want:
                 raise BadArgument(f"boundary {n} has shape {self.boundaries[n].shape}, expected {want}")
         for n in range(2, len(self.bases)):
-            lower: dict[int, list[tuple[int, int]]] = {}  # column -> entries
-            for (i, k), v in self.boundaries[n - 1].entries.items():
-                lower.setdefault(k, []).append((i, v))
+            lower = dict(self.boundaries[n - 1]._columns())
             product: dict[tuple[int, int], int] = {}
-            for (k, j), w in self.boundaries[n].entries.items():
-                for i, v in lower.get(k, ()):
-                    product[i, j] = product.get((i, j), 0) + v * w
+            for j, col in self.boundaries[n]._columns():
+                for k, w in col.items():
+                    for i, v in lower.get(k, {}).items():
+                        product[i, j] = product.get((i, j), 0) + v * w
             if any(product.values()):
                 raise BadArgument(f"boundary {n - 1} composed with boundary {n} is not zero")
 
@@ -177,7 +221,9 @@ def chain_complex(model) -> ChainComplex:
     Raises InvalidModel when the model fails validation -- boundary
     matrices of a broken category would be meaningless.  Cubes and faces
     come from the row form of the model's cube view (`_chain_rows`, see
-    `core.Cube`), one list of face rows per dimension.
+    `core.Cube`), one list of face rows per dimension.  Each boundary is
+    assembled in column form, one dict of a cube's faces and signs per
+    column; only a column that meets a face twice (a loop's) sums them.
     """
     problems = _violations_of(model)
     if problems is None:
@@ -189,17 +235,20 @@ def chain_complex(model) -> ChainComplex:
     bases, rows = model._chain_rows()
     boundaries = [SparseIntMatrix((0, len(bases[0])))]
     for n in range(1, model.rank + 1):
-        mat = SparseIntMatrix((len(bases[n - 1]), len(bases[n])))
-        entries = mat.entries
         # per column and direction j = 1..n: hi with sign (-1)^j, then lo
-        signs = cycle([x for j in range(1, n + 1) for x in ((-1, 1) if j % 2 else (1, -1))])
-        cols = [col for col in range(len(bases[n])) for _ in range(2 * n)]
-        for key, val in zip(zip(rows[n], cols), signs):
-            if new := entries.get(key, 0) + val:
-                entries[key] = new
-            else:  # a loop's face met twice
-                del entries[key]
-        boundaries.append(mat)
+        signs = [x for j in range(1, n + 1) for x in ((-1, 1) if j % 2 else (1, -1))]
+        w, faces = len(signs), rows[n]
+        cols = list(map(dict, map(zip, zip(*[iter(faces)] * w), repeat(signs))))
+        if sum(map(len, cols)) < len(faces):  # a loop's column meets a face twice
+            for j, col in enumerate(cols):
+                if len(col) < w:
+                    cols[j] = col = {}
+                    for i, val in zip(faces[j * w:(j + 1) * w], signs):
+                        if new := col.get(i, 0) + val:
+                            col[i] = new
+                        else:
+                            del col[i]
+        boundaries.append(SparseIntMatrix._from_columns((len(bases[n - 1]), len(bases[n])), cols))
     # a validated model's boundaries compose to zero (acceptance criterion 11)
     return ChainComplex._from_parts(tuple(map(tuple, bases)), tuple(boundaries))
 
@@ -271,21 +320,18 @@ def _snf_dense(rows, want_transforms, n=0):
     return diag, U, V
 
 
-def _snf_sparse(entries, cleared=()):
-    """Rank, invariant factors and pivot rows of a sparse integer matrix.
+def _snf_sparse(columns, cleared=()):
+    """Rank, invariant factors and pivot rows of a sparse integer matrix,
+    given as (col, {row: value}) by increasing col (`_columns()`).
 
-    Sweeps the columns in increasing index, skipping those in ``cleared``:
-    each is reduced by the +-1 pivots found so far, then pivots on its
-    first remaining +-1 entry in the order the entries were written.  A
+    Sweeps the columns, skipping those in ``cleared``: each is copied,
+    reduced by the +-1 pivots found so far, then pivots on its first
+    remaining +-1 entry in the order the entries were written.  A
     pivot column is zero in every earlier pivot row, so reducing by it
     brings in only later ones and ends.  Columns left without a unit are
     reduced again by all the pivots after the sweep (later pivots can still
     meet them) and what is left of them goes to the dense routine.
     """
-    cols: dict[int, dict[int, int]] = {}
-    for (i, j), v in entries.items():
-        if j not in cleared:
-            cols.setdefault(j, {})[i] = v
     pivots: dict[int, tuple[int, dict[int, int]]] = {}  # row -> (unit, rest of column)
 
     def reduce(col):
@@ -305,8 +351,10 @@ def _snf_sparse(entries, cleared=()):
         return col
 
     aside = []
-    for j in sorted(cols):
-        col = reduce(cols[j])
+    for j, col in columns:
+        if not col or j in cleared:
+            continue
+        col = reduce(dict(col))
         for row, v in col.items():
             if v == 1 or v == -1:
                 pivots[row] = (col.pop(row), col)
@@ -333,7 +381,7 @@ def smith_normal_form(matrix, compute_transforms: bool = False) -> SNFResult:
         diag, U, V = _snf_dense(sparse.dense(), True, n)
         U, V = (tuple(map(tuple, X)) for X in (U, V))
         return SNFResult(tuple(diag), len(diag), (m, n), U, V)
-    rank, diag, _ = _snf_sparse(sparse.entries)
+    rank, diag, _ = _snf_sparse(sparse._columns())
     return SNFResult(tuple(diag), rank, (m, n))
 
 
@@ -344,8 +392,7 @@ def homology(cx: ChainComplex) -> list[HomologyGroup]:
         raise BadArgument(f"homology needs a ChainComplex, not {type(cx).__name__}")
     ranks, torsion, cleared = [0] * (cx.top + 2), [()] * (cx.top + 2), ()
     for n in range(cx.top, 0, -1):
-        mat = cx.boundaries[n]
-        ranks[n], diag, cleared = _snf_sparse(mat.entries, cleared)
+        ranks[n], diag, cleared = _snf_sparse(cx.boundaries[n]._columns(), cleared)
         torsion[n] = tuple(d for d in diag if d > 1)
     return [
         HomologyGroup(cx.dim(n) - ranks[n] - ranks[n + 1], torsion[n + 1])

@@ -14,7 +14,12 @@ sorted once.  The builders work on these known-valid tables by index:
 each placing's up-set is the AND of one "value at j is >= f(j)" bitmask
 per coordinate, so no pair of placings is compared or re-validated.  The
 public helpers (placing_id, height, tail_factor, leq, is_placing) still
-validate their arguments.
+validate their arguments, refusing any value that is not integral.
+
+The simplex is a k-graph by construction (the paper proves it), so
+build_simplex gives it the verdict () as if validate_kgraph had run, and
+its factorisation index is built on first use; the tests hold that
+verdict to the full scan for k <= 5.
 
 The k-sphere is two copies of the simplex glued along their boundary:
 the placings other than the zero placing, a hereditary set, so the glued
@@ -24,8 +29,9 @@ table order of the quotient of the tagged copies by the identification.
 By the quotient lemma (core._lift_holds) a glue of k-graphs along such a
 copy is a k-graph when "lift" holds, which counts at the shared vertices
 decide.  Both builders check it and keep the verdict () as if
-validate_kgraph had run, which trusts build_simplex's construction as
-that builder does; should it fail, the glue is validated in full.
+validate_kgraph had run; should it fail, the glue is validated in full.
+The lemma needs its inputs to be k-graphs, so the sphere's certificate
+rests on the simplex's, and the wedge's on the sphere's.
 
 Ids are human-readable: a placing prints as its blocks in order of
 first appearance, elements within a block in decreasing order, so e.g.
@@ -45,11 +51,21 @@ from .errors import BadArgument, HeightExceeded, OutOfBox, OutOfRange
 Placing = tuple[int, ...]
 
 
-def _as_table(f) -> Placing:
+def _ints(f) -> tuple[int, ...] | None:
+    """The values of f as ints, or None unless each equals its int()
+    (core._integral's rule, checked on the whole tuple at once)."""
     try:
-        t = tuple(int(x) for x in f)
+        f = tuple(f)
+        t = tuple(map(int, f))
     except (TypeError, ValueError, OverflowError):
-        raise OutOfRange(f"not a function table: {f!r}") from None
+        return None
+    return t if t == f else None
+
+
+def _as_table(f) -> Placing:
+    t = _ints(f)
+    if t is None:
+        raise OutOfRange(f"not a function table: {f!r}")
     if not t:
         raise OutOfRange("a placing has domain {0, ..., k} with k >= 0")
     k = len(t) - 1
@@ -153,10 +169,7 @@ def tail_factor(f, z) -> Placing:
     (level 0 is always kept)."""
     t = _as_table(f)
     k = len(t) - 1
-    try:
-        z = tuple(int(x) for x in z)
-    except (TypeError, ValueError, OverflowError):
-        z = None
+    z = _ints(z)
     if z is None or len(z) != k or any(x not in (0, 1) for x in z):
         raise BadArgument(f"z must be a 0-1 vector of length {k}")
     h = height(t)
@@ -250,10 +263,6 @@ def _level_weights(values, size: int) -> dict[int, Fraction]:
 # builders
 
 
-def _morphism_id(pid_f: str, pid_g: str) -> str:
-    return f"({pid_f},{pid_g})"
-
-
 def _up_sets(placings: list[Placing]) -> list[int]:
     """For each placing f, the bitmask of the indices of all g >= f.
 
@@ -288,11 +297,17 @@ def _indices(mask: int) -> list[int]:
 
 def build_simplex(k: int) -> FiniteKGraph:
     """The simplex k-graph: placings as vertices, comparable pairs as
-    morphisms, degree the height gained.  Carries an exact embedding of
-    its vertices into the standard k-simplex."""
+    morphisms, degree the height gained.  A k-graph by construction, it
+    keeps the verdict () without a scan (build_sphere's certificate rests
+    on this).  Carries an exact embedding of its vertices into the
+    standard k-simplex."""
     placings = enumerate_placings(k)
     pids = [_pid(f) for f in placings]
-    heights = [_height(f) for f in placings]
+    # a degree is the height gained, so one tuple serves each pair of heights
+    heights = list(map(_height, placings))
+    code = {h: c for c, h in enumerate(dict.fromkeys(heights))}
+    hc = [code[h] for h in heights]
+    gained = [[tuple(b - a for a, b in zip(x, y)) for y in code] for x in code]
 
     # numbered as built: the placings, then each placing's morphisms up;
     # above[i] = {j: number of the morphism} for the placings strictly above
@@ -301,14 +316,13 @@ def build_simplex(k: int) -> FiniteKGraph:
     ids, deg, r, s = list(pids), [(0,) * k] * n, list(range(n)), list(range(n))
     above: list[dict[int, int]] = []
     for i, up in enumerate(_up_sets(placings)):
-        row = {}
-        for j in _indices(up & ~(1 << i)):
-            row[j] = len(ids)
-            ids.append(_morphism_id(pids[i], pids[j]))
-            deg.append(tuple(b - a for a, b in zip(heights[i], heights[j])))
-            r.append(i)
-            s.append(j)
-        above.append(row)
+        js = _indices(up & ~(1 << i))
+        above.append(dict(zip(js, range(len(ids), len(ids) + len(js)))))
+        pre, gain = f"({pids[i]},", gained[hc[i]]
+        ids += [f"{pre}{pids[j]})" for j in js]
+        deg += [gain[hc[j]] for j in js]
+        r += [i] * len(js)
+        s += js
     ids, order, new, at = _numbering(ids)
     above = [{j: new[x] for j, x in row.items()} for row in above]
 
@@ -323,6 +337,7 @@ def build_simplex(k: int) -> FiniteKGraph:
     isv = [1] * n + [0] * (len(ids) - n)
     r, s = [new[x] for x in r], [new[x] for x in s]
     graph = FiniteKGraph._from_parts(*_sorted_parts(int(k), order, at, deg, r, s, isv, table))
+    graph._violations = ()  # a k-graph by construction (see the module notes)
     # a vertex's point depends only on the set of values its placing takes
     weights = {vals: _level_weights(vals, k + 1) for vals in set(map(frozenset, placings))}
     points = (tuple(map(weights[frozenset(f)].__getitem__, f)) for f in placings)

@@ -43,7 +43,7 @@ from kgraphs.simplex import (
     tail_factor,
 )
 
-from helpers import random_grid_category, random_path_category, sphere_pairs
+from helpers import parts, random_grid_category, random_path_category, sphere_pairs
 
 FULL = lambda k: tuple([1] * k)
 
@@ -68,8 +68,9 @@ def test_criterion_01_placing_counts(capsys):
 def test_criterion_02_simplex_axioms():
     for k in range(5):
         g = build_simplex(k)
-        # exhaustive: every factor-exists / factor-unique split is checked
-        assert validate_kgraph(g) == []
+        # g keeps its verdict unscanned: validate a fresh copy of it made
+        # through the public constructor
+        assert validate_kgraph(FiniteKGraph(g.rank, *parts(g))) == []
         degrees = {g.d(m) for m in g.morphism_ids()}
         expect = {n for n in product((0, 1), repeat=k)}
         assert degrees == expect  # d is onto {n <= (1,...,1)}

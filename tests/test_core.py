@@ -1,9 +1,12 @@
 """Category model, validators, cubes/faces, factorisation, vertex predicates."""
 
+import ast
 import json
 import random
 import re
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -242,7 +245,7 @@ def test_a_certified_graph_builds_its_index_on_first_use_for_the_same_complex():
     rim = induced_subgraph(simplex, [v for v in simplex.vertices if v != "0"])
     phi = {m: m for m in rim.morphism_ids()}
     glued = glue_on_common(rim, simplex, simplex, phi, dict(phi))
-    for g in (build_sphere(2), build_sphere(3), build_wedge(2, 3), glued):
+    for g in (build_simplex(2), build_simplex(3), build_sphere(2), build_sphere(3), build_wedge(2, 3), glued):
         assert g._violations == () and factor_index(g, build=False) is None
         fresh = FiniteKGraph(g.rank, *parts(g))
         assert validate_kgraph(fresh) == []
@@ -878,3 +881,18 @@ def test_category_dict_is_the_reference_layout_on_every_builder_output():
 
     for g in builder_outputs():
         assert kgraph_doc(g) == reference_kgraph_doc(g)
+
+
+def test_the_package_imports_only_the_standard_library():
+    # README promises no runtime dependency beyond the standard library
+    allowed = set(sys.stdlib_module_names) | {"kgraphs"}
+    for path in sorted(Path(kgraphs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.partition(".")[0] in allowed, f"{path.name} imports {name}"

@@ -312,6 +312,43 @@ def test_boundaries_match_the_face_based_assembly():
             assert list(mat.entries.items()) == list(ref.entries.items())
 
 
+def column_view(mat: SparseIntMatrix):
+    """(col, [(row, value), ...]) per column with an entry, in order."""
+    return [(j, list(col.items())) for j, col in mat._columns() if col]
+
+
+def test_the_column_form_reads_as_its_entries_and_the_sweep_leaves_it_unchanged():
+    for model in oracle_models():
+        cx = chain_complex(model)
+        mats = cx.boundaries
+        assert all(m._entries is None for m in mats[1:])  # assembled as columns
+        before = [(m.nnz, repr(m), m.dense(), column_view(m)) for m in mats]
+        groups = homology(cx)
+        ChainComplex(cx.bases, mats)  # the composition check reads columns too
+        assert [column_view(m) for m in mats] == [b[3] for b in before]
+        entries = [list(m.entries.items()) for m in mats]
+        assert entries == [[((i, j), v) for j, col in b[3] for i, v in col] for b in before]
+        assert [(m.nnz, repr(m), m.dense(), column_view(m)) for m in mats] == before
+        assert homology(cx) == groups
+
+
+def test_a_change_to_entries_reaches_the_next_smith_normal_form():
+    # one live form, never a stale copy: the entries read from an assembled
+    # boundary, or those of a hand-built matrix swept before, are the matrix
+    assembled = chain_complex(build_sphere(1)).boundary(1)
+    assert smith_normal_form(assembled).diagonal == (1, 1, 1)
+    assembled.entries.clear()
+    assembled.entries[(0, 0)] = 5
+    assert smith_normal_form(assembled).diagonal == (5,)
+    assert assembled.nnz == 1 and assembled.dense()[0] == [5, 0, 0, 0]
+    hand_built = SparseIntMatrix.from_dense([[1, 0], [0, 1]])
+    assert smith_normal_form(hand_built).diagonal == (1, 1)
+    hand_built.entries[(1, 1)] = 4
+    assert smith_normal_form(hand_built).diagonal == (1, 4)
+    hand_built.entries = {(0, 0): 3}
+    assert smith_normal_form(hand_built).diagonal == (3,) and hand_built.nnz == 1
+
+
 
 def reference_homology(cx: ChainComplex):
     """(betti, torsion) per dimension from the pre-sweep SNF of every

@@ -25,10 +25,9 @@ from kgraphs import (
     relation_from_pairs,
     sphere_pole,
     tail_factor,
-    validate_kgraph,
 )
 from kgraphs.core import _find_violations
-from kgraphs.errors import HeightExceeded, OutOfBox, OutOfRange
+from kgraphs.errors import BadArgument, HeightExceeded, OutOfBox, OutOfRange
 from kgraphs.export import export_json
 from kgraphs.simplex import _indices, _up_sets, is_placing
 
@@ -89,6 +88,20 @@ def test_tail_factor_errors():
         tail_factor((0, 1, 0), (1, 1))  # h = (1,0), z = (1,1) not below it
     with pytest.raises(ValueError):
         tail_factor((0, 1), (2,))
+
+
+def test_placing_helpers_refuse_values_that_are_not_integral():
+    assert not is_placing((0, 1.5))
+    for f in ((0, 1.9), "01"):
+        with pytest.raises(OutOfRange, match="not a function table"):
+            placing_id(f)
+    with pytest.raises(OutOfRange, match="not a function table"):
+        height((0, 1.7))
+    with pytest.raises(BadArgument, match="z must be a 0-1 vector"):
+        tail_factor((0, 1), (1.5,))
+    # integral values of other types stay accepted, as core._integral has it
+    assert is_placing((0.0, 1.0)) and placing_id((0, 1.0)) == "{0,1}"
+    assert height((0, Fraction(1))) == (1,) and tail_factor((0, 1), (1.0,)) == (0, 1)
 
 
 def test_tail_factor_is_the_unique_lower_placing_with_that_height():
@@ -169,7 +182,7 @@ def test_simplex_cell_counts():
 
 def test_simplex_validates():
     for k in range(4):
-        assert validate_kgraph(build_simplex(k)) == []
+        assert _find_violations(build_simplex(k)) == []  # the full scan, not the kept verdict
 
 
 def test_simplex_embedding_present():
@@ -214,11 +227,13 @@ def test_wedge_validates_and_counts():
 
 
 @pytest.mark.parametrize("build, args", [
+    *((build_simplex, (k,)) for k in range(5)),
     *((build_sphere, (k,)) for k in range(5)),
     *((build_wedge, (k, n)) for k in range(4) for n in (1, 2, 10)),
 ])
 def test_a_certified_verdict_is_what_the_full_scan_finds(build, args):
-    # spheres and wedges keep the verdict () by the quotient lemma, unscanned
+    # simplices keep the verdict () by construction, spheres and wedges by
+    # the quotient lemma, unscanned
     g = build(*args)
     assert g._violations == ()
     assert _find_violations(g) == []
@@ -289,13 +304,13 @@ def test_vertex_points_match_embed():
 
 def test_sigma_5_sizes_and_validation():
     # the size that the integer-indexed core is for: counts of Sigma_5, its
-    # composable triples counted from the table, and a clean validation
+    # composable triples counted from the table, and a clean full scan
     g = build_simplex(5)
     table = g.compose_table()
     ending_in = Counter(b for _, b in table)  # entries (a, b) by their b
     assert len(g.vertices) == 4683 and len(g) == 66_605
     assert sum(ending_in[b] for b, _ in table) == 398_160
-    assert validate_kgraph(g) == []
+    assert _find_violations(g) == []
     # a finite k-graph has no loops, so no face repeats in a column
     cx = chain_complex(g)
     assert [len(b) for b in cx.bases] == [4683, 16622, 23220, 15960, 5400, 720]

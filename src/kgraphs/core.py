@@ -59,7 +59,6 @@ import itertools
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from operator import add, attrgetter, lt
 
 from .errors import (
@@ -104,40 +103,97 @@ def _splits(d: Degree):
 
 
 # ---------------------------------------------------------------------------
-# report records
+# records
 
 
-@dataclass(frozen=True)
-class Violation:
+_set = object.__setattr__  # how a record's __init__ fills its slots
+
+
+class _Record:
+    """Base of the package's value records: immutable, compared and hashed
+    by class and field values, picklable, matched by position.  A record
+    names its fields in `__slots__` and fills them in its own `__init__`;
+    a subclass inherits them and appends any slots of its own."""
+
+    __slots__ = ()
+    __match_args__ = ()  # the fields, in order
+
+    def __init_subclass__(cls):
+        cls.__match_args__ += cls.__dict__.get("__slots__", ())
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Violation(_Record):
     """One broken axiom: a machine-readable rule id plus witnesses."""
 
+    __slots__ = ("rule", "witness", "detail")
     rule: str
     witness: tuple[str, ...]
     detail: str
+
+    def __init__(self, rule: str, witness: tuple[str, ...], detail: str):
+        _set(self, "rule", rule)
+        _set(self, "witness", witness)
+        _set(self, "detail", detail)
 
     def __str__(self) -> str:  # used verbatim by the CLI
         ids = ", ".join(self.witness)
         return f"[{self.rule}] {self.detail} (witness: {ids})"
 
 
-@dataclass(frozen=True)
-class VertexSetReport:
+class VertexSetReport(_Record):
     """Outcome of a vertex-set predicate; witness is populated iff it fails."""
 
+    __slots__ = ("predicate", "holds", "witness")
     predicate: str
     holds: bool
-    witness: tuple[str, ...] = ()
+    witness: tuple[str, ...]
+
+    def __init__(self, predicate: str, holds: bool, witness: tuple[str, ...] = ()):
+        _set(self, "predicate", predicate)
+        _set(self, "holds", holds)
+        _set(self, "witness", witness)
 
 
 # ---------------------------------------------------------------------------
 # the category model
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(_Record):
+    """A morphism's record: degree, range and source."""
+
+    __slots__ = ("d", "r", "s")
     d: Degree
     r: str
     s: str
+
+    def __init__(self, d: Degree, r: str, s: str):
+        _set(self, "d", d)
+        _set(self, "r", r)
+        _set(self, "s", s)
 
 
 class _Numbering(dict):
@@ -772,10 +828,16 @@ def _assoc(after: dict, middles: dict, names) -> list[Violation]:
 # skeletons of rank-2 graphs
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(_Record):
+    """A skeleton edge's record: range and source."""
+
+    __slots__ = ("r", "s")
     r: str
     s: str
+
+    def __init__(self, r: str, s: str):
+        _set(self, "r", r)
+        _set(self, "s", s)
 
 
 Square = tuple[str, str, str, str]
@@ -792,6 +854,8 @@ def _edges(edges) -> dict[str, Edge]:
     out = {}
     for e, rec in edges.items():
         e = str(e)
+        if isinstance(rec, Edge):
+            rec = rec.r, rec.s
         try:
             r, s = () if isinstance(rec, str) else rec  # not "vw" as ("v", "w")
         except (TypeError, ValueError):
@@ -975,8 +1039,7 @@ def _violations_of(model) -> list[Violation] | None:
 # cubes and faces
 
 
-@dataclass(frozen=True)
-class Cube:
+class Cube(_Record):
     """A unit cube of a model: a morphism of degree <= (1,...,1).
 
     For category models the key is the morphism id; for skeletons it is a
@@ -992,8 +1055,13 @@ class Cube:
     basis order and their faces as rows in bases[n - 1], in that order.
     """
 
+    __slots__ = ("key", "degree")
     key: object
     degree: Degree
+
+    def __init__(self, key: object, degree: Degree):
+        _set(self, "key", key)
+        _set(self, "degree", degree)
 
     @property
     def dim(self) -> int:

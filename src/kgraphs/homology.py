@@ -25,10 +25,9 @@ A matrix has one live form at a time (see SparseIntMatrix).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
-from .core import _integral, _violations_of
+from .core import _Record, _integral, _set, _violations_of
 from .errors import BadArgument, InvalidModel
 
 
@@ -134,13 +133,17 @@ class SparseIntMatrix:
         return f"SparseIntMatrix(shape={self.shape}, nnz={self.nnz})"
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
+class HomologyGroup(_Record):
     """A finitely generated abelian group Z^betti + sum of Z/d, with the
     torsion orders in divisibility order (invariant factors)."""
 
+    __slots__ = ("betti", "torsion")
     betti: int
-    torsion: tuple[int, ...] = ()
+    torsion: tuple[int, ...]
+
+    def __init__(self, betti: int, torsion: tuple[int, ...] = ()):
+        _set(self, "betti", betti)
+        _set(self, "torsion", torsion)
 
     def __str__(self) -> str:
         parts = []
@@ -152,16 +155,25 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True)
-class SNFResult:
+class SNFResult(_Record):
     """diagonal d_1 | d_2 | ... (positive), rank, and optionally the
     unimodular U, V with U * M * V equal to the diagonal matrix."""
 
+    __slots__ = ("diagonal", "rank", "shape", "U", "V")
     diagonal: tuple[int, ...]
     rank: int
     shape: tuple[int, int]
-    U: tuple[tuple[int, ...], ...] | None = None
-    V: tuple[tuple[int, ...], ...] | None = None
+    U: tuple[tuple[int, ...], ...] | None
+    V: tuple[tuple[int, ...], ...] | None
+
+    def __init__(self, diagonal: tuple[int, ...], rank: int, shape: tuple[int, int],
+                 U: tuple[tuple[int, ...], ...] | None = None,
+                 V: tuple[tuple[int, ...], ...] | None = None):
+        _set(self, "diagonal", diagonal)
+        _set(self, "rank", rank)
+        _set(self, "shape", shape)
+        _set(self, "U", U)
+        _set(self, "V", V)
 
 
 class ChainComplex:

@@ -24,24 +24,30 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .core import FiniteKGraph, Skeleton2Graph, _checked
+from .core import FiniteKGraph, Skeleton2Graph, _Record, _checked, _set
 from .errors import BadArgument, ParseError
 from .quotient import MorphismRelation, relation_from_classes, relation_from_pairs
 from .surfaces import MarkedSkeleton
 
 
-@dataclass(frozen=True)
-class RelationDoc:
+class RelationDoc(_Record):
     """A parsed relation document, not yet bound to its graph."""
 
+    __slots__ = ("over", "mode", "pairs", "classes")
     over: str
     mode: str
     pairs: tuple[tuple[str, str], ...]
     classes: tuple[tuple[str, ...], ...] | None
+
+    def __init__(self, over: str, mode: str, pairs: tuple[tuple[str, str], ...],
+                 classes: tuple[tuple[str, ...], ...] | None):
+        _set(self, "over", over)
+        _set(self, "mode", mode)
+        _set(self, "pairs", pairs)
+        _set(self, "classes", classes)
 
 
 def _expect(cond: bool, message: str):

@@ -23,13 +23,13 @@ class that a model cannot factorise raises InvalidModel, as in the check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     FiniteKGraph,
     VertexSetReport,
+    _Record,
     _glue,
     _lift_holds,
+    _set,
     _splits,
     _validated,
     disjoint_union,
@@ -47,12 +47,22 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class CongruenceVerdict:
+class CongruenceVerdict(_Record):
+    """Whether a relation is a congruence, and if not the first condition
+    that fails with its witnesses."""
+
+    __slots__ = ("ok", "violated", "witness", "detail")
     ok: bool
-    violated: str | None = None  # one of "d", "comp", "factor", "lift"
-    witness: tuple[str, ...] = ()
-    detail: str = ""
+    violated: str | None  # one of "d", "comp", "factor", "lift"
+    witness: tuple[str, ...]
+    detail: str
+
+    def __init__(self, ok: bool, violated: str | None = None,
+                 witness: tuple[str, ...] = (), detail: str = ""):
+        _set(self, "ok", ok)
+        _set(self, "violated", violated)
+        _set(self, "witness", witness)
+        _set(self, "detail", detail)
 
     def __str__(self) -> str:
         if self.ok:

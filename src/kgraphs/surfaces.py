@@ -19,9 +19,8 @@ marking checked) once per process, on its first use; every
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .core import Skeleton2Graph, Square, validate_skeleton
+from .core import Skeleton2Graph, Square, _Record, _set, validate_skeleton
 from .errors import BadMarking, BadSurfaceSpec, InvalidModel
 from .homology import chain_complex, homology
 
@@ -69,25 +68,32 @@ _FROZEN_SQUARES: dict[str, tuple[Square, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class SurfaceSummand:
+class SurfaceSummand(_Record):
     """One catalog summand tag: S, T, K or P."""
 
+    __slots__ = ("tag",)
     tag: str
 
-    def __post_init__(self):
-        if self.tag not in _DIGRAPHS:
-            raise BadSurfaceSpec(f"unknown surface tag {self.tag!r} (use S, T, K or P)")
+    def __init__(self, tag: str):
+        if tag not in _DIGRAPHS:
+            raise BadSurfaceSpec(f"unknown surface tag {tag!r} (use S, T, K or P)")
+        _set(self, "tag", tag)
 
 
-@dataclass(frozen=True)
-class MarkedSkeleton:
+class MarkedSkeleton(_Record):
     """A surface skeleton with the marking used by connected sums."""
 
+    __slots__ = ("skeleton", "u", "v", "square")
     skeleton: Skeleton2Graph
     u: str
     v: str
     square: Square
+
+    def __init__(self, skeleton: Skeleton2Graph, u: str, v: str, square: Square):
+        _set(self, "skeleton", skeleton)
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "square", square)
 
 
 def validate_marking(ms: MarkedSkeleton) -> list[str]:

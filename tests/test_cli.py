@@ -257,6 +257,18 @@ def test_console_script_entry_point():
     assert out.returncode == 0 and out.stdout.strip() == "13"
 
 
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # the records are hand-written, so start-up pays for neither module;
+    # -S keeps site-packages' .pth files out of the child's modules
+    src = str(Path(kgraphs.__file__).resolve().parents[1])
+    code = "import sys, kgraphs, kgraphs.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert out.returncode == 0 and out.stdout.strip() == "[]", out.stderr
+
+
 def test_placings_count_uses_the_recurrence(capsys):
     for k in range(7):
         code, out, _ = run(capsys, "placings", "--k", str(k), "--count")

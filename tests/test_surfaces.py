@@ -73,10 +73,22 @@ def test_euler_characteristics():
 def test_summand_tag_checked():
     with pytest.raises(ValueError):
         SurfaceSummand("Q")
-    with pytest.raises(BadSurfaceSpec):
+    with pytest.raises(BadSurfaceSpec, match="unknown surface tag 'Q'"):
         SurfaceSummand("Q")
+    with pytest.raises(BadSurfaceSpec):
+        SurfaceSummand(tag="Q")
     with pytest.raises((ValueError, UnknownId)):
         basic_surface("Q")
+
+
+def test_skeleton_rebuilt_from_its_own_fields_is_equal():
+    # blue and red hold Edge records, which the constructor takes back
+    for tag in TAGS:
+        sk = basic_surface(tag).skeleton
+        again = Skeleton2Graph(sk.vertices, sk.blue, sk.red, sk.squares)
+        assert (again.vertices, again.blue, again.red, again.squares) == \
+            (sk.vertices, sk.blue, sk.red, sk.squares)
+        assert export_json(again) == export_json(sk)
 
 
 def test_double_torus():

@@ -31,10 +31,9 @@ what is derived from it: its list of violations, found by the first
 `validate_kgraph` call, and the factorisation index, from which cube
 faces are read.  A validation that finds nothing leaves the index it
 built for the faces to read.  Some builders give their graph the
-verdict () instead, and it builds its index on first use: build_simplex,
-as the simplex is a k-graph by construction, and the builders of a glue
-of k-graphs that `_lift_holds` certifies by the quotient lemma (spheres,
-wedges and glue_on_common on clean inputs).
+verdict () instead, and it builds its index on first use: the simplex,
+sphere and wedge builders, whose outputs the paper proves are k-graphs,
+and glue_on_common on clean inputs when its "lift" check holds.
 
 `FiniteKGraph` has two constructors.  The private `_from_parts` trusts
 numbered parts a caller has already checked: distinct ids, one record per
@@ -648,22 +647,13 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
     degree 1.  Any shortfall reruns the full scans, which check every
     composable pair, triple and split, so the list does not depend on
     the path taken.  The violations are found once per graph and kept on
-    it; every call returns a fresh list.  Simplices keep the verdict ()
-    by construction, and spheres, wedges and clean glue_on_common results
-    the one the quotient lemma certifies (see `_lift_holds`): they are
-    not scanned.
+    it; every call returns a fresh list.  Simplices, spheres and wedges
+    keep the verdict () by construction, and so do glue_on_common results
+    that its "lift" check certifies: they are not scanned.
     """
     if g._violations is None:
         g._violations = tuple(_find_violations(g))
     return list(g._violations)
-
-
-def _validated(g: FiniteKGraph, what: str) -> FiniteKGraph:
-    """g, validated in full: InvalidModel names what and the first violation."""
-    problems = validate_kgraph(g)
-    if problems:
-        raise InvalidModel(f"{what} fails validation: {problems[0]}")
-    return g
 
 
 def _find_violations(g: FiniteKGraph) -> list[Violation]:
@@ -878,6 +868,8 @@ class Skeleton2Graph:
 
     The squares must pair every composable blue-red path with a unique
     red-blue path (and vice versa); `validate_skeleton` checks this.
+    Skeletons compare equal when their vertices, blue and red edges and
+    squares are; a skeleton held in a set or dict must not be changed.
     """
 
     rank = 2
@@ -897,6 +889,15 @@ class Skeleton2Graph:
         for sq in self.squares:
             if len(sq) != 4:
                 raise BadArgument(f"square {sq} is not a quadruple")
+
+    def __eq__(self, other):
+        if isinstance(other, Skeleton2Graph):
+            return (self.vertices, self.blue, self.red, self.squares) == (
+                other.vertices, other.blue, other.red, other.squares)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertices, self.squares))
 
     def edge(self, e: str) -> Edge:
         rec = self.blue.get(e) or self.red.get(e)
@@ -922,19 +923,23 @@ class Skeleton2Graph:
     def _unit_faces(self, key) -> dict:
         """An edge's faces are its endpoints, in its colour's direction; a
         square (f, g, g2, f2) has the red g, g2 in direction 1 and the
-        blue f2, f in direction 2."""
+        blue f2, f in direction 2.  UnknownId for any other key."""
         if isinstance(key, tuple):
+            if key not in self.squares:
+                raise UnknownId(f"no square {key!r}")
             f, gg, g2, f2 = key
             return {1: (gg, g2, (0, 1)), 2: (f2, f, (1, 0))}
         e = self.edge(key)
         return {self.colour(key): (e.s, e.r, ())}
 
     def _chain_rows(self) -> tuple[list, list]:
-        """The cube view in row form (see Cube), read off _unit_faces."""
-        bases = [list(self.vertices), [*sorted(self.blue), *sorted(self.red)], list(self.squares)]
+        """The cube view in row form (see Cube), in _unit_faces' order: an
+        edge's source and range, a square's g, g2, f2 and f."""
+        edges = [*sorted(self.blue.items()), *sorted(self.red.items())]
+        bases = [list(self.vertices), [e for e, _ in edges], list(self.squares)]
         at = {x: i for ids in bases[:2] for i, x in enumerate(ids)}  # the ids are distinct
-        rows = [[at[x] for key in keys for hi, lo, _ in self._unit_faces(key).values()
-                 for x in (hi, lo)] for keys in bases[1:]]
+        rows = [[at[x] for _, rec in edges for x in (rec.s, rec.r)],
+                [at[x] for f, gg, g2, f2 in self.squares for x in (gg, g2, f2, f)]]
         return bases, [[], *rows]
 
     def __repr__(self) -> str:
@@ -992,36 +997,19 @@ def validate_skeleton(sk: Skeleton2Graph) -> list[Violation]:
         br_seen[(f, gg)] = br_seen.get((f, gg), 0) + 1
         rb_seen[(g2, f2)] = rb_seen.get((g2, f2), 0) + 1
 
+    # each composable path x then y, by (x, y) id, found through y's edges by range
     blue, red = sorted(sk.blue.items()), sorted(sk.red.items())
-    blue_by_range: dict[str, list[str]] = {}
-    red_by_range: dict[str, list[str]] = {}
-    for e, rec in blue:
-        blue_by_range.setdefault(rec.r, []).append(e)
-    for e, rec in red:
-        red_by_range.setdefault(rec.r, []).append(e)
-
-    for f, ef in blue:
-        for gg in red_by_range.get(ef.s, ()):
-            n = br_seen.get((f, gg), 0)
-            if n != 1:
-                out.append(
-                    Violation(
-                        "square-bijection",
-                        (f, gg),
-                        f"blue-red path occurs in {n} squares (needs exactly 1)",
-                    )
-                )
-    for g2, eg2 in red:
-        for f2 in blue_by_range.get(eg2.s, ()):
-            n = rb_seen.get((g2, f2), 0)
-            if n != 1:
-                out.append(
-                    Violation(
-                        "square-bijection",
-                        (g2, f2),
-                        f"red-blue path occurs in {n} squares (needs exactly 1)",
-                    )
-                )
+    for xs, ys, paths, kind in ((blue, red, br_seen, "blue-red"),
+                                (red, blue, rb_seen, "red-blue")):
+        ys_by_range: dict[str, list[str]] = {}
+        for y, rec in ys:
+            ys_by_range.setdefault(rec.r, []).append(y)
+        for x, rec in xs:
+            for y in ys_by_range.get(rec.s, ()):
+                n = paths.get((x, y), 0)
+                if n != 1:
+                    detail = f"{kind} path occurs in {n} squares (needs exactly 1)"
+                    out.append(Violation("square-bijection", (x, y), detail))
     return out
 
 
@@ -1249,9 +1237,8 @@ def _glue(graphs, tags, shared=None) -> FiniteKGraph:
     ids once.  When shared is the congruence its pairs generate (see
     glue_on_common), this is the quotient of the union by it, with its ids,
     numbers and table order.  Names a broken graph uses are tagged too.  Not
-    validated: on valid graphs, callers certify the glue with `_lift_holds`,
-    and validate only a glue it fails once they let go of the summands,
-    which would otherwise stay alive through validation's peak."""
+    validated: the sphere and wedge builders glue along sets the paper
+    proves give k-graphs, and glue_on_common certifies its glue itself."""
     rank = graphs[0].rank
     for g in graphs:
         if g.rank != rank:
@@ -1288,35 +1275,6 @@ def _glue(graphs, tags, shared=None) -> FiniteKGraph:
         table.update({(glob[a], glob[b]): glob[c]
                       for (a, b), c in g._table.items() if not (merged[a] and merged[b])})
     return FiniteKGraph._from_parts(*_sorted_parts(rank, order, at, deg, r, s, isv, table))
-
-
-def _lift_holds(graphs, shared) -> bool:
-    """Whether "lift" holds for the `_glue` of valid graphs along shared, each
-    later graph's part that an injective functor from a common graph
-    carries onto graphs[0]'s.  Then "d", "comp" and "factor" hold (see
-    glue_on_common), so by the quotient theorem the glue is a k-graph
-    exactly when this does.  "Lift" fails exactly when a morphism outside
-    one graph's shared part leaves a shared vertex (has it as source) and
-    a morphism outside another's reaches its twin (has it as range): the
-    pair composes in the glue and has no composite.  Counts at the shared
-    vertices decide it: a shared vertex is an end of some morphism outside
-    the shared part when it is an end of more morphisms than shared ones."""
-    first, later = list(shared.values()), list(shared)
-    if later == first:  # each side's twins share numbers: one part serves all
-        later = first
-    ends: dict[tuple[int, int], list[set]] = {}  # (leaves, reaches) by graphs[0]'s numbers
-    sides = []
-    for g, part in zip(graphs, [first] + [later] * (len(graphs) - 1)):
-        if (key := (id(g), id(part))) not in ends:
-            ends[key] = []
-            for end in (g._s, g._r):
-                every, mine = Counter(end), Counter(map(end.__getitem__, part))
-                here = [v for v, c in mine.items() if c < every[v]]
-                ends[key].append(set(here if part is first else map(shared.__getitem__, here)))
-        sides.append(ends[key])
-    return not any(not leaves.isdisjoint(reaches)
-                   for i, (leaves, _) in enumerate(sides) if leaves
-                   for j, (_, reaches) in enumerate(sides) if i != j)
 
 
 def disjoint_union(a: FiniteKGraph, b: FiniteKGraph) -> FiniteKGraph:

@@ -23,15 +23,15 @@ class that a model cannot factorise raises InvalidModel, as in the check.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .core import (
     FiniteKGraph,
     VertexSetReport,
     _Record,
     _glue,
-    _lift_holds,
     _set,
     _splits,
-    _validated,
     disjoint_union,
     unit_degree,
     validate_kgraph,
@@ -40,6 +40,7 @@ from .core import (
 from .errors import (
     BadArgument,
     ForeignId,
+    InvalidModel,
     NotACongruence,
     NotHereditary,
     NotInjective,
@@ -438,6 +439,25 @@ def _check_embedding(side: str, phi: dict[str, str], common: FiniteKGraph, targe
     return f
 
 
+def _lift_holds(left: FiniteKGraph, right: FiniteKGraph, shared: dict[int, int]) -> bool:
+    """Whether "lift" holds for the `_glue` of valid left and right along
+    shared, which takes each of right's numbers in its image of a common
+    graph to its twin in left's.  "Lift" fails exactly when a morphism
+    outside one image leaves an image vertex (has it as source) and a
+    morphism outside the other reaches its twin (has it as range): the
+    pair composes in the glue and has no composite.  Counts at the image
+    vertices decide it: the ends of each graph's morphisms, less those of
+    its image's, are the ends of the morphisms outside the image (a
+    Counter keeps only positive counts)."""
+    # per side, the sources and the ranges of the morphisms outside its image
+    l_src, l_rng, r_src, r_rng = (Counter(end) - Counter(map(end.__getitem__, part))
+                                  for g, part in ((left, shared.values()), (right, shared))
+                                  for end in (g._s, g._r))
+    # a right vertex whose twin meets the other side's outside morphisms at the other end
+    return (not any(shared.get(v) in l_src for v in r_rng)
+            and not any(shared.get(v) in l_rng for v in r_src))
+
+
 def glue_on_common(
     common: FiniteKGraph,
     left: FiniteKGraph,
@@ -459,12 +479,11 @@ def glue_on_common(
     each target, where they are the only ones).  Saturation adds nothing,
     and _glue, merging each right image into its left one, is the
     quotient.  By the quotient theorem it is a k-graph exactly when "lift"
-    holds, and `_lift_holds` checks that on the ends of the images: "lift"
-    fails only if a morphism outside one image leaves an image vertex whose
-    twin a morphism outside the other reaches.  When it holds the glue is
-    returned unscanned, with the verdict () kept.  A failed "lift", or an
-    invalid input, takes the generated path: union, saturated relation,
-    certified quotient and validation, with their errors.
+    holds, which `_lift_holds` decides from counts at the image vertices.
+    When it holds the glue is returned unscanned, with the verdict ()
+    kept.  A failed "lift", or an invalid input, takes the generated path:
+    union, saturated relation, certified quotient and validation, with
+    their errors (InvalidModel for a quotient that fails validation).
     """
     f_left = _check_embedding("left", phi_left, common, left)
     f_right = _check_embedding("right", phi_right, common, right)
@@ -481,13 +500,16 @@ def glue_on_common(
                             "images must be hereditary on both sides or co-hereditary on both sides")
     if not (validate_kgraph(common) or validate_kgraph(left) or validate_kgraph(right)):
         shared = dict(zip(f_right, f_left))
-        if _lift_holds([left, right], shared):
+        if _lift_holds(left, right, shared):
             glued = _glue([left, right], ["0:{}", "1:{}"], shared)
             glued._violations = ()  # a k-graph: see the docstring
             return glued
     union = disjoint_union(left, right)
     pairs = [(f"0:{phi_left[m]}", f"1:{phi_right[m]}") for m in common.morphism_ids()]
-    return _validated(quotient(union, relation_from_pairs(union, pairs)), "glued graph")
+    glued = quotient(union, relation_from_pairs(union, pairs))
+    if problems := validate_kgraph(glued):
+        raise InvalidModel(f"glued graph fails validation: {problems[0]}")
+    return glued
 
 
 def pullback_hypotheses(

@@ -22,16 +22,14 @@ its factorisation index is built on first use; the tests hold that
 verdict to the full scan for k <= 5.
 
 The k-sphere is two copies of the simplex glued along their boundary:
-the placings other than the zero placing, a hereditary set, so the glued
-graph is a k-graph.  A wedge glues n spheres at a pole, a co-hereditary
-set.  Each is one pass of core._glue, which gives the ids, numbers and
-table order of the quotient of the tagged copies by the identification.
-By the quotient lemma (core._lift_holds) a glue of k-graphs along such a
-copy is a k-graph when "lift" holds, which counts at the shared vertices
-decide.  Both builders check it and keep the verdict () as if
-validate_kgraph had run; should it fail, the glue is validated in full.
-The lemma needs its inputs to be k-graphs, so the sphere's certificate
-rests on the simplex's, and the wedge's on the sphere's.
+the placings other than the zero placing, a hereditary set.  A wedge
+glues n spheres at a pole, a co-hereditary set.  Each is one pass of
+core._glue, which gives the ids, numbers and table order of the quotient
+of the tagged copies by the identification.  The paper proves both are
+k-graphs, so both builders keep the verdict () as build_simplex does:
+"lift" holds because no morphism outside the rim reaches a rim vertex
+(every one has the zero placing as its range), and only the identity
+leaves a pole.  The tests hold both verdicts to the full scan.
 
 Ids are human-readable: a placing prints as its blocks in order of
 first appearance, elements within a block in decreasing order, so e.g.
@@ -45,7 +43,7 @@ import sys
 from fractions import Fraction
 from math import comb
 
-from .core import FiniteKGraph, _glue, _lift_holds, _numbering, _sorted_parts, _validated
+from .core import FiniteKGraph, _glue, _numbering, _sorted_parts
 from .errors import BadArgument, HeightExceeded, OutOfBox, OutOfRange
 
 Placing = tuple[int, ...]
@@ -298,9 +296,8 @@ def _indices(mask: int) -> list[int]:
 def build_simplex(k: int) -> FiniteKGraph:
     """The simplex k-graph: placings as vertices, comparable pairs as
     morphisms, degree the height gained.  A k-graph by construction, it
-    keeps the verdict () without a scan (build_sphere's certificate rests
-    on this).  Carries an exact embedding of its vertices into the
-    standard k-simplex."""
+    keeps the verdict () without a scan.  Carries an exact embedding of
+    its vertices into the standard k-simplex."""
     placings = enumerate_placings(k)
     pids = [_pid(f) for f in placings]
     # a degree is the height gained, so one tuple serves each pair of heights
@@ -349,18 +346,14 @@ def build_sphere(k: int) -> FiniteKGraph:
     """The k-sphere: two copies of the simplex, "(0,m)" and "(1,m)", glued
     along the boundary (every placing but the zero placing), a hereditary
     set: each morphism whose range is not the zero placing is one with its
-    copy.  Certified by the quotient lemma, with the verdict () kept (else
-    validated in full: InvalidModel on any violation).  Carries an
-    embedding with one extra coordinate (the two copies of the barycentre
-    become the poles)."""
+    copy.  A k-graph by construction, it keeps the verdict () (see the
+    module notes).  Carries an embedding with one extra coordinate (the
+    two copies of the barycentre become the poles)."""
     simplex = build_simplex(k)
     points, zero = simplex.embedding, simplex._at["0"]
     rim = {m: m for m, x in enumerate(simplex._r) if x != zero}
     sphere = _glue([simplex, simplex], ["(0,{})", "(1,{})"], rim)
-    if _lift_holds([simplex, simplex], rim):
-        sphere._violations = ()  # a k-graph by the quotient lemma
-    del simplex, rim  # freed before validation's peak, should it run
-    _validated(sphere, f"the glued {k}-sphere")
+    sphere._violations = ()  # a k-graph by construction
 
     embedding = {}
     for v, base in points.items():
@@ -388,13 +381,12 @@ def build_wedge(k: int, n: int) -> FiniteKGraph:
     """n copies of the k-sphere, tagged "1:" to "n:", glued at their 0-side
     poles: only identities leave a pole, so it is a co-hereditary set.  The
     pole is named by its least id ("10:(0,0)" once n >= 10, as "0" sorts
-    before ":").  Certified as build_sphere is; carries no embedding."""
+    before ":").  A k-graph by construction, as build_sphere's output is;
+    carries no embedding."""
     if not isinstance(n, int) or n < 1:
         raise BadArgument("a wedge needs n >= 1 spheres")
     sphere = build_sphere(k)
     pole = sphere._at[sphere_pole(k, 0)]
-    spheres, shared = [sphere] * n, {pole: pole}
-    wedge = _glue(spheres, [f"{t}:{{}}" for t in range(1, n + 1)], shared)
-    if _lift_holds(spheres, shared):
-        wedge._violations = ()  # a k-graph by the quotient lemma
-    return _validated(wedge, f"the wedge of {n} {k}-spheres")
+    wedge = _glue([sphere] * n, [f"{t}:{{}}" for t in range(1, n + 1)], {pole: pole})
+    wedge._violations = ()  # a k-graph by construction
+    return wedge

@@ -11,9 +11,9 @@ The catalog square sets are frozen constants, certified by their
 homology; `regenerate_squares` re-derives them by searching the
 endpoint-preserving pairings of two-colour paths that contain the
 marked square and have the right homology, taking the least such set.
-Each catalog surface is certified (validated, homology-checked and its
-marking checked) once per process, on its first use; every
-`basic_surface` call still returns a fresh skeleton.
+The catalog is constant data, so it is certified once, by the tests
+(validation, homology and marking), and not at run time; every
+`basic_surface` call returns a fresh skeleton.
 """
 
 from __future__ import annotations
@@ -124,10 +124,6 @@ def validate_marking(ms: MarkedSkeleton) -> list[str]:
     return problems
 
 
-def _skeleton_homology(sk: Skeleton2Graph):
-    return tuple((h.betti, h.torsion) for h in homology(chain_complex(sk)))
-
-
 def regenerate_squares(tag: str) -> tuple[Square, ...]:
     """Search the catalog digraph for its certified square set.
 
@@ -185,21 +181,16 @@ def regenerate_squares(tag: str) -> tuple[Square, ...]:
         sk = Skeleton2Graph(data["vertices"], blue, red, squares)
         if validate_skeleton(sk):
             continue
-        if _skeleton_homology(sk) == _EXPECTED_HOMOLOGY[tag]:
+        found = tuple((h.betti, h.torsion) for h in homology(chain_complex(sk)))
+        if found == _EXPECTED_HOMOLOGY[tag]:
             winners.append(squares)
     if not winners:
         raise InvalidModel(f"no square set with the right homology for {tag!r}")
     return min(winners)
 
 
-# Catalog tags whose skeleton passed validation, its homology certificate
-# and the marking check in this process; the frozen data cannot change,
-# so once is enough.
-_CERTIFIED: set[str] = set()
-
-
 def basic_surface(tag) -> MarkedSkeleton:
-    """The catalog skeleton for S, T, K or P, marked and homology-certified.
+    """The catalog skeleton for S, T, K or P, marked.
 
     Every call returns a fresh skeleton, so no caller can change what
     another one gets.
@@ -207,17 +198,7 @@ def basic_surface(tag) -> MarkedSkeleton:
     tag = tag.tag if isinstance(tag, SurfaceSummand) else SurfaceSummand(str(tag)).tag
     data = _DIGRAPHS[tag]
     sk = Skeleton2Graph(data["vertices"], data["blue"], data["red"], _FROZEN_SQUARES[tag])
-    ms = MarkedSkeleton(sk, "u", "v", _MARKED_SQUARE)
-    if tag not in _CERTIFIED:
-        if validate_skeleton(sk):
-            raise InvalidModel(f"catalog skeleton {tag} fails validation")
-        if _skeleton_homology(sk) != _EXPECTED_HOMOLOGY[tag]:
-            raise InvalidModel(f"catalog skeleton {tag} fails its homology certificate")
-        problems = validate_marking(ms)
-        if problems:
-            raise BadMarking("; ".join(problems))
-        _CERTIFIED.add(tag)
-    return ms
+    return MarkedSkeleton(sk, "u", "v", _MARKED_SQUARE)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kgraphs.core import (
+    Cube,
     FiniteKGraph,
     _find_violations,
     _numbering,
@@ -635,6 +636,15 @@ def test_product_refuses_what_the_public_constructor_would():
         cartesian_product(a, b)
 
 
+def test_product_with_an_endpoint_that_is_not_a_vertex_matches_the_reference():
+    # the pair of "ghost" with a vertex names no id of the product
+    ghost = FiniteKGraph(1, ["v"], {"e": ((1,), "v", "ghost")}, {})
+    loop = FiniteKGraph(1, ["w"], {"l": ((1,), "w", "w")}, {})
+    for x, y in ((ghost, loop), (loop, ghost)):
+        _agree(lambda: cartesian_product(x, y), lambda: reference_cartesian_product(x, y))
+    assert cartesian_product(ghost, loop).s("(e,w)") == "(ghost,w)"
+
+
 def test_cubes_and_faces_on_a_grid():
     g1 = path_category(2, [(0, 1)])
     g = grid_category(g1, g1)
@@ -833,6 +843,15 @@ def test_skeleton_cubes():
     assert face(sk, sq, 1, 1).key == "g"
     assert face(sk, sq, 2, 0).key == "f"
     assert face(sk, sq, 2, 1).key == "f2"
+
+
+def test_skeleton_face_refuses_a_square_it_does_not_have():
+    sk = square_skeleton()
+    for key in (("x", "y", "z", "w"), ("f", "g", "g2", "f"), ("f", "g")):
+        with pytest.raises(UnknownId, match="no square"):
+            face(sk, Cube(key, (1, 1)), 1, 0)
+    with pytest.raises(UnknownId, match="no edge"):
+        face(sk, Cube("x", (1, 0)), 1, 0)
 
 
 # sha256 prefixes of (cubes, faces, dot, mesh), from `cube_view_digests`,

@@ -64,6 +64,14 @@ def test_skeleton_roundtrip_keeps_marking():
     assert isinstance(ms2, MarkedSkeleton)
     assert (ms2.u, ms2.v, ms2.square) == (ms.u, ms.v, ms.square)
     assert ms2.skeleton.squares == ms.skeleton.squares
+    assert ms2 == ms
+
+
+def test_rejects_an_edge_id_that_is_a_vertex_id():
+    doc = model_doc(basic_surface("T"))
+    doc["blue"][0]["id"] = "u"
+    with pytest.raises(ParseError, match="vertex and edge ids must be pairwise distinct"):
+        loads(json.dumps(doc))
 
 
 def test_rejects_non_object():

@@ -86,8 +86,7 @@ def test_skeleton_rebuilt_from_its_own_fields_is_equal():
     for tag in TAGS:
         sk = basic_surface(tag).skeleton
         again = Skeleton2Graph(sk.vertices, sk.blue, sk.red, sk.squares)
-        assert (again.vertices, again.blue, again.red, again.squares) == \
-            (sk.vertices, sk.blue, sk.red, sk.squares)
+        assert again == sk
         assert export_json(again) == export_json(sk)
 
 
@@ -169,6 +168,20 @@ def test_basic_surface_returns_a_fresh_skeleton():
     assert again.skeleton is not first.skeleton
     assert again.skeleton.squares == _FROZEN_SQUARES["T"]
     assert validate_skeleton(again.skeleton) == []
+
+
+def test_skeletons_compare_by_value():
+    torus = basic_surface("T").skeleton
+    assert basic_surface("T") == basic_surface("T")
+    assert compact_surface("T,K") == compact_surface("T,K")
+    assert basic_surface("T") != basic_surface("K")  # one digraph, other squares
+    # listed in another order, the same skeleton; one edge turned, another
+    same = Skeleton2Graph(torus.vertices[::-1], dict(reversed(torus.blue.items())),
+                          torus.red, torus.squares[::-1])
+    turned = Skeleton2Graph(torus.vertices, {**torus.blue, "a": ("v", "w")}, torus.red, torus.squares)
+    assert same == torus and hash(same) == hash(torus) and {torus: 1}[same] == 1
+    assert turned != torus and not turned == torus
+    assert torus != (torus.vertices, torus.blue, torus.red, torus.squares)
 
 
 def test_indexed_validator_matches_quadratic_oracle_on_valid_skeletons():
@@ -324,8 +337,6 @@ def test_broken_two_summand_sums_fail_as_the_reference_does():
 
 
 def test_compact_surface_validates_once(monkeypatch):
-    for tag in TAGS:
-        basic_surface(tag)  # certify the catalog first
     calls = {"skeleton": 0, "marking": 0}
 
     def counted(name, fn):
@@ -336,6 +347,9 @@ def test_compact_surface_validates_once(monkeypatch):
 
     monkeypatch.setattr(surfaces, "validate_skeleton", counted("skeleton", validate_skeleton))
     monkeypatch.setattr(surfaces, "validate_marking", counted("marking", validate_marking))
+    for tag in TAGS:  # the catalog is constant data, certified by the tests, not per call
+        basic_surface(tag)
+    assert calls == {"skeleton": 0, "marking": 0}
     for tags in (["K"], ["T", "P", "S", "K", "T"]):
         calls.update(skeleton=0, marking=0)
         compact_surface(tags)

@@ -366,7 +366,6 @@ class FiniteKGraph:
         self._by_end: tuple[dict, dict] | None = None  # for _incidence
         self._factor_index: dict | None = None
         self._unit_steps: dict[int, list] = {}  # per degree code, for _steps
-        self._deg_range_index: dict | None = None
         self._violations: tuple[Violation, ...] | None = None
 
         # optional geometric realisation of the vertices, set by builders
@@ -488,16 +487,13 @@ class FiniteKGraph:
             if isv[s[m]]:
                 yield m, s[m], m
 
-    def _composites(self, replay=None):
+    def _composites(self):
         """(a, b, ab) by number for each composable pair, identities included,
         in composable_pairs order.  A table entry that compose would reject
-        raises, when it is reached, what replay(a, b) on its ids raises, or
-        else compose's error."""
+        raises compose's error when it is reached."""
         r, s, n = self._r, self._s, len(self._ids)
         for (a, b), ab in self._table.items():
             if a >= n or b >= n or s[a] != r[b]:
-                if replay is not None:
-                    replay(self._names[a], self._names[b])
                 self.compose(self._names[a], self._names[b])
             yield a, b, ab
         yield from self._implicit_composites()
@@ -613,15 +609,6 @@ class FiniteKGraph:
             raise BadArgument(f"degree {n!r} is not a sequence of integers") from None
         return tuple(self._names[m] for m, d in enumerate(self._d) if d == n)
 
-    def _by_degree_and_range(self) -> dict:
-        if self._deg_range_index is None:
-            index: dict[tuple[Degree, str], list[str]] = {}
-            names = self._names
-            for m, d in enumerate(self._d):
-                index.setdefault((d, names[self._r[m]]), []).append(names[m])
-            self._deg_range_index = index
-        return self._deg_range_index
-
     def __len__(self) -> int:
         return len(self._ids)
 
@@ -643,13 +630,15 @@ def validate_kgraph(g: FiniteKGraph) -> list[Violation]:
     construction and are not re-checked.  compose-total is certified per
     morphism by counting its stored followers.  On a graph with no fault
     in the earlier rule groups, factor-exists is certified by counting
-    the index, and associativity by the triples whose middle has total
-    degree 1.  Any shortfall reruns the full scans, which check every
-    composable pair, triple and split, so the list does not depend on
-    the path taken.  The violations are found once per graph and kept on
-    it; every call returns a fresh list.  Simplices, spheres and wedges
-    keep the verdict () by construction, and so do glue_on_common results
-    that its "lift" check certifies: they are not scanned.
+    the index, and associativity by thin ends: when no two morphisms,
+    identities included, share (range, source), both bracketings of a
+    triple are the one morphism between its ends.  A shortfall, or a
+    graph with parallel morphisms, runs the full scans, which check every
+    composable pair, triple and split, so the list does not depend on the
+    path taken.  The violations are found once per graph and kept on it;
+    every call returns a fresh list.  Simplices, spheres and wedges keep
+    the verdict () by construction, and so do glue_on_common results that
+    its "lift" check certifies: they are not scanned.
     """
     if g._violations is None:
         g._violations = tuple(_find_violations(g))
@@ -666,6 +655,9 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
     out: list[Violation] = []
     names, n, rank = g._names, len(g._ids), g.rank
     deg, r, s, isv = g._d, g._r, g._s, g._isv
+    # whether no two morphisms share (range, source), for the certificates
+    # below; its set is gone before the walk over the table
+    thin = len(set(zip(r, s))) == n
     bad_shape: set[int] = set()
     bad_ends: set[int] = set()
     dc = g._dc
@@ -742,31 +734,24 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
     # a stable sort keeps compose-endpoints before compose-degree per pair
     out += sorted(composite, key=by_witness)
 
-    # Certificates for a graph clean so far whose non-identities have
+    # Certificates for a graph clean so far.  Its non-identities have
     # nonzero degree (vertices have degree zero, and the table holds no
-    # identity pair).  Each index key is then an inner split (c, d(a)) of a
-    # non-identity c, one per key, so factor-exists holds when the index
+    # identity pair), so each index key is an inner split (c, d(a)) of a
+    # non-identity c, one per key, and factor-exists holds when the index
     # has as many keys as there are inner splits: the sum over the
-    # non-identities m of prod(d_i(m) + 1) - 2.  Given
-    # that and compose-total, associativity follows from the triples whose
-    # middle y has |d(y)| = 1, by induction on |d(y)| (Hazlewood, Raeburn,
-    # Sims and Webster 2013 fix factorisations by the 1-skeleton and its
-    # squares): write y = y1 y2 with d(y1) a unit; then
-    #   (x y) z = ((x y1) y2) z = (x y1)(y2 z) = x (y1 (y2 z)) = x (y z)
-    # by (x, y1, y2), (x y1, y2, z), (x, y1, y2 z) and (y1, y2, z), whose
-    # middles have degree 1 or |d(y)| - 1.  On any shortfall, an assoc hit
-    # or a clash included, the full scans run, so the list is the same.
+    # non-identities m of prod(d_i(m) + 1) - 2.  Every composable pair has
+    # a composite, with range r(a) and source s(b), so when no two
+    # morphisms, identities included, share (range, source), (x y) z and
+    # x (y z) are both the one morphism from s(z) to r(x): associativity
+    # holds and no triple is walked.  Any other graph walks every triple.
     per_code = Counter(dc)
     zero = codes.get((0,) * rank)
     inner_splits = sum(k * (math.prod(x + 1 for x in degrees[c]) - 2)
                        for c, k in per_code.items() if c != zero)
     counted = (not out and not clashes and per_code[zero] == len(g._vidx)
                and len(index) == inner_splits)
-    middles = {b: row for b, row in after.items() if sum(deg[b]) == 1} if counted else after
-    assoc = _assoc(after, middles, names)
-    if assoc and middles is not after:  # the full scan lists every triple
-        assoc = _assoc(after, after, names)
-    out += sorted(assoc, key=by_witness)
+    if out or not thin:
+        out += sorted(_assoc(after, names), key=by_witness)
 
     unique = []
     for key, pairs in clashes.items():
@@ -796,13 +781,13 @@ def _find_violations(g: FiniteKGraph) -> list[Violation]:
     return out
 
 
-def _assoc(after: dict, middles: dict, names) -> list[Violation]:
+def _assoc(after: dict, names) -> list[Violation]:
     """The assoc violations, unsorted, of the triples (a, b, c) of stored
-    entries whose middle b has a row in middles."""
+    entries."""
     out = []
     for a, a_row in after.items():
         for b, ab in a_row.items():
-            b_row, ab_row = middles.get(b), after.get(ab)
+            b_row, ab_row = after.get(b), after.get(ab)
             if b_row is None or ab_row is None:
                 continue
             for c, bc in b_row.items():
@@ -923,12 +908,15 @@ class Skeleton2Graph:
     def _unit_faces(self, key) -> dict:
         """An edge's faces are its endpoints, in its colour's direction; a
         square (f, g, g2, f2) has the red g, g2 in direction 1 and the
-        blue f2, f in direction 2.  UnknownId for any other key."""
+        blue f2, f in direction 2; a vertex has none.  UnknownId for any
+        other key."""
         if isinstance(key, tuple):
             if key not in self.squares:
                 raise UnknownId(f"no square {key!r}")
             f, gg, g2, f2 = key
             return {1: (gg, g2, (0, 1)), 2: (f2, f, (1, 0))}
+        if key not in self.blue and key not in self.red and key in self.vertices:
+            return {}
         e = self.edge(key)
         return {self.colour(key): (e.s, e.r, ())}
 
@@ -1074,15 +1062,26 @@ def face(model, cube: Cube, i: int, side: int) -> Cube:
     """The side-0 / side-1 face of a cube in direction i (1-based).
 
     Side 0 is the face at the range end (the head complement), side 1 the
-    face at the source end; see `Cube`.
+    face at the source end; see `Cube`.  The faces and the degree are the
+    key's own: BadArgument when the cube's degree is not, and UnknownId
+    for a key the model does not have.
     """
     if side not in (0, 1):
         raise BadArgument("side must be 0 or 1")
     if not isinstance(i, int):
         raise BadArgument(f"direction {i!r} is not an integer")
-    faces = {}
-    if 1 <= i <= len(cube.degree) and cube.degree[i - 1] == 1:
-        faces = model._unit_faces(cube.key)
+    try:
+        hash(cube.key)
+    except TypeError:
+        raise UnknownId(f"no cube with key {cube.key!r}") from None
+    faces = model._unit_faces(cube.key)
+    # the key's degree, read off a face: the face's degree with a 1 put
+    # back in its direction (a skeleton edge's faces are vertices, of
+    # degree ()); a key without faces has no 1 in its degree
+    own = [rest[:j - 1] + (1,) + rest[j:] if rest else unit_degree(model.rank, j)
+           for j, (_, _, rest) in faces.items()]
+    if (own[0] != cube.degree) if own else (1 in cube.degree):
+        raise BadArgument(f"cube {cube.key!r} does not have degree {cube.degree}")
     if i not in faces:
         raise BadDirection(f"cube {cube.key!r} has no extent in direction {i}")
     hi, lo, degree = faces[i]
@@ -1096,17 +1095,16 @@ def face(model, cube: Cube, i: int, side: int) -> Cube:
 def mce(g: FiniteKGraph, a: str, b: str) -> list[str]:
     """Minimal common extensions of a and b: morphisms of degree
     d(a) v d(b) that factor through both.  Sorted by id."""
-    da, db = g.d(a), g.d(b)
-    if g.r(a) != g.r(b):
+    i, j = g._num(a), g._num(b)
+    da, db, v = g._d[i], g._d[j], g._r[i]
+    if v != g._r[j]:
         return []
     if len(da) != g.rank or len(db) != g.rank:
         raise InvalidModel("mce needs well-shaped degrees")
-    n = deg_join(da, db)
-    out = []
-    for lam in g._by_degree_and_range().get((n, g.r(a)), []):
-        if g.factorise(lam, da)[0] == a and g.factorise(lam, db)[0] == b:
-            out.append(lam)
-    return sorted(out)
+    code, dc = g._codes.get(deg_join(da, db)), g._dc
+    # the morphisms with range v come in id order
+    return [g._names[lam] for lam in g._incidence()[0].get(v, ())
+            if dc[lam] == code and g._split(lam, da)[0] == i and g._split(lam, db)[0] == j]
 
 
 def mce_set(g: FiniteKGraph, morphisms) -> list[str]:

@@ -220,18 +220,17 @@ def _saturate(graph: FiniteKGraph, uf: _UnionFind) -> None:
             return
 
 
-def _forced(g: FiniteKGraph, rep: list[int], classes, units: bool = False):
+def _forced(g: FiniteKGraph, rep: list[int], classes):
     """The pairs the comp and factor conditions force together that rep
     does not relate, or that name an unknown id, as (x, y, witness, part,
     split) by number, with split None for a pair of composites.
 
     rep gives each morphism's representative.  classes are the classes
     compared split by split, each of one degree with its least member
-    first; with units, only at the splits p with |p| <= 1.  Composites
-    come first, grouped by the class pair of their factors in
-    `_composites` order; then each class split by split, heads before
-    tails.  A table entry or a factorisation that is not there raises
-    what compose or factorise raises, when it is reached.
+    first.  Composites come first, grouped by the class pair of their
+    factors in `_composites` order; then each class at every split in
+    turn, heads before tails.  A table entry or a factorisation that is
+    not there raises what compose or factorise raises, when it is reached.
     """
     names, n = g._names, len(g._ids)
     # an unknown name is NaN, which is related to nothing, itself included
@@ -256,9 +255,8 @@ def _forced(g: FiniteKGraph, rep: list[int], classes, units: bool = False):
             g.factorise(g._names[m0], (0,) * len(d0))  # raises BadSplit, as at the first split
         plan = plans.get(d0)
         if plan is None:
-            plan = [(p, codes.get(p) if any(p) and p != d0 else None)
-                    for p in _splits(d0) if not units or sum(p) <= 1]
-            plans[d0] = plan
+            plan = plans[d0] = [(p, codes.get(p) if any(p) and p != d0 else None)
+                                for p in _splits(d0)]
         for p, code in plan:
             h0 = None
             for m in cls:
@@ -280,18 +278,12 @@ def _forced(g: FiniteKGraph, rep: list[int], classes, units: bool = False):
 def check_congruence(rel: MorphismRelation) -> CongruenceVerdict:
     """Test the four congruence conditions, in order, stopping at the first
     failure.  The verdict's witness names morphisms that replay it.
-
-    On a graph already validated clean, "factor" is first checked at the
-    splits p with |p| <= 1 only.  Once "comp" holds that is enough: write
-    p = e_i + q and m = u x with d(u) = e_i; by induction on |p| the heads
-    and tails of x and x' at q are related, so by "comp" and unique
-    factorisation so are those of m and m' at p.  If that pass fails, the
-    full scan runs, so the verdict and witness are the same either way.
+    "comp" and "factor" come from one scan (`_forced`), which compares
+    every class at every split.
     """
     g = rel.graph
     names, deg, rep, n = g._names, g._d, rel._rep, len(g._ids)
     classes = list(rel._merged.values())  # by representative
-    units = g._violations == ()  # the unit-split lemma needs a k-graph
 
     for cls in classes:
         d0 = deg[cls[0]]
@@ -304,10 +296,7 @@ def check_congruence(rel: MorphismRelation) -> CongruenceVerdict:
                     f"related morphisms have degrees {d0} and {deg[m]}",
                 )
 
-    for hit in _forced(g, rep, classes, units):
-        if units and hit[4] is not None:  # the first failing split, in full
-            hit = next(_forced(g, rep, classes))
-        x, y, witness, part, p = hit
+    for x, y, witness, part, p in _forced(g, rep, classes):
         x, y = names[x], names[y]
         rel.same(x, y)  # raises ForeignId for an unknown id; False otherwise
         condition, at = ("comp", "") if p is None else ("factor", f" at split {p}")
@@ -419,22 +408,19 @@ def _check_embedding(side: str, phi: dict[str, str], common: FiniteKGraph, targe
         m = names[m]
         if common.d(m) != target.d(phi[m]):
             raise BadArgument(f"map on side {side!r} changes the degree of {m!r}")
-        if phi[common.r(m)] != target.r(phi[m]) or phi[common.s(m)] != target.s(phi[m]):
+        if phi.get(common.r(m)) != target.r(phi[m]) or phi.get(common.s(m)) != target.s(phi[m]):
             raise BadArgument(f"map on side {side!r} does not respect endpoints at {m!r}")
     # With degrees and endpoints kept and identities sent to identities, a
     # pair with an identity in it holds and any other goes to a composable
     # pair of non-identities: only its composite is read.  A table entry
-    # common cannot compose fails in target first, as on ids.
+    # common cannot compose raises what common's compose raises; a name
+    # that is not an id has no image, so it fails the check.
     fast = [tisv[x] for x in f] == list(isv[:n])
-
-    def replay(a: str, b: str) -> str:
-        return target.compose(phi[a], phi[b])
-
-    for a, b, c in common._composites(replay):
+    for a, b, c in common._composites():
         if fast and (isv[a] or isv[b] or (c < n and ttable.get((f[a], f[b])) == f[c])):
             continue
         a, b = names[a], names[b]
-        if replay(a, b) != phi[common.compose(a, b)]:
+        if target.compose(phi[a], phi[b]) != phi.get(common.compose(a, b)):
             raise BadArgument(f"map on side {side!r} is not functorial at ({a!r}, {b!r})")
     return f
 

@@ -34,6 +34,7 @@ from kgraphs.core import (
 import kgraphs
 from kgraphs.errors import (
     BadArgument,
+    BadDirection,
     BadSplit,
     DimensionTooLarge,
     KGraphError,
@@ -205,9 +206,9 @@ def assert_incidence_agrees(g: FiniteKGraph) -> None:
 
 def test_counted_validation_matches_the_reference_on_mutated_builds():
     # mutated_category's faults reach the full scans through an earlier rule
-    # group; the swapped composites (on each build times two parallel edges)
-    # and the lone morphism break only associativity or factor-exists, which
-    # the counts certify, so the rerun of the full scans decides their lists
+    # group; the swapped composites (on each build times two parallel edges,
+    # which is not thin) and the lone morphism break only associativity or
+    # factor-exists, so the triple walk and the factor count decide their lists
     kept: dict[str, list] = {"assoc": [], "factor-exists": []}
     for base in (build_simplex(2), build_sphere(2), build_simplex(3), build_wedge(2, 3)):
         twinned = cartesian_product(base, twin_edges())
@@ -225,7 +226,7 @@ def test_counted_validation_matches_the_reference_on_mutated_builds():
                 if len(rules) == 1 and rules <= set(kept):
                     kept[rules.pop()].append((g, want))
     assert all(len(graphs) >= 6 for graphs in kept.values())
-    # a first witness whose middle has degree 2 is found by the full scan only
+    # the walk covers every triple: some first witness has a middle of degree 2
     assert any(deg_total(g.d(want[0].witness[1])) >= 2 for g, want in kept["assoc"])
 
 
@@ -311,6 +312,59 @@ def test_associativity_is_checked_on_every_triple():
     found = [(v.witness, v.detail) for v in validate_kgraph(broken) if v.rule == "assoc"]
     assert found == brute_force_assoc(broken)
     assert len(found) > 0
+
+
+def _assoc_walks(monkeypatch) -> list:
+    """Patch the triple walk to record each call it gets; returns the record."""
+    walks = []
+    walk = kgraphs.core._assoc
+
+    def counted(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(kgraphs.core, "_assoc", counted)
+    return walks
+
+
+def test_thin_graphs_validate_without_walking_a_triple(monkeypatch):
+    # no two morphisms of a builder output share (range, source), so both
+    # bracketings of a triple are the one morphism between its ends
+    def refuse(*args):
+        raise AssertionError("a thin graph walked its triples")
+
+    two_points = FiniteKGraph(0, ["0", "1"], {}, {})
+    graphs = (build_simplex(4), build_sphere(4), build_wedge(3, 8),
+              cartesian_product(two_points, build_simplex(3)))
+    monkeypatch.setattr(kgraphs.core, "_assoc", refuse)
+    for g in graphs:
+        assert validate_kgraph(FiniteKGraph(g.rank, *parts(g))) == []
+        assert validate_kgraph(loads(export_json(g))) == []
+
+
+def test_graphs_with_parallel_morphisms_walk_every_triple_once(monkeypatch):
+    walks = _assoc_walks(monkeypatch)
+    for g in (parallel_path_category(3), cartesian_product(build_simplex(2), twin_edges()),
+              cartesian_product(parallel_path_category(3), build_simplex(2))):
+        fresh = FiniteKGraph(g.rank, *parts(g))
+        walks.clear()
+        assert validate_kgraph(fresh) == []
+        assert len(walks) == 1
+
+
+def test_a_thin_graph_with_a_composite_of_wrong_ends_is_walked(monkeypatch):
+    # the composite keeps its degree, so its ends are its only fault
+    g = build_simplex(2)
+    vertices, mor, table = parts(g)
+    walks = _assoc_walks(monkeypatch)
+    for pair, c in sorted(table.items()):
+        twins = [m for m in g.nonidentity_ids()
+                 if g.d(m) == g.d(c) and (g.r(m), g.s(m)) != (g.r(c), g.s(c))]
+        broken = FiniteKGraph(g.rank, vertices, mor, {**table, pair: twins[0]})
+        walks.clear()
+        want = reference_find_violations(broken)
+        assert validate_kgraph(broken) == want
+        assert len(walks) == 1 and "compose-endpoints" in {v.rule for v in want}
 
 
 def test_degree_zero_morphisms_rejected():
@@ -852,6 +906,33 @@ def test_skeleton_face_refuses_a_square_it_does_not_have():
             face(sk, Cube(key, (1, 1)), 1, 0)
     with pytest.raises(UnknownId, match="no edge"):
         face(sk, Cube("x", (1, 0)), 1, 0)
+
+
+def test_face_reads_the_degree_of_the_key_itself():
+    # a cube given a degree its key does not have is refused on both models,
+    # and so is a key that cannot be an id
+    torus, simplex = basic_surface("T").skeleton, build_simplex(2)
+    assert simplex.d("(0,{0,1,2})") == (1, 1)
+    for model, cube in ((torus, Cube(("c", "e", "g", "a"), (1, 0))),
+                        (torus, Cube("a", (0, 1))),
+                        (torus, Cube("e", (1, 0))),
+                        (torus, Cube("a", ())),
+                        (torus, Cube("u", (1, 0))),
+                        (simplex, Cube("(0,{0,1,2})", (1, 0))),
+                        (simplex, Cube("(0,{0,21})", (1, 1))),
+                        (simplex, Cube("(0,{0,21})", (0, 0))),
+                        (simplex, Cube("0", (1, 0)))):
+        with pytest.raises(BadArgument, match="does not have degree"):
+            face(model, cube, 1, 0)
+    for model in (torus, simplex):
+        with pytest.raises(UnknownId):
+            face(model, Cube(["a"], (1, 0)), 1, 0)
+    # with their own degrees the answers are the cube view's
+    assert face(torus, Cube("a", (1, 0)), 1, 0) == Cube(torus.blue["a"].r, ())
+    assert face(simplex, Cube("(0,{0,1,2})", (1, 1)), 1, 0) == Cube("(0,{10,2})", (0, 1))
+    for model, cube in ((torus, Cube("u", ())), (simplex, Cube("0", (0, 0)))):
+        with pytest.raises(BadDirection):
+            face(model, cube, 1, 0)
 
 
 # sha256 prefixes of (cubes, faces, dot, mesh), from `cube_view_digests`,

@@ -348,7 +348,7 @@ def settled(fn, *args):
     """What a call returns, or the type and message of any error it raises."""
     try:
         return fn(*args)
-    except Exception as e:  # the old path let KeyError out of broken maps
+    except Exception as e:  # the reference lets KeyError out of broken commons
         return (type(e), str(e))
 
 
@@ -362,7 +362,9 @@ def test_glue_is_the_reference_quotient_on_random_gluings(seed, kind, common_kin
     # a random graph glued to a renamed copy of itself along a (co-)hereditary
     # vertex set, the full subgraph on it or just its vertices; a broken
     # summand or common piece takes the generated path, and a broken map
-    # fails the embedding check, with the reference's errors
+    # fails the embedding check, with the reference's errors.  A common
+    # piece that names a non-id fails the check with a KGraphError, where
+    # the reference lets a bare KeyError out
     rng = random.Random(seed)
     g = rng.choice([random_path_category, random_grid_category])(rng, max_morphisms=20)
     seed_set = rng.sample(g.vertices, rng.randint(1, len(g.vertices)))
@@ -391,6 +393,8 @@ def test_glue_is_the_reference_quotient_on_random_gluings(seed, kind, common_kin
     got, want = settled(glue_on_common, *args), settled(reference_glue_on_common, *args)
     if isinstance(want, FiniteKGraph):
         same_graph(got, want)
+    elif want[0] is KeyError:
+        assert isinstance(got, tuple) and issubclass(got[0], KGraphError)
     else:
         assert got == want
 
@@ -414,6 +418,25 @@ def test_lift_check_agrees_with_validating_the_direct_glue(seed, kind, common_ki
     shared = {right._at[new.get(m, m)]: g._at[m] for m in common.morphism_ids()}
     glued = _glue([g, right], ["0:{}", "1:{}"], shared)
     assert _lift_holds(g, right, shared) == (not _find_violations(glued))
+
+
+@pytest.mark.parametrize("change", ["entry", "range", "composite"])
+def test_a_common_graph_that_names_a_non_id_fails_the_embedding_check(change):
+    # an extra entry whose factor is "ghost", a range "ghost", or a composite
+    # "ghost": common's compose, or a missing image, refuses it
+    mor = {"e": ((1,), "b", "a"), "f": ((1,), "c", "b"), "g": ((2,), "c", "a")}
+    target = FiniteKGraph(1, ["a", "b", "c"], mor, {("f", "e"): "g"})
+    phi = {m: m for m in target.morphism_ids()}
+    table = {("f", "e"): "g"}
+    if change == "entry":
+        table[("ghost", "e")] = "g"
+    elif change == "range":
+        mor = {**mor, "e": ((1,), "ghost", "a")}
+    else:
+        table[("f", "e")] = "ghost"
+    common = FiniteKGraph(1, ["a", "b", "c"], mor, table)
+    with pytest.raises(KGraphError):
+        glue_on_common(common, target, target, phi, dict(phi))
 
 
 def test_a_glue_that_fails_lift_takes_the_generated_path():
@@ -520,11 +543,10 @@ def test_congruence_verdicts_match_the_reference_on_random_relations(which, pick
     assert check_congruence(rel) == reference_check_congruence(rel)
 
 
-def test_the_unit_split_pass_keeps_the_verdicts_of_the_full_scan():
-    # On a validated graph "factor" is checked at the splits p with
-    # |p| <= 1 first.  Each relation here relates two morphisms of one
-    # degree and range and their heads and tails at every unit split, so a
-    # failure shows first, in the full scan, at a larger split.
+def test_factor_verdicts_past_the_unit_splits_match_the_reference():
+    # Each relation here relates two morphisms of one degree and range and
+    # their heads and tails at every unit split, so "factor" can fail
+    # first only at a larger split.
     details = set()
     for g in (build_simplex(2), build_sphere(2), build_wedge(2, 3)):
         assert validate_kgraph(g) == []
